@@ -206,16 +206,27 @@ def scan_x0(params: LadderParams, x0_list, engine: str = TIME,
         rows.append(ScanRow(x0=int(x0), ratio_left=m.ratio_left,
                             p_edge_left=m.p_edge_left,
                             incomplete=prof.incomplete))
-    xs = np.array([r.x0 for r in rows], dtype=float)
-    ratio = np.array([r.ratio_left for r in rows])
-    pedge = np.array([r.p_edge_left for r in rows])
-    if len(rows) >= 2 and np.all(ratio > 0) and np.all(pedge > 0):
-        rs, _, rr2 = _linfit(np.log(xs), np.log(ratio))
-        es, _, er2 = _linfit(xs, np.log(pedge))
-    else:
-        rs = rr2 = es = er2 = np.nan
+    rs, rr2, es, er2 = x0_slopes([r.x0 for r in rows],
+                                 [r.ratio_left for r in rows],
+                                 [r.p_edge_left for r in rows])
     return ScanResult(rows=rows, ratio_slope=rs, ratio_r2=rr2,
                       p_edge_rate=es, p_edge_r2=er2)
+
+
+def x0_slopes(x0s, ratios, p_edges):
+    """The two release-position fits of a scan, with their r^2.
+
+    Returns (ratio_slope, ratio_r2, p_edge_rate, p_edge_r2) from log(ratio)
+    against log(x0) and log(P_edge) against x0, all NaN when there are fewer
+    than two releases or a left-edge value is missing (release at x0 = 1) or
+    not positive.
+    """
+    if len(x0s) < 2 or not all(v is not None and v > 0 for v in [*ratios, *p_edges]):
+        return (np.nan,) * 4
+    xs = np.asarray(x0s, dtype=float)
+    rs, _, rr2 = _linfit(np.log(xs), np.log(np.asarray(ratios, dtype=float)))
+    es, _, er2 = _linfit(xs, np.log(np.asarray(p_edges, dtype=float)))
+    return rs, rr2, es, er2
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,11 @@ def _parse_model(cfg, default_seed):
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
+def _check_x0(value, L, where):
+    if not isinstance(value, (int, float)) or not 1 <= value <= L:
+        raise ConfigError(f"{where} must lie in 1..{L}, got {value!r}")
+
+
 def validate_config(cfg, default_seed=None):
     """Schema-check a raw config dict; returns (normalized config, model, echo)."""
     if not isinstance(cfg, dict):
@@ -156,9 +161,9 @@ def validate_config(cfg, default_seed=None):
         if not isinstance(model, LadderParams):
             raise ConfigError(f"command {command!r} needs a ladder model")
     if command in ("walk", "burst"):
-        x0 = int(_need(cfg, "x0"))
-        if not 1 <= x0 <= model.L:
-            raise ConfigError(f"x0 must lie in 1..{model.L}")
+        _check_x0(_need(cfg, "x0"), model.L, "x0")
+    if command == "liouville" and isinstance(model, LadderParams) and "x0" in cfg:
+        _check_x0(cfg["x0"], model.L, "x0")
     if command == "sweep":
         sw = _need(cfg, "sweep")
         _fail_unknown(sw, _SWEEP_KEYS, "sweep")
@@ -168,8 +173,13 @@ def validate_config(cfg, default_seed=None):
         values = _need(sw, "values", "sweep")
         if not isinstance(values, list) or not values:
             raise ConfigError("sweep.values must be a non-empty list")
-        if vary != "x0" and "x0" not in cfg:
+        if vary == "x0":
+            for v in values:
+                _check_x0(v, model.L, "sweep.values")
+        elif "x0" not in cfg:
             raise ConfigError("parameter sweeps need a fixed x0")
+        else:
+            _check_x0(cfg["x0"], model.L, "x0")
     engine = cfg.get("engine", walk.TIME)
     if engine not in (walk.TIME, walk.RESOLVENT, "BOTH"):
         raise ConfigError("engine must be TIME, RESOLVENT, or BOTH")
@@ -366,16 +376,11 @@ def _cmd_sweep(cfg, model, out, tag, plot, jobs=1):
     files = {str(csv): f"burst metrics against {vary}"}
     diags = {"n_rows": len(results)}
     if vary == "x0":
-        xs = np.array([r[0] for r in results])
-        ratio = np.array([r[1] for r in results])
-        pedge = np.array([r[3] for r in results])
-        if np.all(ratio > 0) and np.all(pedge > 0) and xs.size >= 2:
-            rs, _, rr2 = analysis._linfit(np.log(xs), np.log(ratio))
-            es, _, er2 = analysis._linfit(xs, np.log(pedge))
-            diags["ratio_loglog_slope"] = rs
-            diags["ratio_loglog_r2"] = rr2
-            diags["p_edge_loglinear_rate"] = es
-            diags["p_edge_loglinear_r2"] = er2
+        fits = analysis.x0_slopes([r[0] for r in results], [r[1] for r in results],
+                                  [r[3] for r in results])
+        if not np.isnan(fits[0]):
+            diags.update(zip(("ratio_loglog_slope", "ratio_loglog_r2",
+                              "p_edge_loglinear_rate", "p_edge_loglinear_r2"), fits))
     if plot:
         pl = SvgPlot(xlabel=vary, ylabel="P_edge/P_min",
                      title=f"edge burst against {vary}",

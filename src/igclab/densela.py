@@ -72,18 +72,6 @@ def lu_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sla.lu_solve(factor, np.asarray(b, dtype=complex), check_finite=False)
 
 
-def lu_solve_factored(factor, b: np.ndarray) -> np.ndarray:
-    return sla.lu_solve(factor, np.asarray(b, dtype=complex), check_finite=False)
-
-
-def determinant(A: np.ndarray) -> complex:
-    """det(A) from the LU factorization (sign from the pivot permutation)."""
-    A = np.ascontiguousarray(A, dtype=complex)
-    lu, piv = sla.lu_factor(A, check_finite=False)
-    swaps = np.sum(piv != np.arange(piv.size))
-    return complex((-1.0) ** swaps * np.prod(np.diagonal(lu)))
-
-
 def eigendecompose(A: np.ndarray, want_vectors: bool = False) -> Spectrum:
     """Full complex spectrum of a square matrix, sorted by (Re, Im).
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import chebyshev as C
 
-from .model import LadderParams, h_x, h_y
+from .model import LadderParams, h_y
 
 IGC = "IGC"
 GAPPED = "GAPPED"
@@ -40,12 +40,6 @@ class IgcPoint:
     beta: complex
     energy: float
     marginal: bool = False
-
-    def plane_wave(self, L: int) -> np.ndarray:
-        """Normalized chain-A plane wave on a 2L-dimensional interleaved ring."""
-        v = np.zeros(2 * L, dtype=complex)
-        v[0::2] = np.exp(1j * self.k * np.arange(1, L + 1)) / np.sqrt(L)
-        return v
 
 
 @dataclass(frozen=True)
@@ -208,8 +202,3 @@ def classify(p: LadderParams) -> str:
     sol = solve_connection(p.t, p.t_p, p.phi)
     scale = max(1.0, np.abs(np.asarray(p.t)).sum())
     return IGC if sol.f_min <= 1e-12 * scale else GAPPED
-
-
-def connection_value(t, k):
-    """Convenience alias: F(k) for the given couplings."""
-    return h_x(t, k)

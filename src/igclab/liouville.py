@@ -30,9 +30,9 @@ import scipy.linalg as sla
 
 from . import densela
 from .igc import IgcSolution
-from .model import PBC, LadderParams, build_ladder
+from .model import PBC, LadderParams, build_ladder, site_index
 from .quadrature import adaptive_quadrature
-from .walk import TAIL_BOUND, _initial_state, _resolvent_edges
+from .walk import resolvent_integrand
 
 GAPLESS_TOL = 1e-6
 
@@ -120,33 +120,16 @@ def steady_density(p: LadderParams, x0: int, rtol: float = 1e-9,
 
         n_x^B = (gamma_x / pi) * integral |<x,B| (i omega - X)^{-1} |x0,A>|^2
 
-    evaluated with the same adaptive panel machinery as the walk's
-    frequency-domain engine.  Returns (n, diagnostics).
+    evaluated with the walk's frequency-domain integrand at s = i, so the
+    window, panels and solves are those of the escape profile, applied to X.
+    Returns (n, diagnostics).
     """
     if not 1 <= x0 <= p.L:
         raise ValueError("x0 outside the chain")
     gam = np.asarray(p.gamma)
     if np.all(gam == 0.0):
         return np.zeros(p.L), {"note": "lossless model"}
-    dm = build_damping(p)
-    n = dm.dim
-    x_inf = float(np.abs(dm.X).sum(axis=1).max())
-    omega_max = x_inf + 2.0 * gam.max() / (np.pi * TAIL_BOUND)
-    edges = _resolvent_edges(p, x_inf, omega_max)
-    rhs0 = _initial_state(p, x0)
-    bidx = np.arange(p.L) * 2 + 1
-    neg_x = -dm.X
-    diag_idx = np.diag_indices(n)
-
-    def f(omegas):
-        out = np.empty((omegas.size, p.L))
-        for i, w in enumerate(omegas):
-            A = neg_x.copy()
-            A[diag_idx] += 1j * w
-            g = densela.lu_solve(A, rhs0)
-            out[i] = np.abs(g[bidx]) ** 2
-        return out
-
+    f, edges, omega_max, _ = resolvent_integrand(p, x0, build_damping(p).X, 1j)
     quad = adaptive_quadrature(f, edges, rtol=rtol, atol_frac=1e-16,
                                max_panels=max_panels)
     dens = gam / np.pi * quad.value
@@ -173,7 +156,8 @@ def propagate_correlation(p: LadderParams, x0: int, times) -> CorrelationTrace:
     if p.L > 40:
         raise ValueError("reference propagation is limited to L <= 40")
     dm = build_damping(p)
-    e0 = _initial_state(p, x0)
+    e0 = np.zeros(dm.dim, dtype=complex)
+    e0[site_index(x0, "A")] = 1.0
     c0 = np.outer(e0, e0.conj())
     times = np.asarray(sorted(float(t) for t in times))
     if times.size == 0 or times[0] < 0:

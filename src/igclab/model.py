@@ -110,8 +110,10 @@ class LadderParams:
         return None
 
     def replace(self, **kw) -> "LadderParams":
+        # a uniform profile carries over as its scalar, so it survives a new L
+        g = self.uniform_gamma
         d = dict(L=self.L, t=self.t, t_p=self.t_p, phi=self.phi,
-                 gamma=self.gamma, bc=self.bc)
+                 gamma=self.gamma if g is None else g, bc=self.bc)
         d.update(kw)
         return LadderParams(**d)
 
@@ -310,29 +312,19 @@ def build_general(g: GeneralModel) -> HamiltonianMatrix:
 
 
 def ladder_to_general(p: LadderParams) -> GeneralModel:
-    """Re-express a ladder (all gamma_x > 0) in the general split form."""
+    """Re-express a ladder (all gamma_x > 0) in the general split form.
+
+    The blocks are the sublattice slices of `build_ladder`'s matrix (A sites
+    on the even rows, B sites on the odd ones); B_herm drops the loss
+    diagonal, which `build_general` adds back from gamma.
+    """
     if min(p.gamma) <= 0:
         raise ValueError("the split form puts every B site in the lossy block; "
                          "all gamma_x must be > 0")
-    L = p.L
-    A = np.zeros((L, L), dtype=complex)
-    B = np.zeros((L, L), dtype=complex)
-    fwd = 0.5 * p.t_p * np.exp(1j * p.phi)
-    for x in range(L):
-        if p.bc == PBC or x + 1 < L:
-            A[(x + 1) % L, x] += fwd
-            A[x, (x + 1) % L] += np.conj(fwd)
-            B[(x + 1) % L, x] += -fwd
-            B[x, (x + 1) % L] += -np.conj(fwd)
-    C = np.zeros((L, L), dtype=complex)
-    for x in range(L):
-        C[x, x] += p.t[0]
-        for m in range(1, p.n + 1):
-            if p.bc == PBC or x + m < L:
-                C[(x + m) % L, x] += 0.5 * p.t[m]
-            if p.bc == PBC or x - m >= 0:
-                C[(x - m) % L, x] += 0.5 * p.t[m]
-    return GeneralModel(A=A, B_herm=B, C=C, gamma=p.gamma)
+    H = build_ladder(p).matrix
+    return GeneralModel(A=H[0::2, 0::2],
+                        B_herm=H[1::2, 1::2] + 1j * np.diag(p.gamma),
+                        C=H[1::2, 0::2], gamma=p.gamma)
 
 
 @dataclass
@@ -389,25 +381,3 @@ def verify_dark_modes(H: HamiltonianMatrix, tol: float = 1e-8) -> DarkModeReport
         vacuous=(len(energies) == 0),
         condition_flag=spec.condition_flag,
     )
-
-
-def format_matrix(m: np.ndarray) -> str:
-    """Debug text format: one row per line, entries as 're,im' pairs."""
-    m = np.asarray(m, dtype=complex)
-    lines = []
-    for row in m:
-        lines.append(" ".join(f"{z.real:.17g},{z.imag:.17g}" for z in row))
-    return "\n".join(lines) + "\n"
-
-
-def parse_matrix(text: str) -> np.ndarray:
-    """Inverse of format_matrix."""
-    rows = []
-    for line in text.strip().splitlines():
-        rows.append([complex(*map(float, tok.split(","))) for tok in line.split()])
-    return np.array(rows, dtype=complex)
-
-
-def dump_matrix(m: np.ndarray, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_matrix(m))

@@ -9,7 +9,9 @@ compute the escape profile P_x and serve as mutual cross-checks:
   block, so the quadrature rides at the integrator's own order, and
 * the resolvent engine evaluates the frequency-domain formula
   P_x = (gamma_x / pi) * integral |<x,B| (omega - H)^{-1} |x0,A>|^2 d omega
-  by adaptive Gauss-Kronrod panels, one LU solve per node.
+  by adaptive Gauss-Kronrod panels, one LU solve per node.  The same
+  integrand, with the damping matrix X = i conj(H) in place of H, gives the
+  steady density in `liouville`.
 
 Eigendecomposition is deliberately not used for propagation: the open-chain
 eigenbasis of these skin-effect models is exponentially ill-conditioned and
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import densela
-from .model import OBC, PBC, LadderParams, bloch_bands, build_ladder
+from .model import OBC, PBC, LadderParams, bloch_bands, build_ladder, site_index
 from .ode import integrate
 from .quadrature import adaptive_quadrature, geometric_edges
 
@@ -87,7 +89,7 @@ class LossProfile:
 
 def _initial_state(p: LadderParams, x0: int) -> np.ndarray:
     psi0 = np.zeros(2 * p.L, dtype=complex)
-    psi0[2 * (x0 - 1)] = 1.0
+    psi0[site_index(x0, "A")] = 1.0
     return psi0
 
 
@@ -218,15 +220,46 @@ def _resolvent_edges(p: LadderParams, h_inf: float, omega_max: float) -> np.ndar
     return np.array(edges)
 
 
+def resolvent_integrand(p: LadderParams, x0: int, M: np.ndarray, s: complex):
+    """Frequency-domain integrand of the B-site response to a source at (x0, A).
+
+    Sets up the integral of |<x,B| (s*omega - M)^{-1} |x0,A>|^2 over omega,
+    with s = 1 for the Hamiltonian and s = i for the damping matrix.  The
+    window [-Omega, Omega] is fixed by the crude operator-norm tail bound
+    (gamma_max/pi) * 2 / (Omega - ||M||_inf) < TAIL_BOUND, and the integrand
+    costs one LU solve per node.  Returns (integrand, edges, Omega, tail_bound).
+    """
+    gam = np.asarray(p.gamma)
+    m_inf = float(np.abs(M).sum(axis=1).max())
+    omega_max = m_inf + 2.0 * gam.max() / (np.pi * TAIL_BOUND)
+    edges = _resolvent_edges(p, m_inf, omega_max)
+    rhs0 = _initial_state(p, x0)
+    bidx = np.arange(p.L) * 2 + 1
+    neg_m = -M
+    diag_idx = np.diag_indices(M.shape[0])
+
+    def f(omegas):
+        out = np.empty((omegas.size, p.L))
+        for i, w in enumerate(omegas):
+            A = neg_m.copy()
+            A[diag_idx] += s * w
+            g = densela.lu_solve(A, rhs0)
+            out[i] = np.abs(g[bidx]) ** 2
+        return out
+
+    tail_bound = float(gam.max() / np.pi * 2.0 / (omega_max - m_inf))
+    return f, edges, omega_max, tail_bound
+
+
 def loss_profile_resolvent(cfg: WalkConfig, rtol: float = 1e-9,
                            max_panels: int = 4000) -> LossProfile:
     """Escape profile from the frequency-domain resolvent formula.
 
-    The window [-Omega, Omega] is fixed by the crude operator-norm tail bound
-    (gamma_max/pi) * 2 / (Omega - ||H||_inf) < 1e-8; the actual truncation
-    error is far smaller because off-diagonal resolvent elements decay faster
-    than 1/omega.  Without any loss the integrand would not decay at all, so
-    that limit short-circuits to an exactly zero profile.
+    The integrand and its window come from `resolvent_integrand` with s = 1;
+    the actual truncation error is far smaller than the reported tail bound
+    because off-diagonal resolvent elements decay faster than 1/omega.
+    Without any loss the integrand would not decay at all, so that limit
+    short-circuits to an exactly zero profile.
     """
     p = cfg.params
     gam = np.asarray(p.gamma)
@@ -234,27 +267,8 @@ def loss_profile_resolvent(cfg: WalkConfig, rtol: float = 1e-9,
         return LossProfile(P=np.zeros(p.L), engine=RESOLVENT, total=0.0,
                            diagnostics={"note": "lossless model, nothing escapes",
                                         "engine": RESOLVENT})
-    H = build_ladder(p).matrix
-    n = H.shape[0]
-    h_inf = float(np.abs(H).sum(axis=1).max())
-    omega_max = h_inf + 2.0 * gam.max() / (np.pi * TAIL_BOUND)
-    edges = _resolvent_edges(p, h_inf, omega_max)
-    rhs0 = _initial_state(p, cfg.x0)
-    bidx = np.arange(p.L) * 2 + 1
-    neg_h = -H
-    diag_idx = np.diag_indices(n)
-    counter = {"solves": 0}
-
-    def f(omegas):
-        out = np.empty((omegas.size, p.L))
-        for i, w in enumerate(omegas):
-            A = neg_h.copy()
-            A[diag_idx] += w
-            g = densela.lu_solve(A, rhs0)
-            out[i] = np.abs(g[bidx]) ** 2
-            counter["solves"] += 1
-        return out
-
+    f, edges, omega_max, tail_bound = resolvent_integrand(
+        p, cfg.x0, build_ladder(p).matrix, 1.0)
     quad = adaptive_quadrature(f, edges, rtol=rtol, atol_frac=1e-16,
                                max_panels=max_panels)
     P = gam / np.pi * quad.value
@@ -262,9 +276,9 @@ def loss_profile_resolvent(cfg: WalkConfig, rtol: float = 1e-9,
         "engine": RESOLVENT,
         "n_nodes": quad.n_evaluations,
         "n_panels": quad.n_panels,
-        "n_solves": counter["solves"],
+        "n_solves": quad.n_evaluations,     # one LU per node
         "omega_max": omega_max,
-        "tail_bound": float(gam.max() / np.pi * 2.0 / (omega_max - h_inf)),
+        "tail_bound": tail_bound,
         "quadrature_error": float((gam / np.pi * quad.error).max()),
         "converged": quad.converged,
     }

@@ -72,6 +72,48 @@ def test_sweep_validation():
         validate_config(cfg)
 
 
+def small_sweep(values):
+    return {"command": "sweep", "engine": "TIME",
+            "model": {"kind": "ladder", "L": 12, "t": [0.3, 0.5], "t_p": 0.5,
+                      "phi": np.pi / 2, "gamma": 0.5, "bc": "OBC"},
+            "sweep": {"vary": "x0", "values": values}}
+
+
+def test_release_out_of_range_is_a_config_error(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="sweep.values"):
+        validate_config(small_sweep([6, 40]))
+    status, out = run_cli(tmp_path, small_sweep([6, 40]))
+    assert status == 2
+    assert "sweep.values" in json.loads(capsys.readouterr().err)["error"]["message"]
+    assert not out.exists()        # rejected before any walk ran
+    fixed = dict(small_sweep([0.1]), x0=13)
+    fixed["sweep"]["vary"] = "t2"
+    with pytest.raises(ConfigError, match="x0 must lie in 1..12"):
+        validate_config(fixed)
+    source = {"command": "liouville", "x0": 40, "model": fixed["model"]}
+    with pytest.raises(ConfigError, match="x0 must lie in 1..12"):
+        validate_config(source)
+
+
+def test_sweep_with_an_edge_release_skips_the_slope_fits(tmp_path):
+    status, out = run_cli(tmp_path, small_sweep([1, 6]))
+    assert status == 0
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert len(rows) == 3 and rows[1].startswith("1,")
+    diags = json.loads((out / "run.json").read_text())["diagnostics"]
+    assert diags["n_rows"] == 2
+    assert "ratio_loglog_slope" not in diags
+
+
+def test_sweep_over_x0_reports_the_slope_fits(tmp_path):
+    status, out = run_cli(tmp_path, small_sweep([4, 6]))
+    assert status == 0
+    diags = json.loads((out / "run.json").read_text())["diagnostics"]
+    for key in ("ratio_loglog_slope", "ratio_loglog_r2",
+                "p_edge_loglinear_rate", "p_edge_loglinear_r2"):
+        assert np.isfinite(diags[key])
+
+
 def test_every_preset_validates():
     for name, preset in PRESETS.items():
         for sub in preset["runs"]:

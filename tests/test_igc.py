@@ -182,11 +182,3 @@ def test_gamma_independence_on_commensurate_ring(commensurate_params):
         w = eigendecompose(build_ladder(p).matrix).eigenvalues
         for target in (E, -E):
             assert np.abs(w - target).min() < 1e-8
-
-
-def test_plane_wave_state_shape():
-    sol = solve_connection([0.3, 0.5], 0.5, np.pi / 2)
-    v = sol.points[0].plane_wave(50)
-    assert v.shape == (100,)
-    assert np.allclose(v[1::2], 0.0)
-    assert np.linalg.norm(v) == pytest.approx(1.0)

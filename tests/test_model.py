@@ -3,10 +3,10 @@ import pytest
 
 from igclab import (
     OBC, PBC, GeneralModel, LadderParams, build_bloch, build_general,
-    build_ladder, eigendecompose, ladder_to_general, linear_gamma,
+    build_ladder, eigendecompose, linear_gamma,
     random_gamma, site_index, verify_dark_modes,
 )
-from igclab.model import bloch_bands, dump_matrix, format_matrix, h_x, h_y, parse_matrix
+from igclab.model import bloch_bands, h_x, h_y
 
 
 def test_dimer_is_block_diagonal():
@@ -125,6 +125,17 @@ def test_params_validation():
         LadderParams(L=4, t=[np.inf], t_p=0, phi=0, gamma=0.5)
 
 
+def test_replace_carries_a_uniform_profile_to_a_new_length():
+    p = LadderParams(L=10, t=[0.3, 0.5], t_p=0.5, phi=0.0, gamma=0.5)
+    q = p.replace(L=12)
+    assert q.L == 12 and q.gamma == (0.5,) * 12
+    assert p.replace(bc=PBC).gamma == p.gamma
+    ramp = LadderParams(L=10, t=[0.3], t_p=0.5, phi=0.0,
+                        gamma=linear_gamma(10, 0.01, 0.2))
+    with pytest.raises(ValueError, match="one entry per cell"):
+        ramp.replace(L=12)
+
+
 def test_gamma_profiles():
     g = linear_gamma(5, 0.01, 0.2)
     assert np.allclose(g, [0.21, 0.22, 0.23, 0.24, 0.25])
@@ -162,19 +173,6 @@ def test_general_model_rejects_nonhermitian_blocks():
         GeneralModel(A=ok, B_herm=ok, C=np.zeros((2, 2)), gamma=[1, 0])
 
 
-def test_ladder_maps_to_general_form():
-    p = LadderParams(L=8, t=[0.3, 0.5], t_p=0.5, phi=np.pi / 3,
-                     gamma=np.linspace(0.2, 0.9, 8), bc=PBC)
-    Hl = build_ladder(p)
-    Hg = build_general(ladder_to_general(p))
-    # permutation between interleaved and blocked orderings
-    perm = np.empty(16, dtype=int)
-    for x in range(1, 9):
-        perm[Hg.site_index[("h", x - 1)]] = Hl.site_index[(x, "A")]
-        perm[Hg.site_index[("nh", x - 1)]] = Hl.site_index[(x, "B")]
-    assert np.allclose(Hg.matrix, Hl.matrix[np.ix_(perm, perm)])
-
-
 def test_random_six_site_model_is_dissipative():
     rng = np.random.default_rng(3)
     A = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
@@ -206,16 +204,6 @@ def test_dark_modes_obc_vacuous(fig3_params):
         rep = verify_dark_modes(build_ladder(fig3_params(bc=OBC)), tol=1e-6)
     assert rep.vacuous
     assert rep.passed
-
-
-def test_matrix_text_roundtrip(tmp_path):
-    rng = np.random.default_rng(4)
-    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    path = tmp_path / "m.txt"
-    dump_matrix(m, path)
-    back = parse_matrix(path.read_text())
-    assert np.array_equal(back, m)
-    assert format_matrix(m).count("\n") == 3
 
 
 def test_built_matrix_is_readonly():
