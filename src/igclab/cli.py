@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -187,6 +188,8 @@ def validate_config(cfg, default_seed=None):
 
 
 def _fmt(v) -> str:
+    if v is None:       # a metric that does not exist (release at an edge)
+        return "nan"
     if isinstance(v, float):
         if math.isnan(v):
             return "nan"
@@ -612,6 +615,27 @@ def _error_record(status, kind, message):
                                  "message": message}}, indent=2)
 
 
+def _write_failure_record(out, cfg, seed, exc):
+    """run.json of a run that failed numerically: what, where and the traceback."""
+    record = {
+        "tool": "igclab",
+        "version": __version__,
+        "status": "failed",
+        "command": cfg.get("command") if isinstance(cfg, dict) else None,
+        "config": cfg,
+        "seed": seed,
+        "error": {"type": type(exc).__name__, "message": str(exc),
+                  "traceback": "".join(traceback.format_exception(exc))},
+    }
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        with open(out / "run.json", "w", encoding="utf-8") as fh:
+            json.dump(record, fh, indent=2, default=str)
+            fh.write("\n")
+    except OSError:
+        pass    # the stderr record still reports the failure
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="igclab",
@@ -656,6 +680,7 @@ def main(argv=None) -> int:
         record = {
             "tool": "igclab",
             "version": __version__,
+            "status": "ok",
             "config": cfg,
             "seed": args.seed,
             "wall_time_s": round(time.time() - started, 3),
@@ -679,6 +704,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # numerical failures: report, do not traceback
         print(_error_record(3, "numerical", f"{type(exc).__name__}: {exc}"),
               file=sys.stderr)
+        _write_failure_record(Path(args.out), cfg, args.seed, exc)
         return 3
     return 0
 

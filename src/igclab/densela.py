@@ -1,13 +1,14 @@
-"""Dense complex linear-algebra kernels with residual diagnostics.
+"""Complex linear-algebra kernels with residual diagnostics.
 
-Everything downstream funnels its dense solves and eigenproblems through this
-module.  The factorizations themselves are delegated to LAPACK (partial-pivot
-LU via scipy, Hessenberg + implicitly shifted QR via numpy's eig); what this
-module owns is the contract around them: singularity detection at a fixed
-pivot threshold, per-pair eigen residuals, and a condition flag that marks
-spectra whose eigenbasis cannot be trusted.  Skin-effect matrices under open
-boundaries are expected to trip that flag at moderate sizes; callers must not
-propagate with their eigenvectors.
+Everything downstream funnels its linear solves and eigenproblems through
+this module.  The factorizations themselves are delegated to LAPACK
+(partial-pivot LU via scipy, dense or in band storage; Hessenberg +
+implicitly shifted QR via numpy's eig); what this module owns is the contract
+around them: singularity detection at a fixed pivot threshold, the same for
+dense and banded input, per-pair eigen residuals, and a condition flag that
+marks spectra whose eigenbasis cannot be trusted.  Skin-effect matrices under
+open boundaries are expected to trip that flag at moderate sizes; callers
+must not propagate with their eigenvectors.
 """
 
 from __future__ import annotations
@@ -49,27 +50,68 @@ class Spectrum:
         return self.eigenvalues.size
 
 
-def lu_factor(A: np.ndarray):
-    """Partial-pivot LU with a singularity check; returns a reusable factor."""
+@dataclass(frozen=True)
+class Banded:
+    """A square matrix in band storage: A[i, j] = ab[ku + i - j, j].
+
+    `ab` has kl + ku + 1 rows (the diagonal is row ku) and one column per
+    matrix column; the entries outside the matrix are ignored.
+    """
+
+    ab: np.ndarray
+    kl: int
+    ku: int
+
+
+def to_banded(A: np.ndarray) -> Banded:
+    """Band storage of a dense square matrix, as narrow as its nonzeros allow."""
+    A = np.asarray(A, dtype=complex)
+    i, j = np.nonzero(A)
+    kl, ku = int((i - j).max(initial=0)), int((j - i).max(initial=0))
+    n = A.shape[0]
+    ab = np.zeros((kl + ku + 1, n), dtype=complex)
+    for d in range(-kl, ku + 1):
+        ab[ku - d, max(d, 0):n + min(d, 0)] = np.diagonal(A, d)
+    return Banded(ab=ab, kl=kl, ku=ku)
+
+
+def _check_pivots(pivots: np.ndarray, scale: float):
+    # written so that a NaN pivot or scale (an overflowed elimination) fails too
+    if not (scale > 0.0 and pivots.min() >= PIVOT_RTOL * scale):
+        raise SingularMatrixError(
+            f"matrix is singular to working precision (min pivot "
+            f"{pivots.min():.3e} vs scale {scale:.3e})")
+
+
+def _banded_solve(A: Banded, b: np.ndarray) -> np.ndarray:
+    kl, ku = A.kl, A.ku
+    # LAPACK's band LU needs kl extra rows on top for the pivoting fill-in
+    work = np.zeros((2 * kl + ku + 1, A.ab.shape[1]), dtype=complex)
+    work[kl:] = A.ab
+    lu, piv, _ = sla.lapack.zgbtrf(work, kl, ku, overwrite_ab=1)
+    # U's diagonal is row kl + ku; an exact zero pivot (info > 0) fails here too
+    _check_pivots(np.abs(lu[kl + ku]), np.abs(A.ab).max(initial=0.0))
+    x, _ = sla.lapack.zgbtrs(lu, kl, ku, b, piv)
+    return x
+
+
+def lu_solve(A: np.ndarray | Banded, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b by partial-pivot LU, for a dense square array or a `Banded`.
+
+    Either way the matrix counts as singular, and `SingularMatrixError` is
+    raised, when a pivot of U falls below PIVOT_RTOL * max|A|.
+    """
+    b = np.asarray(b, dtype=complex)
+    if isinstance(A, Banded):
+        return _banded_solve(A, b)
     A = np.ascontiguousarray(A, dtype=complex)
-    scale = np.abs(A).max(initial=0.0)
     with warnings.catch_warnings():
         # scipy warns about exact zero pivots; the threshold check below
         # covers that case and raises instead
         warnings.simplefilter("ignore", sla.LinAlgWarning)
         lu, piv = sla.lu_factor(A, check_finite=False)
-    pivots = np.abs(np.diagonal(lu))
-    if scale == 0.0 or pivots.min() < PIVOT_RTOL * scale:
-        raise SingularMatrixError(
-            f"matrix is singular to working precision (min pivot "
-            f"{pivots.min():.3e} vs scale {scale:.3e})")
-    return lu, piv
-
-
-def lu_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for a square complex A by partial-pivot LU."""
-    factor = lu_factor(A)
-    return sla.lu_solve(factor, np.asarray(b, dtype=complex), check_finite=False)
+    _check_pivots(np.abs(np.diagonal(lu)), np.abs(A).max(initial=0.0))
+    return sla.lu_solve((lu, piv), b, check_finite=False)
 
 
 def eigendecompose(A: np.ndarray, want_vectors: bool = False) -> Spectrum:

@@ -140,6 +140,23 @@ def site_index(x: int, sub: str) -> int:
     return 2 * (x - 1) + (0 if sub == "A" else 1)
 
 
+def band_order(p: LadderParams) -> np.ndarray:
+    """Site permutation that keeps the ladder matrix narrowly banded.
+
+    Under OBC the natural ordering already has half-bandwidth 2n+1 (2 for
+    n = 0).  Under PBC the cells are folded, 0, L-1, 1, L-2, ..., so a hop
+    of m cells, the wrap-around ones included, joins cells at most 2m places
+    apart: the half-bandwidth is at most 4n+1 (4 for n = 0) instead of 2L-1.
+    Entry k is the natural index of the site at position k.
+    """
+    if p.bc == OBC:
+        return np.arange(p.dim)
+    cells = np.empty(p.L, dtype=int)
+    cells[0::2] = np.arange((p.L + 1) // 2)
+    cells[1::2] = np.arange(p.L - 1, (p.L - 1) // 2, -1)
+    return (2 * cells[:, None] + np.arange(2)).ravel()
+
+
 @dataclass(frozen=True)
 class HamiltonianMatrix:
     """A dense complex Hamiltonian together with its site labeling."""

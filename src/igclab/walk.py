@@ -9,9 +9,10 @@ compute the escape profile P_x and serve as mutual cross-checks:
   block, so the quadrature rides at the integrator's own order, and
 * the resolvent engine evaluates the frequency-domain formula
   P_x = (gamma_x / pi) * integral |<x,B| (omega - H)^{-1} |x0,A>|^2 d omega
-  by adaptive Gauss-Kronrod panels, one LU solve per node.  The same
-  integrand, with the damping matrix X = i conj(H) in place of H, gives the
-  steady density in `liouville`.
+  by adaptive Gauss-Kronrod panels, one banded LU solve per node (natural
+  site order under OBC, folded cells under PBC, so the half-bandwidth is
+  2n+1 or 4n+1 whatever L is).  The same integrand, with the damping matrix
+  X = i conj(H) in place of H, gives the steady density in `liouville`.
 
 Eigendecomposition is deliberately not used for propagation: the open-chain
 eigenbasis of these skin-effect models is exponentially ill-conditioned and
@@ -25,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import densela
-from .model import OBC, PBC, LadderParams, bloch_bands, build_ladder, site_index
+from .model import (OBC, PBC, LadderParams, band_order, bloch_bands, build_ladder,
+                    site_index)
 from .ode import integrate
 from .quadrature import adaptive_quadrature, geometric_edges
 
@@ -227,28 +229,32 @@ def resolvent_integrand(p: LadderParams, x0: int, M: np.ndarray, s: complex):
     with s = 1 for the Hamiltonian and s = i for the damping matrix.  The
     window [-Omega, Omega] is fixed by the crude operator-norm tail bound
     (gamma_max/pi) * 2 / (Omega - ||M||_inf) < TAIL_BOUND, and the integrand
-    costs one LU solve per node.  Returns (integrand, edges, Omega, tail_bound).
+    costs one banded LU solve per node: -M is put in band storage once, in
+    the sites' `band_order`, and each node adds s*omega to its diagonal row.
+    Returns (integrand, edges, Omega, tail_bound, (kl, ku)).
     """
     gam = np.asarray(p.gamma)
     m_inf = float(np.abs(M).sum(axis=1).max())
     omega_max = m_inf + 2.0 * gam.max() / (np.pi * TAIL_BOUND)
     edges = _resolvent_edges(p, m_inf, omega_max)
-    rhs0 = _initial_state(p, x0)
-    bidx = np.arange(p.L) * 2 + 1
-    neg_m = -M
-    diag_idx = np.diag_indices(M.shape[0])
+    order = band_order(p)
+    band = densela.to_banded(-M[np.ix_(order, order)])
+    kl, ku = band.kl, band.ku
+    rhs0 = _initial_state(p, x0)[order]
+    # position of each cell's B site in the band ordering
+    bpos = np.argsort(order)[np.arange(p.L) * 2 + 1]
 
     def f(omegas):
         out = np.empty((omegas.size, p.L))
         for i, w in enumerate(omegas):
-            A = neg_m.copy()
-            A[diag_idx] += s * w
-            g = densela.lu_solve(A, rhs0)
-            out[i] = np.abs(g[bidx]) ** 2
+            ab = band.ab.copy()
+            ab[ku] += s * w
+            g = densela.lu_solve(densela.Banded(ab, kl, ku), rhs0)
+            out[i] = np.abs(g[bpos]) ** 2
         return out
 
     tail_bound = float(gam.max() / np.pi * 2.0 / (omega_max - m_inf))
-    return f, edges, omega_max, tail_bound
+    return f, edges, omega_max, tail_bound, (kl, ku)
 
 
 def loss_profile_resolvent(cfg: WalkConfig, rtol: float = 1e-9,
@@ -267,7 +273,7 @@ def loss_profile_resolvent(cfg: WalkConfig, rtol: float = 1e-9,
         return LossProfile(P=np.zeros(p.L), engine=RESOLVENT, total=0.0,
                            diagnostics={"note": "lossless model, nothing escapes",
                                         "engine": RESOLVENT})
-    f, edges, omega_max, tail_bound = resolvent_integrand(
+    f, edges, omega_max, tail_bound, bandwidth = resolvent_integrand(
         p, cfg.x0, build_ladder(p).matrix, 1.0)
     quad = adaptive_quadrature(f, edges, rtol=rtol, atol_frac=1e-16,
                                max_panels=max_panels)
@@ -277,6 +283,7 @@ def loss_profile_resolvent(cfg: WalkConfig, rtol: float = 1e-9,
         "n_nodes": quad.n_evaluations,
         "n_panels": quad.n_panels,
         "n_solves": quad.n_evaluations,     # one LU per node
+        "bandwidth": list(bandwidth),
         "omega_max": omega_max,
         "tail_bound": tail_bound,
         "quadrature_error": float((gam / np.pi * quad.error).max()),

@@ -100,9 +100,35 @@ def test_sweep_with_an_edge_release_skips_the_slope_fits(tmp_path):
     assert status == 0
     rows = (out / "sweep.csv").read_text().splitlines()
     assert len(rows) == 3 and rows[1].startswith("1,")
+    # a missing edge metric is written as nan, so every column but the
+    # burst type reads as numbers
+    header = rows[0].split(",")
+    for row in rows[1:]:
+        for name, cell in zip(header, row.split(","), strict=True):
+            if name != "burst_type":
+                float(cell)
+    assert "nan" in rows[1].split(",")
     diags = json.loads((out / "run.json").read_text())["diagnostics"]
     assert diags["n_rows"] == 2
     assert "ratio_loglog_slope" not in diags
+
+
+def test_numerical_failure_leaves_a_run_record(tmp_path, capsys):
+    # a nearly lossless A-site mode puts a quadrature node within the pivot
+    # threshold of its energy, so the resolvent engine refuses the model
+    cfg = {"command": "walk", "x0": 1, "engine": "RESOLVENT",
+           "model": {"kind": "ladder", "L": 4, "t": [2.2e-16], "t_p": 0.0,
+                     "phi": 0.0, "gamma": 1.0, "bc": "OBC"}}
+    status, out = run_cli(tmp_path, cfg)
+    assert status == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["status"] == 3 and "SingularMatrixError" in err["message"]
+    record = json.loads((out / "run.json").read_text())
+    assert record["status"] == "failed"
+    assert record["command"] == "walk"
+    assert record["error"]["type"] == "SingularMatrixError"
+    assert "singular" in record["error"]["message"]
+    assert "lu_solve" in record["error"]["traceback"]
 
 
 def test_sweep_over_x0_reports_the_slope_fits(tmp_path):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from igclab import (
-    OBC, PBC, SingularMatrixError, build_ladder, eigendecompose, lu_solve,
-    max_imag,
+    OBC, PBC, LadderParams, SingularMatrixError, build_ladder, eigendecompose,
+    lu_solve, max_imag,
 )
-from igclab.densela import Spectrum
+from igclab.densela import Spectrum, to_banded
 
 
 def test_lu_solve_identity():
@@ -26,12 +26,39 @@ def test_lu_solve_residual_on_shifted_ladder(fig3_params):
     b[2 * 149] = 1.0
     x = lu_solve(A, b)
     assert np.linalg.norm(A @ x - b) < 1e-10 * np.linalg.norm(A) * np.linalg.norm(x)
+    band = to_banded(A)
+    assert (band.kl, band.ku) == (3, 3)
+    assert np.abs(lu_solve(band, b) - x).max() < 1e-12 * np.abs(x).max()
 
 
 def test_lu_solve_singular_raises():
-    A = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(SingularMatrixError):
-        lu_solve(A, np.array([1.0, 1.0]))
+    for A in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros((2, 2))):
+        for form in (A, to_banded(A)):
+            with pytest.raises(SingularMatrixError):
+                lu_solve(form, np.array([1.0, 1.0]))
+
+
+def test_to_banded_layout():
+    A = np.array([[1, 2, 10, 0],
+                  [3, 4, 5, 0],
+                  [0, 6, 7, 8],
+                  [0, 0, 9, 1j]])
+    band = to_banded(A)
+    assert (band.kl, band.ku) == (1, 2)
+    for i, j in zip(*np.nonzero(A)):
+        assert band.ab[band.ku + i - j, j] == A[i, j]
+    assert to_banded(np.diag([1.0, 2.0])).ab.shape == (1, 2)
+
+
+def test_lu_solve_overflowing_elimination_raises():
+    # a subnormal coupling becomes the pivot and the elimination overflows
+    # into NaN; a NaN pivot must count as singular, not slip past the test
+    H = build_ladder(LadderParams(L=4, t=[2.2e-311], t_p=0.0, phi=0.0,
+                                  gamma=1.0)).matrix
+    b = np.eye(8)[0]
+    for A in (-H, to_banded(-H)):
+        with pytest.raises(SingularMatrixError):
+            lu_solve(A, b)
 
 
 def test_lu_solve_ill_conditioned_backward_stable():

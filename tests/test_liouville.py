@@ -106,11 +106,15 @@ def test_steady_density_dimer():
 
 def test_steady_density_matches_escape_profile():
     p = ladder(t0=0.3, L=40, bc=OBC, seed=9)
-    dens, _ = steady_density(p, 25)
+    dens, diag = steady_density(p, 25)
     prof = loss_profile_resolvent(WalkConfig(params=p, x0=25))
     mask = prof.P > 1e-12
     rel = np.abs(dens[mask] - prof.P[mask]) / prof.P[mask]
     assert rel.max() < 1e-6
+    # X has the sparsity of H, so both integrals solve the same band shape,
+    # one solve per node
+    assert diag["bandwidth"] == prof.diagnostics["bandwidth"] == [3, 3]
+    assert diag["n_solves"] == diag["n_nodes"]
 
 
 def test_steady_density_gapped_bulk_is_exponential():
