@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import LadderParams, h_x, h_y
+from .model import LadderParams, bloch_bands, h_x, h_y
 from .walk import TIME, LossProfile, WalkConfig, loss_profile_resolvent, loss_profile_time
 
 POWER = "POWER"
@@ -191,8 +191,7 @@ class ScanResult:
 
 
 def scan_x0(params: LadderParams, x0_list, engine: str = TIME,
-            norm_floor: float = 1e-10, step_tol: float = 1e-8,
-            profile_hook=None) -> ScanResult:
+            norm_floor: float = 1e-10, step_tol: float = 1e-8) -> ScanResult:
     """Run one walk per release cell and tabulate the left-edge metrics."""
     rows = []
     for x0 in x0_list:
@@ -200,8 +199,6 @@ def scan_x0(params: LadderParams, x0_list, engine: str = TIME,
                          step_tol=step_tol)
         prof = (loss_profile_time(cfg) if engine == TIME
                 else loss_profile_resolvent(cfg))
-        if profile_hook is not None:
-            profile_hook(int(x0), prof)
         m = burst_metrics(prof, int(x0))
         rows.append(ScanRow(x0=int(x0), ratio_left=m.ratio_left,
                             p_edge_left=m.p_edge_left,
@@ -232,11 +229,8 @@ def x0_slopes(x0s, ratios, p_edges):
 # ---------------------------------------------------------------------------
 # momentum-space self-intersections
 
-def _bands_at(p, gam, k):
-    hx = complex(h_x(p.t, k))
-    hy = complex(h_y(p.t_p, p.phi, k))
-    s = np.sqrt(hx**2 + (hy + 0.5j * gam) ** 2)
-    return np.array([-0.5j * gam + s, -0.5j * gam - s])
+#: segment pairs tested at once, which bounds the block temporaries
+_BLOCK_PAIRS = 1 << 14
 
 
 def _band_derivative(p, gam, k, energy):
@@ -263,9 +257,14 @@ def self_intersections(params: LadderParams, k_samples: int = 1024,
                        refine_tol: float = 1e-10) -> list:
     """Transversal self-crossings of the momentum-space spectral curve.
 
-    Both branches are sampled on a k grid; close pairs at well-separated
-    momenta are polished with a two-variable Newton iteration on
-    E(k1) - E(k2) = 0 and accepted only if the two tangent directions are
+    Both branches are sampled on a k grid and continued: the square root
+    changes sign wherever it would otherwise jump, so the samples close as
+    two loops of N points, or as one loop of 2N points when the branches
+    swap over one period.  Every pair of non-adjacent segments of these
+    polylines is tested for an exact crossing (open parameter intervals,
+    |sin angle| <= 1e-6 counts as parallel), and each hit is polished once
+    with a two-variable Newton iteration on E(k1) - E(k2) = 0, seeded by the
+    interpolated (k, E), and accepted only if the two tangent directions are
     genuinely transversal.  The tangency test is what discards the mirrored
     k <-> -k coincidences of the time-reversal-symmetric case, where the
     curve retraces itself instead of crossing.
@@ -276,55 +275,52 @@ def self_intersections(params: LadderParams, k_samples: int = 1024,
     if gam is None:
         raise ValueError("momentum-space form needs a uniform loss profile")
     ks = np.linspace(0.0, 2.0 * np.pi, k_samples, endpoint=False)
-    bands = np.empty((2, k_samples), dtype=complex)
-    hx = h_x(params.t, ks)
-    hy = h_y(params.t_p, params.phi, ks)
-    s = np.sqrt(hx.astype(complex) ** 2 + (hy + 0.5j * gam) ** 2)
-    bands[0] = -0.5j * gam + s
-    bands[1] = -0.5j * gam - s
-    pts_k = np.concatenate([ks, ks])
-    pts_e = np.concatenate([bands[0], bands[1]])
-    # local spacing sets the candidate threshold
-    spacing = np.median(np.abs(np.diff(pts_e.reshape(2, -1), axis=1)))
-    thresh = 4.0 * spacing
-    dk_min = 8.0 * np.pi / k_samples
-
-    # sweep in ascending Re E; any close pair sits inside a short window
-    order = np.argsort(pts_e.real, kind="stable")
-    se, sk = pts_e[order], pts_k[order]
-    candidates = []
-    start = 0
-    for i in range(se.size):
-        while se[i].real - se[start].real > thresh:
-            start += 1
-        for j in range(start, i):
-            if abs(se[i] - se[j]) >= thresh:
-                continue
-            dk = abs(sk[i] - sk[j])
-            if min(dk, 2.0 * np.pi - dk) > dk_min:
-                candidates.append((j, i))
+    up, down = bloch_bands(params, ks)
+    s = up - down                       # twice the square root
+    nxt = np.roll(s, -1)
+    flips = np.abs(nxt - s) > np.abs(nxt + s)      # flag j: step k_j -> k_j+1
+    swapped = np.concatenate([[False], np.logical_xor.accumulate(flips[:-1])])
+    first, second = np.where(swapped, down, up), np.where(swapped, up, down)
+    one_loop = bool(swapped[-1] ^ flips[-1])
+    loops = [np.concatenate([first, second])] if one_loop else [first, second]
+    m = loops[0].size
+    start = np.concatenate(loops)
+    seg = np.concatenate([np.roll(lp, -1) for lp in loops]) - start
+    seg_k = np.tile(ks, 2)              # segment i runs over [k_i, k_i + dk]
+    dk = 2.0 * np.pi / k_samples
+    n_seg = start.size
+    rows = max(1, _BLOCK_PAIRS // n_seg)
     found = []
-    for i, j in candidates:
-        hit = _polish_crossing(params, gam, sk[i], se[i],
-                               sk[j], se[j], refine_tol)
-        if hit is None:
-            continue
-        k1, k2, E = hit
-        key = (round(E.real, 6), round(E.imag, 6),
-               round(min(k1, k2), 4), round(max(k1, k2), 4))
-        if all(key != f[0] for f in found):
-            found.append((key, SelfIntersection(k1=min(k1, k2), k2=max(k1, k2),
-                                                energy=E)))
-    out = [f[1] for f in found]
-    out.sort(key=lambda s: (s.energy.real, s.k1))
-    return out
+    for i0 in range(0, n_seg, rows):
+        i = np.arange(i0, min(i0 + rows, n_seg))[:, None]
+        j = np.arange(i0 + 1, n_seg)[None, :]
+        r, v, w = seg[i], seg[j], start[j] - start[i]
+        cross = (np.conj(r) * v).imag
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (np.conj(w) * v).imag / cross
+            u = (np.conj(w) * r).imag / cross
+        gap = j - i
+        adjacent = (i // m == j // m) & ((gap == 1) | (gap == m - 1))
+        hit = ((gap > 0) & ~adjacent
+               & (np.abs(cross) > 1e-6 * np.abs(r) * np.abs(v))
+               & (t > 0) & (t < 1) & (u > 0) & (u < 1))
+        for a, b in zip(*np.nonzero(hit)):
+            i1, i2 = i0 + a, i0 + 1 + b
+            E = start[i1] + t[a, b] * seg[i1]
+            polished = _polish_crossing(params, gam, seg_k[i1] + t[a, b] * dk, E,
+                                        seg_k[i2] + u[a, b] * dk, E, refine_tol)
+            if polished is not None:
+                k1, k2, E = polished
+                found.append(SelfIntersection(k1=min(k1, k2), k2=max(k1, k2),
+                                              energy=E))
+    found.sort(key=lambda s: (s.energy.real, s.k1))
+    return found
 
 
 def _polish_crossing(p, gam, k1, e1, k2, e2, tol, max_iter=40):
     two_pi = 2.0 * np.pi
     for _ in range(max_iter):
-        b1 = _bands_at(p, gam, k1)
-        b2 = _bands_at(p, gam, k2)
+        b1, b2 = bloch_bands(p, [k1, k2]).T
         e1 = b1[np.argmin(np.abs(b1 - e1))]
         e2 = b2[np.argmin(np.abs(b2 - e2))]
         g = e1 - e2

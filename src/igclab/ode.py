@@ -34,6 +34,8 @@ _E = _B5 - _B4
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+#: accepted plus rejected steps before an integration is given up
+_MAX_STEPS = 20_000_000
 
 
 @dataclass
@@ -53,8 +55,7 @@ def _default_scale(rtol, atol):
 
 
 def integrate(rhs, y0, t0, t_end, rtol=1e-8, atol=0.0, scale_fn=None,
-              stop_fn=None, sample_times=None, max_steps=20_000_000,
-              h_max=np.inf):
+              stop_fn=None, sample_times=None):
     """Integrate dy/dt = rhs(t, y) from t0 to t_end.
 
     Parameters
@@ -88,14 +89,14 @@ def integrate(rhs, y0, t0, t_end, rtol=1e-8, atol=0.0, scale_fn=None,
     sc = scale_fn(y, y)
     d0 = np.max(np.abs(y) / sc) if y.size else 1.0
     d1 = np.max(np.abs(f) / sc)
-    h = min(h_max, t_end - t, 1e-2 * (d0 / d1 if d1 > 0 else 1.0) + 1e-6)
+    h = min(t_end - t, 1e-2 * (d0 / d1 if d1 > 0 else 1.0) + 1e-6)
 
     k = np.empty((7,) + y.shape, dtype=complex)
     k[0] = f
     while t < t_end:
-        if result.n_steps + result.n_rejected > max_steps:
+        if result.n_steps + result.n_rejected > _MAX_STEPS:
             raise RuntimeError(f"step budget exhausted at t={t:.6g}")
-        h = min(h, h_max, t_end - t)
+        h = min(h, t_end - t)
         target = None
         end_hit = t + h >= t_end
         if pending and t + h >= pending[0] - 1e-14 * max(1.0, abs(pending[0])):

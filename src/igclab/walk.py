@@ -231,9 +231,13 @@ def resolvent_integrand(p: LadderParams, x0: int, M: np.ndarray, s: complex):
     (gamma_max/pi) * 2 / (Omega - ||M||_inf) < TAIL_BOUND, and the integrand
     costs one banded LU solve per node: -M is put in band storage once, in
     the sites' `band_order`, and each node adds s*omega to its diagonal row.
-    Returns (integrand, edges, Omega, tail_bound, (kl, ku)).
+    Returns (integrand, edges, Omega, tail_bound, (kl, ku)).  A lossless
+    model (every gamma_x = 0) has no such window and raises ValueError.
     """
     gam = np.asarray(p.gamma)
+    if not gam.any():
+        raise ValueError("lossless model (every gamma_x = 0): the integrand "
+                         "does not decay, so there is no frequency window")
     m_inf = float(np.abs(M).sum(axis=1).max())
     omega_max = m_inf + 2.0 * gam.max() / (np.pi * TAIL_BOUND)
     edges = _resolvent_edges(p, m_inf, omega_max)
@@ -330,11 +334,8 @@ def bulk_boundary_equivalence(cfg: WalkConfig, horizon: float,
         def rhs(_, y, H=H):
             return -1j * (H @ y)
 
-        def scale(yo, yn, rtol=cfg.step_tol):
-            amp = max(np.abs(yo).max(), np.abs(yn).max(), 1e-300)
-            return rtol * (amp + np.maximum(np.abs(yo), np.abs(yn)))
-
-        res = integrate(rhs, psi0, 0.0, horizon, scale_fn=scale,
+        res = integrate(rhs, psi0, 0.0, horizon,
+                        scale_fn=_walk_scale(2 * p.L, cfg.step_tol),
                         sample_times=times[1:])
         runs[label] = [psi0] + [y for _, y in res.samples]
     diffs = np.array([np.linalg.norm(a - b)

@@ -5,7 +5,9 @@ uniform, linear or random loss, open and periodic boundaries, t_p = 0
 included).  The split form and the damping matrix must reproduce the ladder
 matrix exactly, the banded solves of the resolvent integrand must reproduce
 the dense reference, and the two resolvent integrals (of H and of X) must
-give the same profile.
+give the same profile.  The self-crossings of the momentum-space spectrum
+must be points where the Bloch bands meet, closed under the mirror
+E -> -i gamma - E, and absent from the time-reversal-symmetric phases.
 """
 
 import numpy as np
@@ -14,9 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from igclab import (
-    OBC, PBC, LadderParams, SingularMatrixError, WalkConfig, build_damping,
-    build_general, build_ladder, densela, ladder_to_general, linear_gamma,
-    loss_profile_resolvent, random_gamma, steady_density,
+    OBC, PBC, LadderParams, SingularMatrixError, WalkConfig, bloch_bands,
+    build_damping, build_general, build_ladder, densela, ladder_to_general,
+    linear_gamma, loss_profile_resolvent, random_gamma, self_intersections,
+    steady_density,
 )
 from igclab.model import band_order
 from igclab.walk import resolvent_integrand
@@ -159,6 +162,14 @@ def test_both_paths_refuse_an_exactly_singular_shift(bc, side):
         resolvent_integrand(p, 1, M, _SIDES[side])[0](np.array([0.0]))
 
 
+@pytest.mark.parametrize("side", sorted(_SIDES))
+def test_integrand_refuses_a_lossless_model(side):
+    # no loss, no decay: the tail bound has no finite window to satisfy
+    p = LadderParams(L=6, t=[0.3, 0.5], t_p=0.5, phi=0.0, gamma=0.0, bc=PBC)
+    with pytest.raises(ValueError, match="lossless"):
+        resolvent_integrand(p, 1, _operator(p, side), _SIDES[side])
+
+
 def test_both_paths_refuse_the_near_lossless_mode(monkeypatch):
     seen = []
     banded_solve = densela.lu_solve
@@ -195,3 +206,22 @@ def test_band_width_does_not_grow_with_L(p):
     assert kl == ku <= bound
     if n >= 1 and 0.5 * p.t[n] != 0.0:
         assert kl == bound
+
+
+@settings(max_examples=25, deadline=None)
+@given(t0=st.floats(0.0, 0.7), t2=st.floats(0.0, 0.7),
+       phi=st.sampled_from([0.0, np.pi]) | st.floats(0.0, np.pi))
+def test_self_intersections_are_band_crossings(t0, t2, phi):
+    gamma = 0.5
+    p = LadderParams(L=20, t=[t0, 0.5, t2], t_p=0.5, phi=phi, gamma=gamma, bc=PBC)
+    hits = self_intersections(p, 512)
+    if phi in (0.0, np.pi):
+        # E(k) = E(-k): the curve retraces itself and never crosses
+        assert hits == []
+    for h in hits:
+        b1, b2 = bloch_bands(p, [h.k1, h.k2]).T
+        assert np.abs(b1[:, None] - b2[None, :]).min() < 1e-9
+    # -i gamma - E is the other square-root branch at the same momenta
+    energies = np.array([h.energy for h in hits])
+    for e in energies:
+        assert np.abs(energies - (-1j * gamma - e)).min() < 1e-9
