@@ -9,7 +9,7 @@ analysis, and the damping-matrix (Liouvillian) side of the same physics.
 __version__ = "0.1.0"
 
 from .model import (
-    OBC, PBC, LadderParams, GeneralModel, HamiltonianMatrix, BlochMatrix,
+    OBC, PBC, LadderParams, GeneralModel, HamiltonianMatrix, LadderOperator, BlochMatrix,
     build_ladder, build_bloch, build_general, bloch_bands, ladder_to_general,
     verify_dark_modes, linear_gamma, random_gamma, site_index,
 )

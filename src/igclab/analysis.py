@@ -345,6 +345,10 @@ def _polish_crossing(p, gam, k1, e1, k2, e2, tol, max_iter=40):
     dk = min(dk, two_pi - dk)
     if dk < 1e-3:
         return None
+    # the energy of the final iterate, not of the one before the last step
+    b1, b2 = bloch_bands(p, [k1, k2]).T
+    e1 = b1[np.argmin(np.abs(b1 - e1))]
+    e2 = b2[np.argmin(np.abs(b2 - e2))]
     d1 = _band_derivative(p, gam, k1, e1)
     d2 = _band_derivative(p, gam, k2, e2)
     if d1 is None or d2 is None:

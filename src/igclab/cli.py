@@ -29,17 +29,25 @@ from .model import (OBC, PBC, LadderParams, GeneralModel, build_general,
                     build_ladder, linear_gamma, random_gamma)
 from .svgplot import SvgPlot
 
-COMMANDS = ("spectrum", "igc", "walk", "burst", "sweep", "liouville", "figure")
-
-_TOP_KEYS = {"command", "model", "x0", "x0_list", "k_samples", "engine",
-             "t_max", "norm_floor", "step_tol", "compare_bc", "figure",
-             "sweep", "seed", "threshold", "self_intersections", "horizon"}
+_MODEL_KEYS = {"command", "model", "seed"}
+_WALK_KEYS = _MODEL_KEYS | {"x0", "engine", "t_max", "norm_floor", "step_tol"}
+#: the top-level keys each command reads
+_TOP_KEYS = {
+    "spectrum": _MODEL_KEYS | {"compare_bc", "self_intersections", "k_samples"},
+    "igc": _MODEL_KEYS,
+    "walk": _WALK_KEYS,
+    "burst": _WALK_KEYS | {"threshold"},
+    "sweep": _WALK_KEYS | {"threshold", "sweep"},
+    "liouville": _MODEL_KEYS | {"x0"},
+    "figure": {"command", "figure"},
+}
 _LADDER_KEYS = {"kind", "L", "t", "t_p", "phi", "gamma", "bc"}
 _GENERAL_KEYS = {"kind", "A", "B_herm", "C", "gamma"}
 _GAMMA_KEYS = {"uniform": {"kind", "value"},
                "linear": {"kind", "slope", "offset"},
                "random": {"kind", "low", "high", "seed"}}
 _SWEEP_KEYS = {"vary", "values"}
+COMMANDS = tuple(_TOP_KEYS)
 
 
 class ConfigError(ValueError):
@@ -146,10 +154,10 @@ def validate_config(cfg, default_seed=None):
     """Schema-check a raw config dict; returns (normalized config, model, echo)."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    _fail_unknown(cfg, _TOP_KEYS, "config")
     command = _need(cfg, "command")
     if command not in COMMANDS:
         raise ConfigError(f"command must be one of {COMMANDS}, got {command!r}")
+    _fail_unknown(cfg, _TOP_KEYS[command], f"{command} config")
     seed = cfg.get("seed", default_seed)
     if command == "figure":
         name = _need(cfg, "figure")
@@ -240,7 +248,7 @@ def _cmd_spectrum(cfg, model, out, tag, plot):
     for label, ham in variants:
         spec = eigendecompose(ham.matrix)
         rows += [(w.real, w.imag, label) for w in spec.eigenvalues]
-        diags[label] = {"dim": ham.dim,
+        diags[label] = {"dim": spec.eigenvalues.size,
                         "max_imag": float(spec.eigenvalues.imag.max())}
     files = {}
     csv = out / f"{tag}spectrum.csv"

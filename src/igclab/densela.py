@@ -55,24 +55,20 @@ class Banded:
     """A square matrix in band storage: A[i, j] = ab[ku + i - j, j].
 
     `ab` has kl + ku + 1 rows (the diagonal is row ku) and one column per
-    matrix column; the entries outside the matrix are ignored.
+    matrix column; the entries outside the matrix are zero (LAPACK ignores
+    them, `T` relies on it).
     """
 
     ab: np.ndarray
     kl: int
     ku: int
 
-
-def to_banded(A: np.ndarray) -> Banded:
-    """Band storage of a dense square matrix, as narrow as its nonzeros allow."""
-    A = np.asarray(A, dtype=complex)
-    i, j = np.nonzero(A)
-    kl, ku = int((i - j).max(initial=0)), int((j - i).max(initial=0))
-    n = A.shape[0]
-    ab = np.zeros((kl + ku + 1, n), dtype=complex)
-    for d in range(-kl, ku + 1):
-        ab[ku - d, max(d, 0):n + min(d, 0)] = np.diagonal(A, d)
-    return Banded(ab=ab, kl=kl, ku=ku)
+    @property
+    def T(self) -> "Banded":
+        """The transpose: its row r is row kl + ku - r shifted by kl - r columns."""
+        w = self.kl + self.ku
+        ab = np.array([np.roll(self.ab[w - r], self.kl - r) for r in range(w + 1)])
+        return Banded(ab=ab, kl=self.ku, ku=self.kl)
 
 
 def _check_pivots(pivots: np.ndarray, scale: float):

@@ -30,7 +30,7 @@ import scipy.linalg as sla
 
 from . import densela
 from .igc import IgcSolution
-from .model import PBC, LadderParams, build_ladder, site_index
+from .model import PBC, LadderOperator, LadderParams, build_ladder, site_index
 from .quadrature import adaptive_quadrature
 from .walk import resolvent_integrand
 
@@ -39,19 +39,19 @@ GAPLESS_TOL = 1e-6
 
 @dataclass(frozen=True)
 class DampingMatrix:
-    """Relaxation generator X with its Hermitian/loss split and provenance."""
+    """Relaxation generator X, as band data, with its Hermitian/loss split."""
 
-    X: np.ndarray
+    op: LadderOperator            # X in the ladder's band order
     M: np.ndarray                 # diagonal loss rates, interleaved pattern
-    H0: np.ndarray
     params: LadderParams = field(repr=False, default=None)
 
-    def __post_init__(self):
-        self.X.setflags(write=False)
+    @property
+    def X(self) -> np.ndarray:
+        return self.op.matrix
 
     @property
-    def dim(self) -> int:
-        return self.X.shape[0]
+    def H0(self) -> np.ndarray:
+        return (-1j * (self.X + np.diag(self.M))).T       # X = i H0^T - M
 
 
 @dataclass
@@ -64,21 +64,22 @@ class LiouvilleReport:
 
 
 def build_damping(p: LadderParams) -> DampingMatrix:
-    """Assemble X from the ladder Hamiltonian and verify its two identities.
+    """Derive X = i conj(H) from the ladder's band and verify its two identities.
 
     The loss diagonal must follow the interleaved site ordering (zeros on the
-    A slots); the assembled X must equal i*conj(H) elementwise.  Both checks
-    are defensive: they fail only if the model builder's conventions drift.
+    A slots); X must equal i (H0^T + i M) elementwise.  Both checks run on the
+    band data and fail only if the model builder's conventions drift.
     """
-    H = build_ladder(p).matrix
-    H0 = 0.5 * (H + H.conj().T)
-    m = -np.imag(np.diagonal(H))
+    H = build_ladder(p)
+    b, m = H.band, H.loss_diagonal()
     if np.any(m[0::2] != 0.0):
         raise AssertionError("loss found on A slots; site ordering broken")
-    X = 1j * H0.T - np.diag(m)
-    if np.abs(X - 1j * np.conj(H)).max() > 1e-14 * max(1.0, np.abs(H).max()):
+    X = densela.Banded(1j * np.conj(b.ab), b.kl, b.ku)
+    via_h0 = 1j * 0.5 * (b.T.ab + np.conj(b.ab))      # i H0^T, H0 = (H + H^dagger)/2
+    via_h0[b.ku] -= m[H.order]
+    if np.abs(via_h0 - X.ab).max() > 1e-14 * max(1.0, np.abs(b.ab).max()):
         raise AssertionError("X != i conj(H); damping-matrix identity broken")
-    return DampingMatrix(X=X, M=m.copy(), H0=H0, params=p)
+    return DampingMatrix(op=LadderOperator(X, H.order), M=m, params=p)
 
 
 def liouvillian_gap(dm: DampingMatrix) -> LiouvilleReport:
@@ -130,7 +131,7 @@ def steady_density(p: LadderParams, x0: int, rtol: float = 1e-9,
     if np.all(gam == 0.0):
         return np.zeros(p.L), {"note": "lossless model"}
     f, edges, omega_max, _, bandwidth = resolvent_integrand(
-        p, x0, build_damping(p).X, 1j)
+        p, x0, build_damping(p).op.band, 1j)
     quad = adaptive_quadrature(f, edges, rtol=rtol, atol_frac=1e-16,
                                max_panels=max_panels)
     dens = gam / np.pi * quad.value
@@ -158,7 +159,7 @@ def propagate_correlation(p: LadderParams, x0: int, times) -> CorrelationTrace:
     if p.L > 40:
         raise ValueError("reference propagation is limited to L <= 40")
     dm = build_damping(p)
-    e0 = np.zeros(dm.dim, dtype=complex)
+    e0 = np.zeros(p.dim, dtype=complex)
     e0[site_index(x0, "A")] = 1.0
     c0 = np.outer(e0, e0.conj())
     times = np.asarray(sorted(float(t) for t in times))

@@ -26,11 +26,11 @@ Conventions, fixed once and relied on by every downstream module:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .densela import eigendecompose
+from .densela import Banded, eigendecompose
 
 OBC = "OBC"
 PBC = "PBC"
@@ -159,18 +159,38 @@ def band_order(p: LadderParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    """A dense complex Hamiltonian together with its site labeling."""
+    """A dense complex Hamiltonian (the general-graph builder's output)."""
 
-    dim: int
     matrix: np.ndarray
-    site_index: dict = field(repr=False)
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
 
+
+@dataclass(frozen=True)
+class LadderOperator:
+    """An operator on the ladder's sites as `band` data, sites permuted by
+    `order` (`band_order`); its dense natural-order `matrix` is derived."""
+
+    band: Banded
+    order: np.ndarray
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix in natural site order, read-only, rebuilt on each access."""
+        b, o, n = self.band, self.order, self.order.size
+        A = np.zeros((n, n), dtype=complex)
+        for d in range(-b.kl, b.ku + 1):
+            i = np.arange(max(-d, 0), n - max(d, 0))
+            A[o[i], o[i + d]] = b.ab[b.ku - d, i + d]
+        A.setflags(write=False)
+        return A
+
     def loss_diagonal(self) -> np.ndarray:
-        """Onsite loss rates: gamma_i = -Im H_ii (zero on lossless sites)."""
-        return -np.imag(np.diagonal(self.matrix))
+        """Onsite loss rates of a Hamiltonian, natural order: -Im H_ii."""
+        rates = np.empty(self.order.size)
+        rates[self.order] = -np.imag(self.band.ab[self.band.ku])
+        return rates
 
 
 @dataclass(frozen=True)
@@ -184,39 +204,36 @@ class BlochMatrix:
         self.matrix.setflags(write=False)
 
 
-def build_ladder(p: LadderParams) -> HamiltonianMatrix:
-    """Assemble the dense 2L x 2L ladder Hamiltonian.
+def build_ladder(p: LadderParams) -> LadderOperator:
+    """Assemble the 2L x 2L ladder Hamiltonian as band data in `band_order(p)`.
 
-    Hops that would cross the boundary are present only under PBC, where they
+    Each hop and its Hermitian partner are written for all cells at once;
+    hops that would cross the boundary are present only under PBC, where they
     wrap modulo L.  The anti-Hermitian content is exactly the diagonal
-    -i*gamma_x on the B sites.
+    -i*gamma_x on the B sites.  The band is as narrow as the nonzero hops allow.
     """
-    L, t, t_p, phi, bc = p.L, p.t, p.t_p, p.phi, p.bc
-    H = np.zeros((2 * L, 2 * L), dtype=complex)
-    a = lambda x: 2 * (x % L)        # noqa: E731 (0-based cell here)
-    b = lambda x: 2 * (x % L) + 1    # noqa: E731
-    fwd = 0.5 * t_p * np.exp(1j * phi)
-    for x in range(L):
-        if t_p != 0.0 and (bc == PBC or x + 1 < L):
-            H[a(x + 1), a(x)] += fwd
-            H[a(x), a(x + 1)] += np.conj(fwd)
-            H[b(x + 1), b(x)] += -fwd
-            H[b(x), b(x + 1)] += -np.conj(fwd)
-        H[b(x), a(x)] += t[0]
-        H[a(x), b(x)] += t[0]
-        for m in range(1, p.n + 1):
-            if bc == PBC or x + m < L:
-                H[b(x + m), a(x)] += 0.5 * t[m]
-                H[a(x), b(x + m)] += 0.5 * t[m]
-            if bc == PBC or x - m >= 0:
-                H[b(x - m), a(x)] += 0.5 * t[m]
-                H[a(x), b(x - m)] += 0.5 * t[m]
-        H[b(x), b(x)] = -1j * p.gamma[x]
-    idx = {}
-    for x in range(1, L + 1):
-        idx[(x, "A")] = site_index(x, "A")
-        idx[(x, "B")] = site_index(x, "B")
-    return HamiltonianMatrix(dim=2 * L, matrix=H, site_index=idx)
+    L, order = p.L, band_order(p)
+    pos = np.argsort(order)
+    a, b = pos[0::2], pos[1::2]          # band position of each cell's A, B site
+    fwd = 0.5 * p.t_p * np.exp(1j * p.phi)
+    # (m, sites of cell x+m, sites of cell x, amplitude) of each hop x -> x+m
+    stencil = [(0, b, a, p.t[0]), (1, a, a, fwd), (1, b, b, -fwd)]
+    stencil += [(s * m, b, a, 0.5 * p.t[m]) for m in range(1, p.n + 1) for s in (1, -1)]
+    rows, cols, vals = [], [], []
+    for m, to, frm, v in stencil:
+        x = np.arange(L) if p.bc == PBC else np.arange(max(-m, 0), L - max(m, 0))
+        y = (x + m) % L
+        rows += [to[y], frm[x]]
+        cols += [frm[x], to[y]]
+        vals += [np.full(x.size, v, dtype=complex), np.full(x.size, np.conj(v), dtype=complex)]
+    i, j = np.concatenate(rows), np.concatenate(cols)
+    w = int(np.abs(i - j).max())
+    ab = np.zeros((2 * w + 1, p.dim), dtype=complex)
+    np.add.at(ab, (w + i - j, j), np.concatenate(vals))   # hops on one entry (L = 2) add up
+    ab[w, b] = -1j * np.asarray(p.gamma)
+    offsets = w - np.flatnonzero(ab.any(axis=1))   # of the nonzero diagonals
+    ku, kl = int(offsets.max(initial=0)), int(-offsets.min(initial=0))
+    return LadderOperator(Banded(ab[w - ku:w + kl + 1], kl, ku), order)
 
 
 def h_x(t, k):
@@ -323,9 +340,7 @@ def build_general(g: GeneralModel) -> HamiltonianMatrix:
     H[nh:, nh:] = g.B_herm - 1j * np.diag(g.gamma)
     H[nh:, :nh] = g.C
     H[:nh, nh:] = g.C.conj().T
-    idx = {("h", i): i for i in range(nh)}
-    idx.update({("nh", j): nh + j for j in range(nd)})
-    return HamiltonianMatrix(dim=nh + nd, matrix=H, site_index=idx)
+    return HamiltonianMatrix(matrix=H)
 
 
 def ladder_to_general(p: LadderParams) -> GeneralModel:
@@ -357,7 +372,8 @@ class DarkModeReport:
     condition_flag: bool
 
 
-def verify_dark_modes(H: HamiltonianMatrix, tol: float = 1e-8) -> DarkModeReport:
+def verify_dark_modes(H: HamiltonianMatrix | LadderOperator,
+                      tol: float = 1e-8) -> DarkModeReport:
     """Check that every near-real eigenmode lives on the lossless sites only.
 
     An eigenpair with |Im E| < tol is tested for (i) weight on lossy sites,
@@ -366,14 +382,15 @@ def verify_dark_modes(H: HamiltonianMatrix, tol: float = 1e-8) -> DarkModeReport
     stay below tol for every such pair (weights are reported alongside).
     A model with loss everywhere and no near-real eigenvalue passes vacuously.
     """
-    spec = eigendecompose(H.matrix, want_vectors=True)
+    Hm = H.matrix
+    spec = eigendecompose(Hm, want_vectors=True)
     if spec.condition_flag:
         warnings.warn("eigenbasis is ill-conditioned; dark-mode residuals may "
                       "be pessimistic", RuntimeWarning, stacklevel=2)
-    rates = H.loss_diagonal()
+    rates = -np.imag(np.diagonal(Hm))
     lossy = rates > 0.0
     lossless = ~lossy
-    H0 = 0.5 * (H.matrix + H.matrix.conj().T)
+    H0 = 0.5 * (Hm + Hm.conj().T)
     H_sub = H0[np.ix_(lossless, lossless)]
     H_coup = H0.copy()
     H_coup[np.ix_(lossless, lossless)] = 0.0

@@ -222,15 +222,15 @@ def _resolvent_edges(p: LadderParams, h_inf: float, omega_max: float) -> np.ndar
     return np.array(edges)
 
 
-def resolvent_integrand(p: LadderParams, x0: int, M: np.ndarray, s: complex):
+def resolvent_integrand(p: LadderParams, x0: int, band: densela.Banded, s: complex):
     """Frequency-domain integrand of the B-site response to a source at (x0, A).
 
     Sets up the integral of |<x,B| (s*omega - M)^{-1} |x0,A>|^2 over omega,
     with s = 1 for the Hamiltonian and s = i for the damping matrix.  The
     window [-Omega, Omega] is fixed by the crude operator-norm tail bound
     (gamma_max/pi) * 2 / (Omega - ||M||_inf) < TAIL_BOUND, and the integrand
-    costs one banded LU solve per node: -M is put in band storage once, in
-    the sites' `band_order`, and each node adds s*omega to its diagonal row.
+    costs one banded LU solve per node: M's `band`, in the sites'
+    `band_order`, is negated and each node adds s*omega to its diagonal row.
     Returns (integrand, edges, Omega, tail_bound, (kl, ku)).  A lossless
     model (every gamma_x = 0) has no such window and raises ValueError.
     """
@@ -238,12 +238,13 @@ def resolvent_integrand(p: LadderParams, x0: int, M: np.ndarray, s: complex):
     if not gam.any():
         raise ValueError("lossless model (every gamma_x = 0): the integrand "
                          "does not decay, so there is no frequency window")
-    m_inf = float(np.abs(M).sum(axis=1).max())
+    # the row sums of M are the column sums of its transpose
+    m_inf = float(np.abs(band.T.ab).sum(axis=0).max())
     omega_max = m_inf + 2.0 * gam.max() / (np.pi * TAIL_BOUND)
     edges = _resolvent_edges(p, m_inf, omega_max)
     order = band_order(p)
-    band = densela.to_banded(-M[np.ix_(order, order)])
     kl, ku = band.kl, band.ku
+    neg = -band.ab
     rhs0 = _initial_state(p, x0)[order]
     # position of each cell's B site in the band ordering
     bpos = np.argsort(order)[np.arange(p.L) * 2 + 1]
@@ -251,7 +252,7 @@ def resolvent_integrand(p: LadderParams, x0: int, M: np.ndarray, s: complex):
     def f(omegas):
         out = np.empty((omegas.size, p.L))
         for i, w in enumerate(omegas):
-            ab = band.ab.copy()
+            ab = neg.copy()
             ab[ku] += s * w
             g = densela.lu_solve(densela.Banded(ab, kl, ku), rhs0)
             out[i] = np.abs(g[bpos]) ** 2
@@ -278,7 +279,7 @@ def loss_profile_resolvent(cfg: WalkConfig, rtol: float = 1e-9,
                            diagnostics={"note": "lossless model, nothing escapes",
                                         "engine": RESOLVENT})
     f, edges, omega_max, tail_bound, bandwidth = resolvent_integrand(
-        p, cfg.x0, build_ladder(p).matrix, 1.0)
+        p, cfg.x0, build_ladder(p).band, 1.0)
     quad = adaptive_quadrature(f, edges, rtol=rtol, atol_frac=1e-16,
                                max_panels=max_panels)
     P = gam / np.pi * quad.value

@@ -28,6 +28,14 @@ def test_unknown_top_level_field_rejected():
         validate_config(igc_config(bogus=1))
 
 
+@pytest.mark.parametrize("key", ["engine", "norm_floor", "horizon"])
+def test_a_key_the_command_does_not_read_is_rejected(key):
+    cfg = igc_config(command="spectrum")
+    cfg[key] = 1e-12
+    with pytest.raises(ConfigError, match="unknown field"):
+        validate_config(cfg)
+
+
 def test_unknown_model_field_rejected():
     cfg = igc_config()
     cfg["model"]["coupling"] = 0.1

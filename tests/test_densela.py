@@ -5,7 +5,7 @@ from igclab import (
     OBC, PBC, LadderParams, SingularMatrixError, build_ladder, eigendecompose,
     lu_solve, max_imag,
 )
-from igclab.densela import Spectrum, to_banded
+from igclab.densela import Banded, Spectrum
 
 
 def test_lu_solve_identity():
@@ -20,43 +20,49 @@ def test_lu_solve_diagonal():
 
 
 def test_lu_solve_residual_on_shifted_ladder(fig3_params):
-    H = build_ladder(fig3_params()).matrix
-    A = 0.1 * np.eye(H.shape[0]) - H
-    b = np.zeros(H.shape[0], complex)
+    H = build_ladder(fig3_params())
+    A = 0.1 * np.eye(H.order.size) - H.matrix
+    b = np.zeros(H.order.size, complex)
     b[2 * 149] = 1.0
     x = lu_solve(A, b)
     assert np.linalg.norm(A @ x - b) < 1e-10 * np.linalg.norm(A) * np.linalg.norm(x)
-    band = to_banded(A)
+    # open boundaries keep the natural order, so the band is A's own
+    ab = -H.band.ab
+    ab[H.band.ku] += 0.1
+    band = Banded(ab, H.band.kl, H.band.ku)
     assert (band.kl, band.ku) == (3, 3)
     assert np.abs(lu_solve(band, b) - x).max() < 1e-12 * np.abs(x).max()
 
 
 def test_lu_solve_singular_raises():
-    for A in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros((2, 2))):
-        for form in (A, to_banded(A)):
-            with pytest.raises(SingularMatrixError):
-                lu_solve(form, np.array([1.0, 1.0]))
+    rank_one = np.array([[1.0, 2.0], [2.0, 4.0]])
+    for form in (rank_one, Banded(np.array([[0.0, 2.0], [1.0, 4.0], [2.0, 0.0]]), 1, 1),
+                 np.zeros((2, 2)), Banded(np.zeros((1, 2)), 0, 0)):
+        with pytest.raises(SingularMatrixError):
+            lu_solve(form, np.array([1.0, 1.0]))
 
 
-def test_to_banded_layout():
+def test_banded_transpose():
     A = np.array([[1, 2, 10, 0],
                   [3, 4, 5, 0],
                   [0, 6, 7, 8],
                   [0, 0, 9, 1j]])
-    band = to_banded(A)
-    assert (band.kl, band.ku) == (1, 2)
-    for i, j in zip(*np.nonzero(A)):
-        assert band.ab[band.ku + i - j, j] == A[i, j]
-    assert to_banded(np.diag([1.0, 2.0])).ab.shape == (1, 2)
+    band = Banded(np.array([[0, 0, 10, 0], [0, 2, 5, 8], [1, 4, 7, 1j], [3, 6, 9, 0]]), 1, 2)
+    t = band.T
+    assert (t.kl, t.ku) == (2, 1)
+    expected = np.zeros_like(t.ab)
+    for i, j in zip(*np.nonzero(A.T)):
+        expected[t.ku + i - j, j] = A.T[i, j]
+    assert np.array_equal(t.ab, expected)
 
 
 def test_lu_solve_overflowing_elimination_raises():
     # a subnormal coupling becomes the pivot and the elimination overflows
     # into NaN; a NaN pivot must count as singular, not slip past the test
     H = build_ladder(LadderParams(L=4, t=[2.2e-311], t_p=0.0, phi=0.0,
-                                  gamma=1.0)).matrix
+                                  gamma=1.0))
     b = np.eye(8)[0]
-    for A in (-H, to_banded(-H)):
+    for A in (-H.matrix, Banded(-H.band.ab, H.band.kl, H.band.ku)):
         with pytest.raises(SingularMatrixError):
             lu_solve(A, b)
 

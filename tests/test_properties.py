@@ -1,25 +1,29 @@
-"""Property tests: the operator views derived from one ladder matrix agree.
+"""Property tests: the operator views derived from one band-built ladder agree.
 
-Small ladders are drawn at random (L 4-24, every coupling range n < L/2,
-uniform, linear or random loss, open and periodic boundaries, t_p = 0
-included).  The split form and the damping matrix must reproduce the ladder
-matrix exactly, the banded solves of the resolvent integrand must reproduce
-the dense reference, and the two resolvent integrals (of H and of X) must
-give the same profile.  The self-crossings of the momentum-space spectrum
-must be points where the Bloch bands meet, closed under the mirror
-E -> -i gamma - E, and absent from the time-reversal-symmetric phases.
+Small ladders are drawn at random (L 4-24, or 2-24 where stated, every
+coupling range n < L/2, uniform, linear or random loss, open and periodic
+boundaries, t_p = 0 included).  The band and its dense view must equal a
+ladder assembled entry by entry here, the periodic spectrum must be the Bloch
+bands on the ring's momenta, the split form and the damping matrix must
+reproduce the ladder matrix exactly, the banded solves of the resolvent
+integrand must reproduce the dense reference, and the two resolvent integrals
+(of H and of X) must give the same profile.  The self-crossings of the
+momentum-space spectrum must be points where the Bloch bands meet, closed
+under the mirror E -> -i gamma - E, and absent from the time-reversal-symmetric
+phases.
 """
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from igclab import (
     OBC, PBC, LadderParams, SingularMatrixError, WalkConfig, bloch_bands,
-    build_damping, build_general, build_ladder, densela, ladder_to_general,
-    linear_gamma, loss_profile_resolvent, random_gamma, self_intersections,
-    steady_density,
+    build_damping, build_general, build_ladder, densela, eigendecompose,
+    ladder_to_general, linear_gamma, loss_profile_resolvent, random_gamma,
+    self_intersections, steady_density,
 )
 from igclab.model import band_order
 from igclab.walk import resolvent_integrand
@@ -28,13 +32,13 @@ _amplitude = st.floats(-1.0, 1.0, allow_nan=False)
 
 
 @st.composite
-def ladders(draw, max_L=24, min_gamma=0.0):
-    L = draw(st.integers(4, max_L))
+def ladders(draw, max_L=24, min_gamma=0.0, min_L=4, uniform=False, bc=None):
+    L = draw(st.integers(min_L, max_L))
     n = draw(st.integers(0, (L - 1) // 2))
     t = draw(st.lists(_amplitude, min_size=n + 1, max_size=n + 1))
     t_p = draw(st.just(0.0) | _amplitude)
     phi = draw(st.floats(0.0, 2.0 * np.pi))
-    kind = draw(st.sampled_from(["uniform", "linear", "random"]))
+    kind = "uniform" if uniform else draw(st.sampled_from(["uniform", "linear", "random"]))
     if kind == "uniform":
         gamma = draw(st.floats(min_gamma, 1.0))
     elif kind == "linear":
@@ -45,7 +49,84 @@ def ladders(draw, max_L=24, min_gamma=0.0):
         gamma = random_gamma(L, low, low + draw(st.floats(0.01, 0.5)),
                              seed=draw(st.integers(0, 2**32 - 1)))
     return LadderParams(L=L, t=t, t_p=t_p, phi=phi, gamma=gamma,
-                        bc=draw(st.sampled_from([OBC, PBC])))
+                        bc=bc or draw(st.sampled_from([OBC, PBC])))
+
+
+def _reference_ladder(p):
+    """The ladder matrix entry by entry, from the conventions in `igclab.model`.
+
+    Rows interleave (x, A) and (x, B).  The forward hop x -> x+1 carries
+    (t_p/2) e^{i phi} on chain A and minus that on chain B, t_0 couples A and
+    B in a cell and t_m/2 couples cells m apart both ways, and -i gamma_x sits
+    on (x, B).  Hops wrap modulo L under PBC and are dropped at the ends under
+    OBC; two hops on one entry add up.
+    """
+    L = p.L
+    H = np.zeros((p.dim, p.dim), dtype=complex)
+
+    def on(x):
+        return p.bc == PBC or 0 <= x < L
+
+    fwd = 0.5 * p.t_p * np.exp(1j * p.phi)
+    for x in range(L):
+        a, b = 2 * x, 2 * x + 1
+        if on(x + 1):
+            a1, b1 = 2 * ((x + 1) % L), 2 * ((x + 1) % L) + 1
+            H[a1, a] += fwd
+            H[a, a1] += np.conj(fwd)
+            H[b1, b] += -fwd
+            H[b, b1] += -np.conj(fwd)
+        H[b, a] += p.t[0]
+        H[a, b] += p.t[0]
+        for m in range(1, p.n + 1):
+            for y in (x + m, x - m):
+                if on(y):
+                    by = 2 * (y % L) + 1
+                    H[by, a] += 0.5 * p.t[m]
+                    H[a, by] += 0.5 * p.t[m]
+        H[b, b] = -1j * p.gamma[x]
+    return H
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=ladders(min_L=2))
+@example(p=LadderParams(L=2, t=[0.3], t_p=0.7, phi=0.0, gamma=[0.2, 0.9], bc=PBC))
+@example(p=LadderParams(L=2, t=[0.3], t_p=0.7, phi=1.0, gamma=[0.2, 0.9], bc=PBC))
+@example(p=LadderParams(L=9, t=[0.3, 0.5, 0.0, 0.0], t_p=0.0, phi=1.0,
+                        gamma=np.linspace(0.1, 0.9, 9), bc=OBC))
+@example(p=LadderParams(L=9, t=[0.3, 0.0, 0.2, 0.0], t_p=0.4, phi=2.0,
+                        gamma=np.linspace(0.1, 0.9, 9), bc=PBC))
+@example(p=LadderParams(L=4, t=[0.0], t_p=0.0, phi=0.0, gamma=0.5, bc=OBC))
+def test_band_and_its_dense_view_are_the_ladder(p):
+    H = build_ladder(p)
+    ref = _reference_ladder(p)
+    assert H.matrix.tobytes() == ref.tobytes()
+    order = band_order(p)
+    permuted = ref[np.ix_(order, order)]
+    assert np.array_equal(_dense(H.band), permuted)
+    # as narrow as the nonzero couplings allow
+    i, j = np.nonzero(permuted)
+    assert (H.band.kl, H.band.ku) == ((i - j).max(initial=0), (j - i).max(initial=0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=ladders(uniform=True, bc=PBC))
+@example(p=LadderParams(L=24, t=[0.3, 0.5], t_p=0.5, phi=np.pi / 2, gamma=0.5, bc=PBC))
+@example(p=LadderParams(L=12, t=[0.5], t_p=0.0, phi=0.0, gamma=1.0, bc=PBC))
+def test_pbc_spectrum_is_the_bloch_bands(p):
+    # a uniform ring is the direct sum of the 2x2 Bloch matrices at
+    # k = 2 pi j / L.  Where a block sits at an exceptional point (h_y = 0,
+    # |h_x| = gamma/2; at every k in the second example) a backward error
+    # delta moves its eigenvalues by ~sqrt(delta ||H||), so a backward-stable
+    # eigensolve, delta ~ eps ||H||, agrees to ~sqrt(eps) ||H|| only.
+    # Measured: 0.3-0.65 sqrt(eps) ||H|| at exact exceptional points, below
+    # 1e-6 sqrt(eps) ||H|| on 3000 random rings.
+    H = build_ladder(p).matrix
+    w = eigendecompose(H).eigenvalues
+    bands = bloch_bands(p, 2 * np.pi * np.arange(p.L) / p.L).ravel()
+    rows, cols = linear_sum_assignment(np.abs(w[:, None] - bands[None, :]))
+    scale = max(1.0, np.abs(H).sum(axis=1).max())
+    assert np.abs(w[rows] - bands[cols]).max() < 8 * np.sqrt(np.finfo(float).eps) * scale
 
 
 @settings(max_examples=60, deadline=None)
@@ -93,7 +174,12 @@ NEAR_LOSSLESS = LadderParams(L=4, t=[2.2e-16], t_p=0.0, phi=0.0, gamma=1.0, bc=O
 
 
 def _operator(p, side):
-    return build_ladder(p).matrix if side == "H" else build_damping(p).X
+    """The dense natural-order matrix and the band of H or of X."""
+    if side == "H":
+        H = build_ladder(p)
+        return H.matrix, H.band
+    dm = build_damping(p)
+    return dm.X, dm.op.band
 
 
 def _dense(band):
@@ -115,7 +201,7 @@ def _max(v):
        data=st.data())
 def test_banded_solve_matches_dense(p, side, data):
     s = _SIDES[side]
-    M = _operator(p, side)
+    M, m_band = _operator(p, side)
     width = np.abs(M).sum(axis=1).max() + 1.0
     w = data.draw(st.floats(-width, width))
     x0 = data.draw(st.integers(1, p.L))
@@ -123,9 +209,11 @@ def test_banded_solve_matches_dense(p, side, data):
     b = np.zeros(p.dim, complex)
     b[2 * (x0 - 1)] = 1.0
     order = band_order(p)
-    band = densela.to_banded(A[np.ix_(order, order)])
+    ab = -m_band.ab
+    ab[m_band.ku] += s * w
+    band = densela.Banded(ab, m_band.kl, m_band.ku)
     assert np.array_equal(_dense(band), A[np.ix_(order, order)])
-    f = resolvent_integrand(p, x0, M, s)[0]
+    f = resolvent_integrand(p, x0, m_band, s)[0]
     try:
         x = densela.lu_solve(A, b)
     except SingularMatrixError:
@@ -151,15 +239,14 @@ def test_both_paths_refuse_an_exactly_singular_shift(bc, side):
     # without couplings every A site is an exact zero mode: at omega = 0 the
     # A rows of s*omega - M vanish
     p = LadderParams(L=6, t=[0.0], t_p=0.0, phi=0.0, gamma=1.0, bc=bc)
-    M = _operator(p, side)
-    order = band_order(p)
+    M, band = _operator(p, side)
     b = np.ones(p.dim)
     with pytest.raises(SingularMatrixError):
         densela.lu_solve(-M, b)
     with pytest.raises(SingularMatrixError):
-        densela.lu_solve(densela.to_banded(-M[np.ix_(order, order)]), b)
+        densela.lu_solve(densela.Banded(-band.ab, band.kl, band.ku), b)
     with pytest.raises(SingularMatrixError):
-        resolvent_integrand(p, 1, M, _SIDES[side])[0](np.array([0.0]))
+        resolvent_integrand(p, 1, band, _SIDES[side])[0](np.array([0.0]))
 
 
 @pytest.mark.parametrize("side", sorted(_SIDES))
@@ -167,7 +254,7 @@ def test_integrand_refuses_a_lossless_model(side):
     # no loss, no decay: the tail bound has no finite window to satisfy
     p = LadderParams(L=6, t=[0.3, 0.5], t_p=0.5, phi=0.0, gamma=0.0, bc=PBC)
     with pytest.raises(ValueError, match="lossless"):
-        resolvent_integrand(p, 1, _operator(p, side), _SIDES[side])
+        resolvent_integrand(p, 1, _operator(p, side)[1], _SIDES[side])
 
 
 def test_both_paths_refuse_the_near_lossless_mode(monkeypatch):
@@ -200,7 +287,7 @@ def test_both_paths_refuse_the_near_lossless_mode(monkeypatch):
 def test_band_width_does_not_grow_with_L(p):
     # folded cells keep every wrap-around hop near the diagonal under PBC;
     # a full-width fallback would give 2L-1
-    kl, ku = resolvent_integrand(p, 1, build_ladder(p).matrix, 1.0)[4]
+    kl, ku = resolvent_integrand(p, 1, build_ladder(p).band, 1.0)[4]
     n = p.n
     bound = max(4 * n + 1, 4) if p.bc == PBC else max(2 * n + 1, 2)
     assert kl == ku <= bound
@@ -211,6 +298,7 @@ def test_band_width_does_not_grow_with_L(p):
 @settings(max_examples=25, deadline=None)
 @given(t0=st.floats(0.0, 0.7), t2=st.floats(0.0, 0.7),
        phi=st.sampled_from([0.0, np.pi]) | st.floats(0.0, np.pi))
+@example(t0=0.0, t2=0.5, phi=1.3)
 def test_self_intersections_are_band_crossings(t0, t2, phi):
     gamma = 0.5
     p = LadderParams(L=20, t=[t0, 0.5, t2], t_p=0.5, phi=phi, gamma=gamma, bc=PBC)
@@ -221,6 +309,8 @@ def test_self_intersections_are_band_crossings(t0, t2, phi):
     for h in hits:
         b1, b2 = bloch_bands(p, [h.k1, h.k2]).T
         assert np.abs(b1[:, None] - b2[None, :]).min() < 1e-9
+        # the energy is a band's at the polished momentum, to rounding
+        assert np.abs(b1 - h.energy).min() < 1e-14
     # -i gamma - E is the other square-root branch at the same momenta
     energies = np.array([h.energy for h in hits])
     for e in energies:
