@@ -411,10 +411,9 @@ def _cmd_liouville(cfg, model, out, tag, plot):
         raise ConfigError("liouville command needs a ladder model")
     dm = liouville.build_damping(model)
     rep = liouville.liouvillian_gap(dm)
-    spec = eigendecompose(dm.X)
     csv = out / f"{tag}liouville_spectrum.csv"
     write_csv(csv, ["re", "im", "label"],
-              [(w.real, w.imag, model.bc) for w in spec.eigenvalues])
+              [(w.real, w.imag, model.bc) for w in rep.eigenvalues])
     files = {str(csv): "damping-matrix eigenvalues"}
     diags = {"gap": rep.gap, "gapless": rep.gapless, "max_real": rep.max_real,
              "note": rep.note}
@@ -427,7 +426,7 @@ def _cmd_liouville(cfg, model, out, tag, plot):
     if plot:
         pl = SvgPlot(xlabel="Re lambda", ylabel="Im lambda",
                      title="damping-matrix spectrum")
-        pl.add(spec.eigenvalues.real, spec.eigenvalues.imag, label=model.bc)
+        pl.add(rep.eigenvalues.real, rep.eigenvalues.imag, label=model.bc)
         svg = out / f"{tag}liouville_spectrum.svg"
         pl.write(svg)
         files[str(svg)] = "damping spectrum plot"

@@ -60,6 +60,7 @@ class LiouvilleReport:
     gapless: bool
     max_real: float
     note: str
+    eigenvalues: np.ndarray = field(repr=False)   # the spectrum of X the gap is read from
     dark_mode_residuals: list = field(default_factory=list)
 
 
@@ -83,7 +84,7 @@ def build_damping(p: LadderParams) -> DampingMatrix:
 
 
 def liouvillian_gap(dm: DampingMatrix) -> LiouvilleReport:
-    """Relaxation gap of X and the convergence class it implies."""
+    """Relaxation gap of X and the convergence class it implies, with X's spectrum."""
     spec = densela.eigendecompose(dm.X)
     max_real = float(spec.eigenvalues.real.max())
     gap = -2.0 * max_real
@@ -91,7 +92,8 @@ def liouvillian_gap(dm: DampingMatrix) -> LiouvilleReport:
     note = ("vanishing gap: algebraic convergence towards the steady state"
             if gapless else
             f"finite gap {gap:.6g}: exponential convergence towards the steady state")
-    return LiouvilleReport(gap=gap, gapless=gapless, max_real=max_real, note=note)
+    return LiouvilleReport(gap=gap, gapless=gapless, max_real=max_real, note=note,
+                           eigenvalues=spec.eigenvalues)
 
 
 def dark_mode_check(dm: DampingMatrix, sol: IgcSolution) -> np.ndarray:

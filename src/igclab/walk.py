@@ -6,13 +6,21 @@ compute the escape profile P_x and serve as mutual cross-checks:
 
 * the time engine integrates the Schroedinger equation with the adaptive
   Runge-Kutta pair and accumulates 2 gamma_x |psi_x^B|^2 as an extra ODE
-  block, so the quadrature rides at the integrator's own order, and
+  block, so the quadrature rides at the integrator's own order.  The state
+  is kept in `band_order`, so -i H psi is one BLAS `zgbmv` on the band
+  `build_ladder` writes (half-bandwidth 2n+1 under OBC, 4n+1 under folded
+  PBC, no corner blocks), at O(n L) per stage instead of the dense O(L^2);
+  psi is put back in natural order only where a state is recorded, and
 * the resolvent engine evaluates the frequency-domain formula
   P_x = (gamma_x / pi) * integral |<x,B| (omega - H)^{-1} |x0,A>|^2 d omega
   by adaptive Gauss-Kronrod panels, one banded LU solve per node (natural
   site order under OBC, folded cells under PBC, so the half-bandwidth is
   2n+1 or 4n+1 whatever L is).  The same integrand, with the damping matrix
   X = i conj(H) in place of H, gives the steady density in `liouville`.
+
+The two engines share only the operator build: the time engine's matvec and
+the resolvent engine's banded LU are separate code, so that their agreement
+stays an independent check.
 
 Eigendecomposition is deliberately not used for propagation: the open-chain
 eigenbasis of these skin-effect models is exponentially ill-conditioned and
@@ -24,10 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import zgbmv
 
 from . import densela
-from .model import (OBC, PBC, LadderParams, band_order, bloch_bands, build_ladder,
-                    site_index)
+from .model import (OBC, PBC, LadderOperator, LadderParams, band_order, bloch_bands,
+                    build_ladder, site_index)
 from .ode import integrate
 from .quadrature import adaptive_quadrature, geometric_edges
 
@@ -36,6 +45,9 @@ RESOLVENT = "RESOLVENT"
 
 #: resolvent frequency window is chosen so this crude tail bound holds
 TAIL_BOUND = 1e-8
+
+#: psi entries below the smallest normal double are flushed to zero
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -95,34 +107,59 @@ def _initial_state(p: LadderParams, x0: int) -> np.ndarray:
     return psi0
 
 
-def _augmented_rhs(H: np.ndarray, gam: np.ndarray):
-    n = H.shape[0]
-    bidx = np.arange(n // 2) * 2 + 1
-    two_gam = 2.0 * gam
+def _band_rhs(op: LadderOperator, gamma: np.ndarray):
+    """The walk's rhs in `op.order`: -i H psi and the 2 gamma_x |psi_x^B|^2 block.
+
+    y holds psi in band order, then one accumulator per cell in the order the
+    cells' A-B pairs take there (so the B sites are psi[1::2]).  The matvec is
+    BLAS `zgbmv` on the band as stored, and every call writes into, and
+    returns, the same buffer.
+    """
+    kl, ku, n = op.band.kl, op.band.ku, op.order.size
+    ab = np.asfortranarray(op.band.ab)
+    two_gam = 2.0 * gamma[op.order[0::2] // 2]
+    # scipy's wrapper wants at least kl + ku + 1 rows, more than a short ring
+    # with long couplings has; the extra rows read the zeros band storage
+    # keeps outside the matrix, so they write zeros past psi.  The
+    # accumulator rates are real: only the real part of their block is written.
+    m = max(n, kl + ku + 1)
+    full = np.zeros(max(m, n + two_gam.size), dtype=complex)
+    out, acc = full[:n + two_gam.size], full[n:n + two_gam.size].real
+    mag = np.empty(two_gam.size)
 
     def rhs(_, y):
-        psi = y[:n]
-        out = np.empty_like(y)
-        out[:n] = -1j * (H @ psi)
-        out[n:] = two_gam * np.abs(psi[bidx]) ** 2
+        # positional: (m, n, kl, ku, alpha, a, x, incx, offx, beta, y, incy,
+        # offy, trans, overwrite_y); keywords cost f2py a third of the call
+        zgbmv(m, n, kl, ku, -1j, ab, y, 1, 0, 0j, full, 1, 0, 0, 1)
+        np.abs(y[1:n:2], out=mag)
+        np.square(mag, out=mag)
+        np.multiply(two_gam, mag, out=acc)
         return out
 
     return rhs
 
 
-def _walk_scale(n, rtol):
-    # error weights: wave-function block relative to its own decaying
-    # magnitude, accumulator block relative to unit probability
+def _walk_scale(n, size, rtol):
+    """Error weights of a walk state of `size` entries, the first n of them psi.
+
+    The wave-function block is weighed relative to its own decaying
+    magnitude, the accumulator block relative to unit probability.  Returns
+    (scale, mag): the weights are written into one buffer on every call, and
+    `mag` holds |y_new| of the last call.
+    """
+    ao, an, sc = np.empty(size), np.empty(size), np.empty(size)
+    sc_psi, sc_acc = sc[:n], sc[n:]
+
     def scale(y_old, y_new):
-        ao = np.abs(y_old)
-        an = np.abs(y_new)
-        amp = max(ao[:n].max(), an[:n].max(), 1e-300)
-        sc = np.empty(y_old.size)
-        sc[:n] = rtol * (amp + np.maximum(ao[:n], an[:n]))
-        sc[n:] = rtol * (1.0 + np.maximum(ao[n:], an[n:]))
+        np.abs(y_old, out=ao)
+        np.abs(y_new, out=an)
+        np.maximum(ao, an, out=sc)
+        np.add(sc_psi, max(sc_psi.max(), 1e-300), out=sc_psi)
+        np.add(sc_acc, 1.0, out=sc_acc)
+        np.multiply(sc, rtol, out=sc)
         return sc
 
-    return scale
+    return scale, an
 
 
 def evolve(cfg: WalkConfig, snapshot_stride: int = 0,
@@ -131,40 +168,59 @@ def evolve(cfg: WalkConfig, snapshot_stride: int = 0,
 
     `snapshot_stride` > 0 records the state every that many accepted steps;
     `sample_times` lands on the given times exactly and records them.  The
-    initial and final states are always included.
+    initial and final states are always included, psi in natural site order.
+
+    The state is integrated in `band_order`, where H is the band of
+    `build_ladder` (see `_band_rhs`), and put back in natural order only
+    where a `StateVector` is recorded.  After each accepted step the psi
+    entries whose magnitude is below the smallest normal double are set to
+    zero: the far tail of the wavefront otherwise underflows into subnormals,
+    on which every arithmetic operation is many times slower.
     """
     p = cfg.params
-    H = build_ladder(p).matrix
-    gam = np.asarray(p.gamma)
-    n = 2 * p.L
-    y0 = np.concatenate([_initial_state(p, cfg.x0), np.zeros(p.L, complex)])
-    states = [StateVector(t=0.0, psi=y0[:n].copy(), norm=1.0)]
+    op = build_ladder(p)
+    order = op.order
+    n = order.size
+    y0 = np.concatenate([_initial_state(p, cfg.x0)[order], np.zeros(p.L, complex)])
+    scale, mag = _walk_scale(n, y0.size, cfg.step_tol)
+    mag_psi, underflow = mag[:n], np.zeros(n, dtype=bool)
+
+    def natural(psi):
+        out = np.empty(n, dtype=complex)
+        out[order] = psi
+        return out
+
+    states = [StateVector(t=0.0, psi=natural(y0[:n]), norm=1.0)]
     counter = {"steps": 0}
 
     def stop(t, y):
         counter["steps"] += 1
-        nrm = float(np.linalg.norm(y[:n]) ** 2)
+        psi = y[:n]
+        np.less(mag_psi, _TINY, out=underflow)    # |psi| from this step's error scale
+        np.copyto(psi, 0.0, where=underflow)
+        nrm = float(np.vdot(psi, psi).real)
         if snapshot_stride > 0 and counter["steps"] % snapshot_stride == 0:
-            states.append(StateVector(t=t, psi=y[:n].copy(), norm=nrm))
+            states.append(StateVector(t=t, psi=natural(psi), norm=nrm))
         return nrm < cfg.norm_floor
 
-    res = integrate(_augmented_rhs(H, gam), y0, 0.0, cfg.t_max,
-                    scale_fn=_walk_scale(n, cfg.step_tol), stop_fn=stop,
-                    sample_times=sample_times)
+    res = integrate(_band_rhs(op, np.asarray(p.gamma)), y0, 0.0, cfg.t_max,
+                    scale_fn=scale, stop_fn=stop, sample_times=sample_times)
     for t, y in res.samples:
-        states.append(StateVector(t=t, psi=y[:n].copy(),
-                                  norm=float(np.linalg.norm(y[:n]) ** 2)))
-    norm_end = float(np.linalg.norm(res.y[:n]) ** 2)
+        states.append(StateVector(t=t, psi=natural(y[:n]),
+                                  norm=float(np.vdot(y[:n], y[:n]).real)))
+    norm_end = float(np.vdot(res.y[:n], res.y[:n]).real)
     if not states or states[-1].t != res.t:
-        states.append(StateVector(t=res.t, psi=res.y[:n].copy(), norm=norm_end))
+        states.append(StateVector(t=res.t, psi=natural(res.y[:n]), norm=norm_end))
     states.sort(key=lambda s: s.t)
+    escaped = np.empty(p.L)
+    escaped[order[0::2] // 2] = res.y[n:].real
     complete = res.stopped_early  # floor reached before the ceiling
     return WalkResult(
         states=states,
         complete=complete,
         t_end=res.t,
         norm_end=norm_end,
-        escaped=res.y[n:].real.copy(),
+        escaped=escaped,
         diagnostics={"n_steps": res.n_steps, "n_rejected": res.n_rejected,
                      "residual_norm": norm_end},
     )
@@ -175,15 +231,20 @@ def loss_profile_time(cfg: WalkConfig) -> LossProfile:
 
     The truncated remainder of the time integral is bounded by the residual
     norm (whatever probability is still in the system must eventually leave
-    through some B site); the bound is reported, not folded into P.
+    through some B site); the bound is reported, not folded into P.  In
+    continuous time sum P + residual norm = 1 exactly, so the reported
+    `conservation_defect` |1 - sum P - residual| is the accumulated
+    integration error of the escape probabilities.
     """
     res = evolve(cfg)
     P = np.maximum(res.escaped, 0.0)
+    total = float(P.sum())
     incomplete = not res.complete
     diag = dict(res.diagnostics)
     diag.update({"t_end": res.t_end, "tail_bound": res.norm_end,
+                 "conservation_defect": abs(1.0 - total - res.norm_end),
                  "engine": TIME})
-    return LossProfile(P=P, engine=TIME, total=float(P.sum()),
+    return LossProfile(P=P, engine=TIME, total=total,
                        incomplete=incomplete, diagnostics=diag)
 
 
@@ -270,7 +331,9 @@ def loss_profile_resolvent(cfg: WalkConfig, rtol: float = 1e-9,
     the actual truncation error is far smaller than the reported tail bound
     because off-diagonal resolvent elements decay faster than 1/omega.
     Without any loss the integrand would not decay at all, so that limit
-    short-circuits to an exactly zero profile.
+    short-circuits to an exactly zero profile.  Otherwise every released
+    walker escapes, so `conservation_defect` |1 - sum P| measures the
+    truncation and quadrature error together.
     """
     p = cfg.params
     gam = np.asarray(p.gamma)
@@ -283,6 +346,7 @@ def loss_profile_resolvent(cfg: WalkConfig, rtol: float = 1e-9,
     quad = adaptive_quadrature(f, edges, rtol=rtol, atol_frac=1e-16,
                                max_panels=max_panels)
     P = gam / np.pi * quad.value
+    total = float(P.sum())
     diag = {
         "engine": RESOLVENT,
         "n_nodes": quad.n_evaluations,
@@ -292,9 +356,10 @@ def loss_profile_resolvent(cfg: WalkConfig, rtol: float = 1e-9,
         "omega_max": omega_max,
         "tail_bound": tail_bound,
         "quadrature_error": float((gam / np.pi * quad.error).max()),
+        "conservation_defect": abs(1.0 - total),
         "converged": quad.converged,
     }
-    return LossProfile(P=P, engine=RESOLVENT, total=float(P.sum()),
+    return LossProfile(P=P, engine=RESOLVENT, total=total,
                        incomplete=not quad.converged, diagnostics=diag)
 
 
@@ -336,7 +401,7 @@ def bulk_boundary_equivalence(cfg: WalkConfig, horizon: float,
             return -1j * (H @ y)
 
         res = integrate(rhs, psi0, 0.0, horizon,
-                        scale_fn=_walk_scale(2 * p.L, cfg.step_tol),
+                        scale_fn=_walk_scale(psi0.size, psi0.size, cfg.step_tol)[0],
                         sample_times=times[1:])
         runs[label] = [psi0] + [y for _, y in res.samples]
     diffs = np.array([np.linalg.norm(a - b)

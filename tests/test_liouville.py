@@ -72,6 +72,13 @@ def test_gap_gapped_and_obc():
     assert rep_obc.gap > 1e-3
 
 
+def test_gap_report_carries_the_spectrum_it_read():
+    dm = build_damping(ladder(t0=0.6))
+    rep = liouvillian_gap(dm)
+    assert np.array_equal(rep.eigenvalues, eigendecompose(dm.X).eigenvalues)
+    assert rep.max_real == rep.eigenvalues.real.max()
+
+
 def test_dark_mode_residuals_commensurate(commensurate_params):
     sol = solve_connection(commensurate_params().t, 0.5, np.pi / 2)
     assert len(sol.points) == 2

@@ -59,3 +59,31 @@ def test_linear_system_vs_expm():
     import scipy.linalg as sla
     exact = sla.expm(2.0 * A) @ y0
     assert np.linalg.norm(res.y - exact) < 1e-8 * np.linalg.norm(exact)
+
+
+def test_rhs_may_return_one_buffer_and_results_are_copies():
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)) - 2.0 * np.eye(5)
+    y0 = rng.normal(size=5) + 1j * rng.normal(size=5)
+    buf = np.empty(5, dtype=complex)
+    seen = []
+
+    def reused(t, y):
+        seen.append(y)                 # the integrator's own state buffers
+        np.dot(A, y, out=buf)
+        return buf
+
+    times = [0.3, 0.7, 1.5]
+    fresh = integrate(lambda t, y: A @ y, y0, 0.0, 2.0, rtol=1e-9, atol=1e-12,
+                      sample_times=times)
+    res = integrate(reused, y0, 0.0, 2.0, rtol=1e-9, atol=1e-12, sample_times=times)
+    assert (res.n_steps, res.n_rejected) == (fresh.n_steps, fresh.n_rejected)
+    assert np.array_equal(res.y, fresh.y)
+    assert [t for t, _ in res.samples] == times
+    for (_, a), (_, b) in zip(res.samples, fresh.samples):
+        assert np.array_equal(a, b)
+    # nothing handed back is, or is later overwritten through, a work buffer
+    kept = [res.y] + [y for _, y in res.samples]
+    for i, a in enumerate(kept):
+        assert not any(np.shares_memory(a, b) for b in seen + [buf])
+        assert not any(np.shares_memory(a, b) for b in kept[i + 1:])

@@ -6,8 +6,9 @@ boundaries, t_p = 0 included).  The band and its dense view must equal a
 ladder assembled entry by entry here, the periodic spectrum must be the Bloch
 bands on the ring's momenta, the split form and the damping matrix must
 reproduce the ladder matrix exactly, the banded solves of the resolvent
-integrand must reproduce the dense reference, and the two resolvent integrals
-(of H and of X) must give the same profile.  The self-crossings of the
+integrand and the TIME engine's banded rhs must reproduce the dense
+reference, and the two resolvent integrals (of H and of X) must give the same
+profile.  The self-crossings of the
 momentum-space spectrum must be points where the Bloch bands meet, closed
 under the mirror E -> -i gamma - E, and absent from the time-reversal-symmetric
 phases.
@@ -26,7 +27,7 @@ from igclab import (
     self_intersections, steady_density,
 )
 from igclab.model import band_order
-from igclab.walk import resolvent_integrand
+from igclab.walk import _band_rhs, resolvent_integrand
 
 _amplitude = st.floats(-1.0, 1.0, allow_nan=False)
 
@@ -231,6 +232,34 @@ def test_banded_solve_matches_dense(p, side, data):
     assert _max(xb - x) <= max(1e-12, 100 * kappa * np.finfo(float).eps) * _max(x)
     # the integrand makes that same solve and un-permutes its B sites
     assert np.allclose(f(np.array([w]))[0], np.abs(xb[1::2]) ** 2, rtol=1e-13, atol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=ladders(min_L=2), seed=st.integers(0, 2**32 - 1))
+@example(p=LadderParams(L=9, t=[0.3, 0.5, 0.0], t_p=0.0, phi=1.0,
+                        gamma=np.linspace(0.1, 0.9, 9), bc=PBC), seed=1)
+@example(p=LadderParams(L=9, t=[0.3, 0.0, 0.2, 0.0], t_p=0.4, phi=2.0,
+                        gamma=np.linspace(0.1, 0.9, 9), bc=OBC), seed=2)
+@example(p=LadderParams(L=5, t=[0.3, 0.2, 0.1], t_p=0.5, phi=0.3,
+                        gamma=[0.1, 0.5, 0.2, 0.7, 0.3], bc=PBC), seed=3)
+def test_banded_rhs_is_the_dense_one(p, seed):
+    # the TIME engine's state is psi in band order, then one accumulator per
+    # cell in the order the cells' A-B pairs take there; the third example's
+    # band (kl + ku + 1 = 19) is wider than its matrix (10)
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=p.dim) + 1j * rng.normal(size=p.dim)
+    order = band_order(p)
+    cells = order[0::2] // 2
+    y = np.concatenate([psi[order], rng.normal(size=p.L) + 0j])
+    H = build_ladder(p)
+    gam = np.asarray(p.gamma)
+    out = _band_rhs(H, gam)(0.0, y)
+    ref = -1j * (H.matrix @ psi)
+    # zgbmv sums each row over the band only: same terms, another order
+    tol = 1e-14 * max(1.0, np.abs(H.matrix).sum(axis=1).max()) * _max(psi)
+    assert _max(out[:p.dim] - ref[order]) <= tol
+    assert np.allclose(out[p.dim:], 2.0 * gam[cells] * np.abs(psi[1::2][cells]) ** 2,
+                       rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("bc", [OBC, PBC])

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from igclab import (
     LadderParams, PBC, RESOLVENT, TIME, WalkConfig,
-    bulk_boundary_equivalence, evolve, loss_profile_resolvent,
-    loss_profile_time,
+    bulk_boundary_equivalence, build_ladder, evolve, linear_gamma,
+    loss_profile_resolvent, loss_profile_time,
 )
+from igclab.ode import integrate
 
 
 def dimer(gamma=0.5, t0=0.3):
@@ -87,6 +89,9 @@ def test_engines_agree_midsize():
     rel = np.abs(pr.P[mask] - pt.P[mask]) / pt.P[mask]
     assert rel.max() < 1e-4
     assert abs(pt.total - 1.0) < 1e-6
+    # sum P + residual = 1 for TIME, sum P = 1 for RESOLVENT, up to the error
+    assert pt.diagnostics["conservation_defect"] < 1e-6
+    assert pr.diagnostics["conservation_defect"] == abs(1.0 - pr.total) < 1e-6
 
 
 def test_engines_agree_nonuniform_gamma():
@@ -108,6 +113,22 @@ def test_snapshot_stride_records_states():
     assert times[0] == 0.0
 
 
+def test_recorded_states_are_in_natural_site_order():
+    # the engine integrates in the folded PBC order; every recorded psi must
+    # be the natural-order exp(-i H t) psi0
+    p = LadderParams(L=10, t=[0.3, 0.5], t_p=0.5, phi=0.7,
+                     gamma=np.linspace(0.2, 0.6, 10), bc=PBC)
+    cfg = WalkConfig(params=p, x0=3, t_max=4.0, step_tol=1e-10)
+    res = evolve(cfg, snapshot_stride=7, sample_times=[0.5, 2.0])
+    H = build_ladder(p).matrix
+    psi0 = np.zeros(p.dim, dtype=complex)
+    psi0[4] = 1.0
+    assert len(res.states) > 4
+    for s in res.states:
+        assert np.abs(s.psi - expm(-1j * H * s.t) @ psi0).max() < 1e-7
+        assert s.norm == pytest.approx(np.linalg.norm(s.psi) ** 2, abs=1e-14)
+
+
 def test_boundary_equivalence_before_and_after_arrival():
     p = LadderParams(L=60, t=[0.3, 0.5], t_p=0.5, phi=np.pi / 2, gamma=0.5)
     cfg = WalkConfig(params=p, x0=45)
@@ -123,3 +144,54 @@ def test_boundary_equivalence_zero_horizon():
     p = LadderParams(L=20, t=[0.3, 0.5], t_p=0.5, phi=np.pi / 2, gamma=0.5)
     rep = bulk_boundary_equivalence(WalkConfig(params=p, x0=10), horizon=0.0)
     assert rep.max_difference == 0.0
+
+
+def _dense_walk(cfg):
+    """The TIME walk as first written: dense -i H psi in natural site order.
+
+    The reference for the banded engine: same state layout but unpermuted,
+    the same error weights and stopping rule, new arrays at every call.
+    """
+    p = cfg.params
+    H = build_ladder(p).matrix
+    n = H.shape[0]
+    two_gam = 2.0 * np.asarray(p.gamma)
+
+    def rhs(_, y):
+        out = np.empty_like(y)
+        out[:n] = -1j * (H @ y[:n])
+        out[n:] = two_gam * np.abs(y[1:n:2]) ** 2
+        return out
+
+    def scale(y_old, y_new):
+        ao, an = np.abs(y_old), np.abs(y_new)
+        amp = max(ao[:n].max(), an[:n].max(), 1e-300)
+        sc = np.empty(y_old.size)
+        sc[:n] = cfg.step_tol * (amp + np.maximum(ao[:n], an[:n]))
+        sc[n:] = cfg.step_tol * (1.0 + np.maximum(ao[n:], an[n:]))
+        return sc
+
+    y0 = np.zeros(n + p.L, dtype=complex)
+    y0[2 * (cfg.x0 - 1)] = 1.0
+    return integrate(rhs, y0, 0.0, cfg.t_max, scale_fn=scale,
+                     stop_fn=lambda t, y: np.linalg.norm(y[:n]) ** 2 < cfg.norm_floor)
+
+
+@pytest.mark.parametrize("p, x0", [
+    (LadderParams(L=40, t=[0.3, 0.5], t_p=0.5, phi=np.pi / 2,
+                  gamma=linear_gamma(40, 0.01, 0.2)), 30),
+    (LadderParams(L=40, t=[0.6, 0.5], t_p=0.5, phi=1.0, gamma=0.5, bc=PBC), 20),
+    (LadderParams(L=30, t=[0.3, 0.5, 0.5], t_p=0.5, phi=np.pi / 2, gamma=0.5), 20),
+], ids=["obc", "pbc", "t2"])
+def test_banded_walk_steps_like_the_dense_one(p, x0):
+    cfg = WalkConfig(params=p, x0=x0, norm_floor=1e-12)
+    prof = loss_profile_time(cfg)
+    ref = _dense_walk(cfg)
+    assert ref.stopped_early and not prof.incomplete
+    assert (prof.diagnostics["n_steps"], prof.diagnostics["n_rejected"]) == \
+        (ref.n_steps, ref.n_rejected)
+    P = ref.y[p.dim:].real
+    mask = P > 0
+    assert (np.abs(prof.P - P)[mask] / P[mask]).max() < 1e-12
+    assert prof.diagnostics["conservation_defect"] == \
+        abs(1.0 - prof.total - prof.diagnostics["residual_norm"])
