@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .model import (
     OBC, PBC, LadderParams, GeneralModel, HamiltonianMatrix, LadderOperator, BlochMatrix,
-    build_ladder, build_bloch, build_general, bloch_bands, ladder_to_general,
+    build_ladder, build_bloch, build_general, bloch_bands, bloch_blocks, ladder_to_general,
     verify_dark_modes, linear_gamma, random_gamma, site_index,
 )
 from .densela import Spectrum, SingularMatrixError, lu_solve, eigendecompose, max_imag

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__, analysis, igc, liouville, walk
 from .densela import eigendecompose
-from .model import (OBC, PBC, LadderParams, GeneralModel, build_general,
-                    build_ladder, linear_gamma, random_gamma)
+from .model import (OBC, PBC, LadderParams, GeneralModel, bloch_blocks,
+                    build_general, build_ladder, linear_gamma, random_gamma)
 from .svgplot import SvgPlot
 
 _MODEL_KEYS = {"command", "model", "seed"}
@@ -237,19 +237,32 @@ def _profiles(cfg, params):
 
 # --- command implementations -------------------------------------------------
 
+def _ladder_spectrum(p):
+    """(eigenvalues sorted by (Re, Im), eigensolve used) of a ladder.
+
+    A uniform-loss ring is block-circulant, so its spectrum is the union of
+    the L Bloch blocks' eigenvalues; every other ladder takes the dense
+    eigensolve.
+    """
+    H = build_ladder(p)
+    if p.bc == PBC and p.uniform_gamma is not None:
+        w = eigendecompose(bloch_blocks(p, H)).eigenvalues
+        return np.sort_complex(w.ravel()), "bloch_blocks"
+    return eigendecompose(H.matrix).eigenvalues, "dense"
+
+
 def _cmd_spectrum(cfg, model, out, tag, plot):
     rows, diags = [], {}
-    if isinstance(model, LadderParams) and cfg.get("compare_bc"):
-        variants = [(bc, build_ladder(model.replace(bc=bc))) for bc in (OBC, PBC)]
-    elif isinstance(model, LadderParams):
-        variants = [(model.bc, build_ladder(model))]
+    if isinstance(model, LadderParams):
+        bcs = (OBC, PBC) if cfg.get("compare_bc") else (model.bc,)
+        variants = [(bc, *_ladder_spectrum(model.replace(bc=bc))) for bc in bcs]
     else:
-        variants = [("general", build_general(model))]
-    for label, ham in variants:
-        spec = eigendecompose(ham.matrix)
-        rows += [(w.real, w.imag, label) for w in spec.eigenvalues]
-        diags[label] = {"dim": spec.eigenvalues.size,
-                        "max_imag": float(spec.eigenvalues.imag.max())}
+        variants = [("general", eigendecompose(build_general(model).matrix).eigenvalues,
+                     "dense")]
+    for label, w, how in variants:
+        rows += [(e.real, e.imag, label) for e in w]
+        diags[label] = {"dim": w.size, "max_imag": float(w.imag.max()),
+                        "eigensolve": how}
     files = {}
     csv = out / f"{tag}spectrum.csv"
     write_csv(csv, ["re", "im", "label"], rows)
@@ -281,7 +294,7 @@ def _cmd_igc(cfg, model, out, tag, plot):
               [(p.k, p.beta.real, p.beta.imag, p.energy, int(p.marginal))
                for p in sol.points])
     diags = {"f_min": sol.f_min, "k_min": sol.k_min, "gapped": sol.gapped,
-             "classification": igc.classify(model), "n_points": len(sol.points)}
+             "classification": sol.classification, "n_points": len(sol.points)}
     return {str(csv): "connection-condition roots"}, diags
 
 
@@ -324,10 +337,10 @@ def _cmd_burst(cfg, model, out, tag, plot):
     threshold = float(cfg.get("threshold", analysis.BURST_THRESHOLD))
     for prof in profs:
         m = analysis.burst_metrics(prof, x0, threshold)
-        entry = {"burst_type": m.burst_type, "ratio_left": m.ratio_left,
-                 "ratio_right": m.ratio_right, "p_edge_left": m.p_edge_left,
-                 "p_edge_right": m.p_edge_right, "total": prof.total,
-                 "incomplete": prof.incomplete}
+        entry = dict(prof.diagnostics, burst_type=m.burst_type,
+                     ratio_left=m.ratio_left, ratio_right=m.ratio_right,
+                     p_edge_left=m.p_edge_left, p_edge_right=m.p_edge_right,
+                     total=prof.total, incomplete=prof.incomplete)
         for side in (analysis.LEFT, analysis.RIGHT):
             try:
                 fit = analysis.fit_bulk(prof, x0, side)

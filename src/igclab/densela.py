@@ -34,8 +34,9 @@ class SingularMatrixError(np.linalg.LinAlgError):
 class Spectrum:
     """Eigenvalues of a dense complex matrix, optionally with diagnostics.
 
-    `residuals` holds ||A v - lambda v|| / ||A|| per pair when eigenvectors
-    were requested.  `condition_flag` is set when any residual exceeds the
+    `eigenvalues` is (n,), or (m, n) for a stack of m blocks.  `residuals`
+    holds ||A v - lambda v|| / ||A|| per pair when eigenvectors were
+    requested.  `condition_flag` is set when any residual exceeds the
     contract tolerance or the eigenvector basis is numerically rank deficient
     (defective or near-defective input).
     """
@@ -113,19 +114,24 @@ def lu_solve(A: np.ndarray | Banded, b: np.ndarray) -> np.ndarray:
 def eigendecompose(A: np.ndarray, want_vectors: bool = False) -> Spectrum:
     """Full complex spectrum of a square matrix, sorted by (Re, Im).
 
-    With `want_vectors`, right eigenvectors are returned column-aligned with
-    the eigenvalues and every pair gets a relative residual.  The solver is
-    treated as a black box; the residuals are the ground truth.
+    A stack of m square n x n blocks gives eigenvalues of shape (m, n), row i
+    holding block i's, each row sorted by (Re, Im); eigenvectors are refused
+    for a stack.  With `want_vectors`, right eigenvectors are returned
+    column-aligned with the eigenvalues and every pair gets a relative
+    residual.  The solver is treated as a black box; the residuals are the
+    ground truth.
     """
     A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("eigendecompose needs a square matrix")
-    if A.shape[0] == 0:
+    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
+        raise ValueError("eigendecompose needs a square matrix or a stack of square blocks")
+    if A.size == 0:
         raise ValueError("empty matrix")
+    if want_vectors and A.ndim == 3:
+        raise ValueError("eigenvectors are not returned for a stack of blocks")
     if not want_vectors:
         w = np.linalg.eigvals(A)
         order = np.lexsort((w.imag, w.real))
-        return Spectrum(eigenvalues=w[order])
+        return Spectrum(eigenvalues=np.take_along_axis(w, order, axis=-1))
     w, V = np.linalg.eig(A)
     order = np.lexsort((w.imag, w.real))
     w, V = w[order], V[:, order]

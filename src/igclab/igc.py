@@ -44,10 +44,18 @@ class IgcPoint:
 
 @dataclass(frozen=True)
 class IgcSolution:
+    """The roots of the coupling condition and what they imply.
+
+    `gapped` means no real root; `classification` is IGC when the minimum
+    of F reaches zero or below (within float noise at exact criticality),
+    GAPPED otherwise.
+    """
+
     points: tuple
     f_min: float
     k_min: float
     gapped: bool
+    classification: str
     energies: tuple = field(init=False)
 
     def __post_init__(self):
@@ -73,22 +81,41 @@ def _bisect(coef, lo, hi, flo):
     return 0.5 * (lo + hi)
 
 
+def _scan(coef):
+    """The scan grid over u in [-1, 1] and P on it."""
+    grid = np.arange(-1.0, 1.0 + _SCAN_STEP, _SCAN_STEP)
+    grid[-1] = 1.0
+    return grid, C.chebval(grid, coef)
+
+
+def _sign_roots(coef, near_zero):
+    """Roots of P on the scan: the on-grid ones (|P| <= near_zero) in grid
+    order, then the bisected sign changes, in grid order."""
+    grid, vals = _scan(coef)
+    roots = []
+    small = np.abs(vals) <= near_zero
+    for i in np.flatnonzero(small):
+        _add_root(roots, grid[i])
+    # a bracket with a small end is already captured as an on-grid root
+    bracket = ~small[:-1] & ~small[1:] & (vals[:-1] * vals[1:] < 0)
+    for i in np.flatnonzero(bracket):
+        _add_root(roots, _bisect(coef, grid[i], grid[i + 1], vals[i]))
+    return roots
+
+
 def _critical_points(coef):
     """Interior roots of P' in (-1, 1) by the same scan-and-bisect route."""
     dcoef = C.chebder(coef)
     if len(dcoef) == 0 or np.all(dcoef == 0.0):
         return []
-    grid = np.arange(-1.0, 1.0 + _SCAN_STEP, _SCAN_STEP)
-    grid[-1] = 1.0
-    vals = C.chebval(grid, dcoef)
-    crit = []
+    grid, vals = _scan(dcoef)
     sign = np.sign(vals)
-    for i in range(len(grid) - 1):
-        if sign[i] == 0:
-            crit.append(grid[i])
-        elif sign[i] * sign[i + 1] < 0:
-            crit.append(_bisect(dcoef, grid[i], grid[i + 1], vals[i]))
-    if sign[-1] == 0:
+    on_grid = sign == 0
+    bracket = sign[:-1] * sign[1:] < 0
+    # in grid order: an on-grid root, or the bisected root of a sign change
+    crit = [grid[i] if on_grid[i] else _bisect(dcoef, grid[i], grid[i + 1], vals[i])
+            for i in np.flatnonzero(on_grid[:-1] | bracket)]
+    if on_grid[-1]:
         crit.append(grid[-1])
     return crit
 
@@ -116,21 +143,7 @@ def solve_connection(t, t_p: float, phi: float) -> IgcSolution:
     scale = max(1.0, np.abs(coef).sum())
     near_zero = 1e-12 * scale
 
-    grid = np.arange(-1.0, 1.0 + _SCAN_STEP, _SCAN_STEP)
-    grid[-1] = 1.0
-    vals = C.chebval(grid, coef)
-
-    sign_roots = []
-    for i, u in enumerate(grid):
-        if abs(vals[i]) <= near_zero:
-            _add_root(sign_roots, u)
-    for i in range(len(grid) - 1):
-        flo, fhi = vals[i], vals[i + 1]
-        if abs(flo) <= near_zero or abs(fhi) <= near_zero:
-            continue  # already captured as an on-grid root
-        if flo * fhi < 0:
-            _add_root(sign_roots, _bisect(coef, grid[i], grid[i + 1], flo))
-
+    sign_roots = _sign_roots(coef, near_zero)
     crit = _critical_points(coef)
     tangent_roots = []
     for u in crit:
@@ -164,7 +177,8 @@ def solve_connection(t, t_p: float, phi: float) -> IgcSolution:
             ))
     points.sort(key=lambda pt: pt.k)
     return IgcSolution(points=tuple(points), f_min=f_min, k_min=k_min,
-                       gapped=(len(points) == 0))
+                       gapped=(len(points) == 0),
+                       classification=IGC if f_min <= near_zero else GAPPED)
 
 
 def f_min_closed_form(t0: float, t1: float, t2: float):
@@ -199,6 +213,4 @@ def classify(p: LadderParams) -> str:
     The loss profile plays no role here; only the couplings enter.  A small
     tolerance absorbs float noise at exact criticality (f_min = 0).
     """
-    sol = solve_connection(p.t, p.t_p, p.phi)
-    scale = max(1.0, np.abs(np.asarray(p.t)).sum())
-    return IGC if sol.f_min <= 1e-12 * scale else GAPPED
+    return solve_connection(p.t, p.t_p, p.phi).classification

@@ -4,7 +4,9 @@ Two model families are covered:
 
 * the dissipative two-chain ladder (an A chain without loss, a B chain with a
   per-cell loss rate gamma_x, and A-B couplings of range n), built either in
-  real space under open or periodic boundaries or as a 2x2 Bloch matrix, and
+  real space under open or periodic boundaries or as a 2x2 Bloch matrix
+  (in closed form, or, for all momenta of a uniform ring at once, read off
+  the real-space band by `bloch_blocks`), and
 * an arbitrary "dissipative graph" split into a lossless subsystem, a lossy
   subsystem, and the Hermitian coupling between them.
 
@@ -277,6 +279,34 @@ def bloch_bands(p: LadderParams, ks) -> np.ndarray:
     hy = h_y(p.t_p, p.phi, ks)
     s = np.sqrt(hx**2 + (hy + 0.5j * g) ** 2)
     return np.array([-0.5j * g + s, -0.5j * g - s])
+
+
+def bloch_blocks(p: LadderParams, H: LadderOperator) -> np.ndarray:
+    """The 2x2 Bloch matrices of a uniform-loss ring, read off its assembled band.
+
+    `H` is `build_ladder(p)`.  A uniform ring is invariant under a shift by
+    one cell, so the two columns of cell 0's sites hold every hop: entry
+    ((d, a), (0, s)) is h_as(d), the hop from sublattice s to sublattice a
+    over d cells.  Scattered by d and Fourier transformed over the cells,
+    sum_d h(d) e^{-i k d}, they give block j = the Bloch matrix at
+    k = 2 pi j / L, shape (L, 2, 2); H's spectrum is the union of the
+    blocks' eigenvalues.
+    """
+    if p.bc != PBC or p.uniform_gamma is None:
+        raise ValueError("Bloch blocks need a periodic ring with uniform loss")
+    b, order = H.band, H.order
+    if order.size != p.dim:
+        raise ValueError(f"operator has {order.size} sites, the ring {p.dim}")
+    cols = np.argsort(order)[:2]                        # band columns of (0, A), (0, B)
+    rows = cols + np.arange(-b.ku, b.kl + 1)[:, None]   # A[i, j] = ab[ku + i - j, j]
+    inside = (rows >= 0) & (rows < order.size)
+    site = order[rows[inside]]
+    s = np.broadcast_to(np.arange(2), rows.shape)[inside]
+    # one band entry per (d, a, s): hops that wrap onto one entry (L = 2)
+    # were already summed when the band was assembled
+    hops = np.zeros((p.L, 2, 2), dtype=complex)
+    hops[site // 2, site % 2, s] = b.ab[:, cols][inside]
+    return np.fft.fft(hops, axis=0)
 
 
 @dataclass(frozen=True)

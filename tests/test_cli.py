@@ -2,9 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+from igclab import (
+    LadderParams, WalkConfig, bloch_bands, build_ladder, cli, eigendecompose,
+    linear_gamma, loss_profile_time,
+)
 from igclab.cli import (
-    ConfigError, PRESETS, main, presets, validate_config, write_csv,
+    ConfigError, PRESETS, execute, main, presets, validate_config, write_csv,
 )
 
 
@@ -205,6 +210,65 @@ def test_burst_run_reports_fits(tmp_path):
     entry = record["diagnostics"]["TIME"]
     assert entry["burst_type"] in ("LEFT", "NONE", "BIPOLAR", "RIGHT")
     assert "fit_left" in entry
+    # and the profile's own diagnostics, as a walk run records them
+    prof = loss_profile_time(WalkConfig(params=validate_config(cfg)[1], x0=60))
+    for key in ("n_steps", "n_rejected", "residual_norm", "conservation_defect",
+                "t_end", "tail_bound"):
+        assert entry[key] == prof.diagnostics[key]
+    assert entry["n_steps"] > 0 and entry["conservation_defect"] < 1e-6
+
+
+def _spectrum_csv(path):
+    rows = [r.split(",") for r in path.read_text().strip().splitlines()[1:]]
+    return {label: np.array([complex(float(re), float(im)) for re, im, lab in rows
+                             if lab == label]) for label in {r[2] for r in rows}}
+
+
+def test_spectrum_takes_bloch_blocks_only_on_uniform_rings(tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_ladder", lambda p: built.append(p) or build_ladder(p))
+    uniform = {"kind": "ladder", "L": 30, "t": [0.3, 0.5, 0.2], "t_p": 0.5,
+               "phi": 0.7, "gamma": 0.5, "bc": "OBC"}
+    linear = dict(uniform, bc="PBC",
+                  gamma={"kind": "linear", "slope": 0.01, "offset": 0.2})
+    files, diags = execute({"command": "spectrum", "model": uniform, "compare_bc": True},
+                           tmp_path / "u")
+    got = _spectrum_csv(tmp_path / "u" / "spectrum.csv")
+    files, lin_diags = execute({"command": "spectrum", "model": linear}, tmp_path / "l")
+    got_lin = _spectrum_csv(tmp_path / "l" / "spectrum.csv")["PBC"]
+    assert len(built) == 3           # one operator per spectrum, none rebuilt
+    assert [diags["OBC"]["eigensolve"], diags["PBC"]["eigensolve"],
+            lin_diags["PBC"]["eigensolve"]] == ["dense", "bloch_blocks", "dense"]
+    # the open ladder and the non-uniform ring are the dense eigensolve, unchanged
+    obc = LadderParams(L=30, t=[0.3, 0.5, 0.2], t_p=0.5, phi=0.7, gamma=0.5)
+    ring_lin = obc.replace(bc="PBC", gamma=linear_gamma(30, 0.01, 0.2))
+    assert np.array_equal(got["OBC"], eigendecompose(build_ladder(obc).matrix).eigenvalues)
+    assert np.array_equal(got_lin, eigendecompose(build_ladder(ring_lin).matrix).eigenvalues)
+    # the uniform ring: its Bloch-block spectrum, sorted as the dense one is
+    ring = obc.replace(bc="PBC")
+    w = got["PBC"]
+    assert np.array_equal(np.lexsort((w.imag, w.real)), np.arange(w.size))
+    dense = eigendecompose(build_ladder(ring).matrix).eigenvalues
+    rows, cols = linear_sum_assignment(np.abs(dense[:, None] - w[None, :]))
+    assert np.abs(dense[rows] - w[cols]).max() < 1e-13
+    assert diags["PBC"]["max_imag"] == w.imag.max()
+
+
+def test_fig5b_preset_end_to_end(tmp_path):
+    # three L = 500 rings near the self-crossing transition; their spectra are
+    # the Bloch bands on the ring's momenta (no block is at an exceptional
+    # point: h_y = 0 only at k = 0 and pi, where |h_x| differs from gamma/2)
+    files, diags = execute({"command": "figure", "figure": "fig5b"}, tmp_path)
+    crossings = []
+    for i, run in enumerate(diags["runs"]):
+        p = validate_config(run["config"])[1]
+        w = _spectrum_csv(tmp_path / f"fig5b_{i}_spectrum.csv")["PBC"]
+        bands = bloch_bands(p, 2 * np.pi * np.arange(p.L) / p.L).ravel()
+        rows, cols = linear_sum_assignment(np.abs(w[:, None] - bands[None, :]))
+        assert w.size == 1000 and np.abs(w[rows] - bands[cols]).max() < 1e-12
+        assert run["diagnostics"]["PBC"]["eigensolve"] == "bloch_blocks"
+        crossings.append((p.t[2], run["diagnostics"]["self_intersections"]))
+    assert crossings == [(0.25, 0), (0.33, 4), (0.5, 4)]
 
 
 def test_general_model_spectrum(tmp_path):

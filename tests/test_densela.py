@@ -82,6 +82,23 @@ def test_eigendecompose_symmetric_pair():
     assert np.allclose(spec.eigenvalues, [-1.0, 1.0])
 
 
+def test_eigendecompose_takes_a_stack_of_blocks():
+    rng = np.random.default_rng(8)
+    blocks = rng.normal(size=(7, 3, 3)) + 1j * rng.normal(size=(7, 3, 3))
+    w = eigendecompose(blocks).eigenvalues
+    assert w.shape == (7, 3)
+    for block, row in zip(blocks, w):
+        # each row is its block's spectrum, in the same (Re, Im) order
+        assert np.allclose(row, eigendecompose(block).eigenvalues, rtol=0, atol=1e-13)
+        assert np.array_equal(np.lexsort((row.imag, row.real)), np.arange(3))
+    with pytest.raises(ValueError, match="stack"):
+        eigendecompose(blocks, want_vectors=True)
+    with pytest.raises(ValueError, match="square"):
+        eigendecompose(np.zeros((4, 2, 3)))
+    with pytest.raises(ValueError, match="empty"):
+        eigendecompose(np.zeros((0, 2, 2)))
+
+
 def test_eigendecompose_defective_sets_flag():
     spec = eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]), want_vectors=True)
     assert np.allclose(spec.eigenvalues, 0.0)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as C
 
 from igclab import (
     GAPPED, IGC, LadderParams, build_ladder, classify, eigendecompose,
     f_min_closed_form, igc_energies_closed_form, linear_gamma, random_gamma,
     solve_connection,
 )
+from igclab.igc import _add_root, _bisect, _critical_points, _sign_roots
 from igclab.model import h_x
 
 
@@ -129,12 +131,60 @@ def test_classify():
     assert classify(params([0.3, 0.5])) == IGC
     assert classify(params([0.6, 0.5])) == GAPPED
     assert classify(params([0.5, 0.5])) == IGC          # marginal root at pi
+    assert solve_connection([0.6, 0.5], 0.5, 0.0).classification == GAPPED
+    assert solve_connection([0.5, 0.5], 0.5, 0.0).classification == IGC
     rng = np.random.default_rng(13)
     t1 = 0.5
     for _ in range(10):
         t2 = rng.uniform(0, 1.5)
         t0 = rng.uniform(0, t1 / np.sqrt(2))
         assert classify(params([t0, t1, t2])) == IGC
+
+
+def _loop_scans(coef, near_zero):
+    """The scans as plain loops over the grid: (roots of P, roots of P')."""
+    grid = np.arange(-1.0, 1.0 + 1e-3, 1e-3)
+    grid[-1] = 1.0
+    vals = C.chebval(grid, coef)
+    roots = []
+    for i, u in enumerate(grid):
+        if abs(vals[i]) <= near_zero:
+            _add_root(roots, u)
+    for i in range(len(grid) - 1):
+        flo, fhi = vals[i], vals[i + 1]
+        if abs(flo) > near_zero and abs(fhi) > near_zero and flo * fhi < 0:
+            _add_root(roots, _bisect(coef, grid[i], grid[i + 1], flo))
+    dcoef = C.chebder(coef)
+    crit = []
+    if len(dcoef) and np.any(dcoef != 0.0):
+        dvals = C.chebval(grid, dcoef)
+        sign = np.sign(dvals)
+        for i in range(len(grid) - 1):
+            if sign[i] == 0:
+                crit.append(grid[i])
+            elif sign[i] * sign[i + 1] < 0:
+                crit.append(_bisect(dcoef, grid[i], grid[i + 1], dvals[i]))
+        if sign[-1] == 0:
+            crit.append(grid[-1])
+    return roots, crit
+
+
+def test_vectorised_scans_visit_what_the_loops_visit():
+    # P' = 4u - 4 vanishes on the last grid point; P = u (u + 0.3003) is
+    # small on the grid point nearest 0 and changes sign before it;
+    # (u - 0.3)^2 touches zero between grid points; P' = (u - g)(u + 0.5003)
+    # is exactly zero on the grid point g = grid[1211], after a sign change
+    grid = np.arange(-1.0, 1.0 + 1e-3, 1e-3)
+    on_grid = C.chebint(C.chebmul([-grid[1211], 1.0], [0.5003, 1.0]))
+    assert C.chebval(grid[1211], C.chebder(on_grid)) == 0.0
+    cases = [np.array([0.0, -4.0, 1.0]), C.poly2cheb([0.0, 0.3003, 1.0]),
+             C.poly2cheb([0.09, -0.6, 1.0]), on_grid]
+    rng = np.random.default_rng(5)
+    cases += [rng.uniform(-1, 1, rng.integers(1, 6)) for _ in range(200)]
+    for coef in cases:
+        near_zero = 1e-12 * max(1.0, np.abs(coef).sum())
+        assert (_sign_roots(coef, near_zero), _critical_points(coef)) == \
+            _loop_scans(coef, near_zero)
 
 
 def test_count_bound_and_residuals_randomized():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from igclab import (
-    OBC, PBC, GeneralModel, LadderParams, build_bloch, build_general,
+    OBC, PBC, GeneralModel, LadderParams, bloch_blocks, build_bloch, build_general,
     build_ladder, eigendecompose, linear_gamma,
     random_gamma, site_index, verify_dark_modes,
 )
@@ -63,6 +63,15 @@ def test_bloch_matrix_entries():
     m3 = build_bloch(p3, np.pi).matrix
     assert m3[0, 1] == pytest.approx(0.3 - 0.5 + 0.1)
     assert np.trace(m3) == pytest.approx(-0.5j, abs=1e-14)
+
+
+def test_bloch_blocks_refuse_what_has_no_bloch_form():
+    ring = LadderParams(L=8, t=[0.3, 0.5], t_p=0.5, phi=0.3, gamma=0.5, bc=PBC)
+    for p in (ring.replace(bc=OBC), ring.replace(gamma=linear_gamma(8, 0.01, 0.2))):
+        with pytest.raises(ValueError, match="uniform loss"):
+            bloch_blocks(p, build_ladder(p))
+    with pytest.raises(ValueError, match="sites"):
+        bloch_blocks(ring, build_ladder(ring.replace(L=10)))
 
 
 def test_bloch_eigenvalues_at_connection_root():

@@ -4,7 +4,8 @@ Small ladders are drawn at random (L 4-24, or 2-24 where stated, every
 coupling range n < L/2, uniform, linear or random loss, open and periodic
 boundaries, t_p = 0 included).  The band and its dense view must equal a
 ladder assembled entry by entry here, the periodic spectrum must be the Bloch
-bands on the ring's momenta, the split form and the damping matrix must
+bands on the ring's momenta, and so must the eigenvalues of the ring's 2x2
+Bloch blocks read off the band, the split form and the damping matrix must
 reproduce the ladder matrix exactly, the banded solves of the resolvent
 integrand and the TIME engine's banded rhs must reproduce the dense
 reference, and the two resolvent integrals (of H and of X) must give the same
@@ -22,7 +23,8 @@ from scipy.optimize import linear_sum_assignment
 
 from igclab import (
     OBC, PBC, LadderParams, SingularMatrixError, WalkConfig, bloch_bands,
-    build_damping, build_general, build_ladder, densela, eigendecompose,
+    bloch_blocks, build_bloch, build_damping, build_general, build_ladder,
+    densela, eigendecompose,
     ladder_to_general, linear_gamma, loss_profile_resolvent, random_gamma,
     self_intersections, steady_density,
 )
@@ -128,6 +130,37 @@ def test_pbc_spectrum_is_the_bloch_bands(p):
     rows, cols = linear_sum_assignment(np.abs(w[:, None] - bands[None, :]))
     scale = max(1.0, np.abs(H).sum(axis=1).max())
     assert np.abs(w[rows] - bands[cols]).max() < 8 * np.sqrt(np.finfo(float).eps) * scale
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=ladders(min_L=2, uniform=True, bc=PBC))
+@example(p=LadderParams(L=2, t=[0.3], t_p=0.7, phi=1.0, gamma=0.4, bc=PBC))
+@example(p=LadderParams(L=3, t=[0.3, 0.5], t_p=0.7, phi=1.0, gamma=0.4, bc=PBC))
+@example(p=LadderParams(L=5, t=[0.3, 0.5, 0.2], t_p=0.7, phi=2.0, gamma=0.4, bc=PBC))
+@example(p=LadderParams(L=12, t=[0.5], t_p=0.0, phi=0.0, gamma=1.0, bc=PBC))
+def test_bloch_blocks_are_the_ring(p):
+    # block j, read off the assembled band, is the closed-form Bloch matrix at
+    # k_j = 2 pi j / L (so a dropped wrap, a flipped transform sign or a
+    # transposed read of the band shows at phi other than 0 and pi); its
+    # eigenvalues are the two bands at k_j, and all L blocks together have
+    # the dense ring's spectrum.  The examples are the shortest rings at
+    # n = 0, 1, 2 (on L = 2 the +1 and -1 hops share an entry) and a ring
+    # with every block at an exceptional point, where eigenvalues agree to
+    # ~sqrt(eps) ||H|| only (see test_pbc_spectrum_is_the_bloch_bands).
+    H = build_ladder(p)
+    ks = 2 * np.pi * np.arange(p.L) / p.L
+    blocks = bloch_blocks(p, H)
+    scale = max(1.0, np.abs(H.matrix).sum(axis=1).max())
+    closed_form = np.array([build_bloch(p, k).matrix for k in ks])
+    assert np.abs(blocks - closed_form).max() <= 1e-14 * scale
+    tol = 8 * np.sqrt(np.finfo(float).eps) * scale
+    w = eigendecompose(blocks).eigenvalues
+    bands = bloch_bands(p, ks).T
+    per_k = np.minimum(np.abs(w - bands).max(axis=1), np.abs(w - bands[:, ::-1]).max(axis=1))
+    assert per_k.max() < tol
+    dense = eigendecompose(H.matrix).eigenvalues
+    rows, cols = linear_sum_assignment(np.abs(dense[:, None] - w.ravel()[None, :]))
+    assert np.abs(dense[rows] - w.ravel()[cols]).max() < tol
 
 
 @settings(max_examples=60, deadline=None)
