@@ -112,6 +112,10 @@ def adaptive_quadrature(f, edges, rtol=1e-9, atol_frac=1e-16,
         panels.append([a, b, val, err])
     total = np.sum([p[2] for p in panels], axis=0)
     err = np.sum([p[3] for p in panels], axis=0)
+    # the panels' error estimates, one row each in the order of `panels`, so
+    # the worst panel is found by one array reduction per refinement
+    errs = np.empty((max(len(panels), max_panels) + 1,) + np.shape(err))
+    errs[:len(panels)] = [p[3] for p in panels]
     evals = 15 * len(panels)
     converged = False
     while len(panels) < max_panels:
@@ -121,9 +125,11 @@ def adaptive_quadrature(f, edges, rtol=1e-9, atol_frac=1e-16,
             converged = True
             break
         # worst panel by its largest goal violation; leftmost wins ties
-        ratios = np.array([np.max(p[3] / goal) for p in panels])
+        n = len(panels)
+        ratios = (errs[:n] / goal).reshape(n, -1).max(axis=1)
         j = int(np.argmax(ratios))
         a, b, val_old, err_old = panels.pop(j)
+        errs[j:n - 1] = errs[j + 1:n]
         m = 0.5 * (a + b)
         if not (a < m < b):
             # interval exhausted at working precision; keep it as is
@@ -133,6 +139,8 @@ def adaptive_quadrature(f, edges, rtol=1e-9, atol_frac=1e-16,
         right = kronrod_panel(f, m, b)
         panels.append([a, m, left[0], left[1]])
         panels.append([m, b, right[0], right[1]])
+        errs[n - 1] = left[1]
+        errs[n] = right[1]
         evals += 30
         total = total - val_old + left[0] + right[0]
         err = err - err_old + left[1] + right[1]

@@ -193,8 +193,30 @@ def test_steady_density_matches_escape_profile(p, data):
         with pytest.raises(SingularMatrixError):
             steady_density(p, x0)
         return
-    dens, _ = steady_density(p, x0)
+    dens, diag = steady_density(p, x0)
+    if prof.incomplete:
+        # a mode too weakly damped to resolve exhausts the panel budget; the
+        # damping side integrates the same |G|^2 and must flag it too
+        assert not diag["converged"]
+        return
+    assert diag["converged"]
     assert np.allclose(dens, prof.P, rtol=1e-6, atol=1e-12)
+
+
+#: couplings of 1e-10 leave the A chain nearly decoupled from the lossy B
+#: chain: its modes decay at ~1e-20, far below what a frequency grid resolves
+WEAKLY_COUPLED = LadderParams(L=5, t=[1e-10, 1e-10, -3.8e-206], t_p=0.075,
+                              phi=3.27, gamma=0.35, bc=OBC)
+
+
+def test_both_paths_flag_an_unresolvable_mode():
+    prof = loss_profile_resolvent(WalkConfig(params=WEAKLY_COUPLED, x0=4),
+                                  max_panels=1000)
+    assert prof.incomplete and not prof.diagnostics["converged"]
+    # the flag is earned: almost none of the escaping weight was found
+    assert prof.diagnostics["conservation_defect"] > 0.5
+    _, diag = steady_density(WEAKLY_COUPLED, 4, max_panels=1000)
+    assert not diag["converged"]
 
 
 # --- the banded resolvent solves against the dense reference -----------------
