@@ -106,16 +106,19 @@ def adaptive_quadrature(f, edges, rtol=1e-9, atol_frac=1e-16,
     edges = [float(e) for e in edges]
     if len(edges) < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("edges must be strictly ascending with >= 2 entries")
-    panels = []
+    # panels as [a, b, value]; their error estimates live only in `errs`, one
+    # row each in the order of `panels`, so the worst panel is found by one
+    # array reduction per refinement
+    panels, errs0 = [], []
     for a, b in zip(edges[:-1], edges[1:]):
-        val, err = kronrod_panel(f, a, b)
-        panels.append([a, b, val, err])
+        val, e = kronrod_panel(f, a, b)
+        panels.append([a, b, val])
+        errs0.append(e)
     total = np.sum([p[2] for p in panels], axis=0)
-    err = np.sum([p[3] for p in panels], axis=0)
-    # the panels' error estimates, one row each in the order of `panels`, so
-    # the worst panel is found by one array reduction per refinement
+    err = np.sum(errs0, axis=0)
     errs = np.empty((max(len(panels), max_panels) + 1,) + np.shape(err))
-    errs[:len(panels)] = [p[3] for p in panels]
+    errs[:len(panels)] = errs0
+    del errs0
     evals = 15 * len(panels)
     converged = False
     while len(panels) < max_panels:
@@ -128,17 +131,17 @@ def adaptive_quadrature(f, edges, rtol=1e-9, atol_frac=1e-16,
         n = len(panels)
         ratios = (errs[:n] / goal).reshape(n, -1).max(axis=1)
         j = int(np.argmax(ratios))
-        a, b, val_old, err_old = panels.pop(j)
-        errs[j:n - 1] = errs[j + 1:n]
-        m = 0.5 * (a + b)
-        if not (a < m < b):
+        m = 0.5 * (panels[j][0] + panels[j][1])
+        if not (panels[j][0] < m < panels[j][1]):
             # interval exhausted at working precision; keep it as is
-            panels.append([a, b, val_old, err_old])
             break
+        a, b, val_old = panels.pop(j)
+        err_old = errs[j].copy()
+        errs[j:n - 1] = errs[j + 1:n]
         left = kronrod_panel(f, a, m)
         right = kronrod_panel(f, m, b)
-        panels.append([a, m, left[0], left[1]])
-        panels.append([m, b, right[0], right[1]])
+        panels.append([a, m, left[0]])
+        panels.append([m, b, right[0]])
         errs[n - 1] = left[1]
         errs[n] = right[1]
         evals += 30

@@ -194,12 +194,8 @@ def test_steady_density_matches_escape_profile(p, data):
             steady_density(p, x0)
         return
     dens, diag = steady_density(p, x0)
-    if prof.incomplete:
-        # a mode too weakly damped to resolve exhausts the panel budget; the
-        # damping side integrates the same |G|^2 and must flag it too
-        assert not diag["converged"]
-        return
-    assert diag["converged"]
+    if not prof.incomplete:
+        assert diag["converged"]
     assert np.allclose(dens, prof.P, rtol=1e-6, atol=1e-12)
 
 
