@@ -9,11 +9,11 @@ analysis, and the damping-matrix (Liouvillian) side of the same physics.
 __version__ = "0.1.0"
 
 from .model import (
-    OBC, PBC, LadderParams, GeneralModel, HamiltonianMatrix, LadderOperator, BlochMatrix,
-    build_ladder, build_bloch, build_general, bloch_bands, bloch_blocks, ladder_to_general,
-    verify_dark_modes, linear_gamma, random_gamma, site_index,
+    OBC, PBC, LadderParams, GeneralModel, LadderOperator, build_ladder, build_bloch,
+    build_general, bloch_bands, bloch_blocks, ladder_to_general, verify_dark_modes,
+    linear_gamma, random_gamma, site_index,
 )
-from .densela import Spectrum, SingularMatrixError, lu_solve, eigendecompose, max_imag
+from .densela import Spectrum, SingularMatrixError, lu_solve, eigendecompose
 from .igc import (
     IGC, GAPPED, IgcPoint, IgcSolution, solve_connection, f_min_closed_form,
     igc_energies_closed_form, classify,
@@ -24,7 +24,7 @@ from .walk import (
 )
 from .analysis import (
     POWER, EXP, NONE, LEFT, RIGHT, BIPOLAR, FitResult, BurstMetrics,
-    fit_bulk, burst_metrics, scan_x0, self_intersections,
+    fit_bulk, burst_metrics, self_intersections,
 )
 from .liouville import (
     DampingMatrix, LiouvilleReport, build_damping, liouvillian_gap,

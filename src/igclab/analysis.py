@@ -16,12 +16,12 @@ by the (configurable) factor 10.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import LadderParams, bloch_bands, h_x, h_y
-from .walk import TIME, LossProfile, WalkConfig, loss_profile_resolvent, loss_profile_time
+from .walk import LossProfile
 
 POWER = "POWER"
 EXP = "EXP"
@@ -164,50 +164,6 @@ def burst_metrics(profile, x0: int, threshold: float = BURST_THRESHOLD) -> Burst
         burst_type=burst,
         threshold=threshold,
     )
-
-
-@dataclass
-class ScanRow:
-    x0: int
-    ratio_left: float
-    p_edge_left: float
-    incomplete: bool = False
-
-
-@dataclass
-class ScanResult:
-    """Release-position scan with the two companion slope fits.
-
-    `ratio_slope` fits log(ratio) against log(x0) (near 1 in the power-law
-    regime); `p_edge_rate` fits log(P_edge) against x0 (matches the bulk
-    exponential rate in the gapped regime).
-    """
-
-    rows: list
-    ratio_slope: float
-    ratio_r2: float
-    p_edge_rate: float
-    p_edge_r2: float
-
-
-def scan_x0(params: LadderParams, x0_list, engine: str = TIME,
-            norm_floor: float = 1e-10, step_tol: float = 1e-8) -> ScanResult:
-    """Run one walk per release cell and tabulate the left-edge metrics."""
-    rows = []
-    for x0 in x0_list:
-        cfg = WalkConfig(params=params, x0=int(x0), norm_floor=norm_floor,
-                         step_tol=step_tol)
-        prof = (loss_profile_time(cfg) if engine == TIME
-                else loss_profile_resolvent(cfg))
-        m = burst_metrics(prof, int(x0))
-        rows.append(ScanRow(x0=int(x0), ratio_left=m.ratio_left,
-                            p_edge_left=m.p_edge_left,
-                            incomplete=prof.incomplete))
-    rs, rr2, es, er2 = x0_slopes([r.x0 for r in rows],
-                                 [r.ratio_left for r in rows],
-                                 [r.p_edge_left for r in rows])
-    return ScanResult(rows=rows, ratio_slope=rs, ratio_r2=rr2,
-                      p_edge_rate=es, p_edge_r2=er2)
 
 
 def x0_slopes(x0s, ratios, p_edges):

@@ -166,7 +166,7 @@ def validate_config(cfg, default_seed=None):
                               f"known: {', '.join(sorted(PRESETS))}")
         return dict(cfg), None, {"figure": name}
     model, echo = _parse_model(cfg, seed)
-    if command in ("walk", "burst") or (command == "sweep"):
+    if command in ("walk", "burst", "sweep"):
         if not isinstance(model, LadderParams):
             raise ConfigError(f"command {command!r} needs a ladder model")
     if command in ("walk", "burst"):
@@ -192,6 +192,8 @@ def validate_config(cfg, default_seed=None):
     engine = cfg.get("engine", walk.TIME)
     if engine not in (walk.TIME, walk.RESOLVENT, "BOTH"):
         raise ConfigError("engine must be TIME, RESOLVENT, or BOTH")
+    if command == "sweep" and engine == "BOTH":
+        raise ConfigError("sweep takes engine TIME or RESOLVENT, not BOTH")
     return dict(cfg), model, echo
 
 
@@ -212,21 +214,16 @@ def write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _walk_config(cfg, params, x0=None):
-    kw = {}
-    if "t_max" in cfg:
-        kw["t_max"] = float(cfg["t_max"])
-    if "norm_floor" in cfg:
-        kw["norm_floor"] = float(cfg["norm_floor"])
-    if "step_tol" in cfg:
-        kw["step_tol"] = float(cfg["step_tol"])
-    return walk.WalkConfig(params=params, x0=int(x0 if x0 is not None
-                                                 else cfg["x0"]), **kw)
+def _profiles(cfg, params, x0):
+    """Escape profiles of a release at cell x0, one per engine `cfg` names.
 
-
-def _profiles(cfg, params):
+    The one place that picks an engine: walk, burst and every sweep row
+    come through here.
+    """
+    kw = {key: float(cfg[key]) for key in ("t_max", "norm_floor", "step_tol")
+          if key in cfg}
+    wc = walk.WalkConfig(params=params, x0=int(x0), **kw)
     engine = cfg.get("engine", walk.TIME)
-    wc = _walk_config(cfg, params)
     profs = []
     if engine in (walk.TIME, "BOTH"):
         profs.append(walk.loss_profile_time(wc))
@@ -251,13 +248,13 @@ def _ladder_spectrum(p):
     return eigendecompose(H.matrix).eigenvalues, "dense"
 
 
-def _cmd_spectrum(cfg, model, out, tag, plot):
+def _cmd_spectrum(cfg, model, out, tag, plot, jobs):
     rows, diags = [], {}
     if isinstance(model, LadderParams):
         bcs = (OBC, PBC) if cfg.get("compare_bc") else (model.bc,)
         variants = [(bc, *_ladder_spectrum(model.replace(bc=bc))) for bc in bcs]
     else:
-        variants = [("general", eigendecompose(build_general(model).matrix).eigenvalues,
+        variants = [("general", eigendecompose(build_general(model)).eigenvalues,
                      "dense")]
     for label, w, how in variants:
         rows += [(e.real, e.imag, label) for e in w]
@@ -285,7 +282,7 @@ def _cmd_spectrum(cfg, model, out, tag, plot):
     return files, diags
 
 
-def _cmd_igc(cfg, model, out, tag, plot):
+def _cmd_igc(cfg, model, out, tag, plot, jobs):
     if not isinstance(model, LadderParams):
         raise ConfigError("igc command needs a ladder model")
     sol = igc.solve_connection(model.t, model.t_p, model.phi)
@@ -298,49 +295,42 @@ def _cmd_igc(cfg, model, out, tag, plot):
     return {str(csv): "connection-condition roots"}, diags
 
 
-def _profile_rows(profs):
-    rows = []
-    for prof in profs:
-        rows += [(x + 1, float(p), prof.engine) for x, p in enumerate(prof.P)]
-    return rows
-
-
-def _plot_profile(out, tag, profs, files):
-    pl = SvgPlot(xlabel="x", ylabel="P_x", title="escape probability",
-                 ylog=True)
-    for prof in profs:
-        pl.add(range(1, len(prof.P) + 1), prof.P, label=prof.engine)
-    svg = out / f"{tag}profile.svg"
-    pl.write(svg)
-    files[str(svg)] = "escape profile plot"
-
-
-def _cmd_walk(cfg, model, out, tag, plot):
-    profs = _profiles(cfg, model)
+def _walk(cfg, model, out, tag, plot):
+    """The profiles of a walk or burst run, with their CSV, plot and diagnostics."""
+    profs = _profiles(cfg, model, cfg["x0"])
     csv = out / f"{tag}profile.csv"
-    write_csv(csv, ["x", "P_x", "engine"], _profile_rows(profs))
+    write_csv(csv, ["x", "P_x", "engine"],
+              [(x + 1, float(p), prof.engine) for prof in profs
+               for x, p in enumerate(prof.P)])
     files = {str(csv): "escape probabilities"}
     diags = {prof.engine: dict(prof.diagnostics, total=prof.total,
                                incomplete=prof.incomplete) for prof in profs}
     if plot:
-        _plot_profile(out, tag, profs, files)
-    return files, diags
+        pl = SvgPlot(xlabel="x", ylabel="P_x", title="escape probability",
+                     ylog=True)
+        for prof in profs:
+            pl.add(range(1, len(prof.P) + 1), prof.P, label=prof.engine)
+        svg = out / f"{tag}profile.svg"
+        pl.write(svg)
+        files[str(svg)] = "escape profile plot"
+    return profs, files, diags
 
 
-def _cmd_burst(cfg, model, out, tag, plot):
-    profs = _profiles(cfg, model)
+def _cmd_walk(cfg, model, out, tag, plot, jobs):
+    return _walk(cfg, model, out, tag, plot)[1:]
+
+
+def _cmd_burst(cfg, model, out, tag, plot, jobs):
+    """A walk run plus each profile's burst metrics and bulk fits."""
+    profs, files, diags = _walk(cfg, model, out, tag, plot)
     x0 = int(cfg["x0"])
-    csv = out / f"{tag}profile.csv"
-    write_csv(csv, ["x", "P_x", "engine"], _profile_rows(profs))
-    files = {str(csv): "escape probabilities"}
-    diags = {}
     threshold = float(cfg.get("threshold", analysis.BURST_THRESHOLD))
     for prof in profs:
         m = analysis.burst_metrics(prof, x0, threshold)
-        entry = dict(prof.diagnostics, burst_type=m.burst_type,
+        entry = diags[prof.engine]
+        entry.update(burst_type=m.burst_type,
                      ratio_left=m.ratio_left, ratio_right=m.ratio_right,
-                     p_edge_left=m.p_edge_left, p_edge_right=m.p_edge_right,
-                     total=prof.total, incomplete=prof.incomplete)
+                     p_edge_left=m.p_edge_left, p_edge_right=m.p_edge_right)
         for side in (analysis.LEFT, analysis.RIGHT):
             try:
                 fit = analysis.fit_bulk(prof, x0, side)
@@ -351,42 +341,30 @@ def _cmd_burst(cfg, model, out, tag, plot):
                     "n_points": fit.n_points}
             except analysis.WindowError as exc:
                 entry[f"fit_{side.lower()}"] = {"error": str(exc)}
-        diags[prof.engine] = entry
-    if plot:
-        _plot_profile(out, tag, profs, files)
     return files, diags
 
 
 def _sweep_row(args):
     """One sweep sample; module-level so worker pools can pickle it."""
-    model_dict, cfg, vary, value = args
-    params = LadderParams(**model_dict)
-    if vary == "x0":
-        x0 = int(value)
-    else:
-        x0 = int(cfg["x0"])
-        if vary == "t2":
-            t = list(params.t) + [0.0] * (3 - len(params.t))
-            t[2] = float(value)
-            params = params.replace(t=tuple(t))
-        else:
-            params = params.replace(phi=float(value))
-    wc = _walk_config(cfg, params, x0=x0)
-    engine = cfg.get("engine", walk.TIME)
-    prof = (walk.loss_profile_resolvent(wc) if engine == walk.RESOLVENT
-            else walk.loss_profile_time(wc))
+    params, cfg, vary, value = args
+    x0 = int(value) if vary == "x0" else int(cfg["x0"])
+    if vary == "t2":
+        t = list(params.t) + [0.0] * (3 - len(params.t))
+        t[2] = float(value)
+        params = params.replace(t=tuple(t))
+    elif vary == "phi":
+        params = params.replace(phi=float(value))
+    prof, = _profiles(cfg, params, x0)
     m = analysis.burst_metrics(prof, x0, float(cfg.get("threshold",
                                                        analysis.BURST_THRESHOLD)))
     return (float(value), m.ratio_left, m.ratio_right,
             m.p_edge_left, m.p_edge_right, m.burst_type, prof.incomplete)
 
 
-def _cmd_sweep(cfg, model, out, tag, plot, jobs=1):
+def _cmd_sweep(cfg, model, out, tag, plot, jobs):
     sw = cfg["sweep"]
     vary, values = sw["vary"], sw["values"]
-    model_dict = dict(L=model.L, t=model.t, t_p=model.t_p, phi=model.phi,
-                      gamma=model.gamma, bc=model.bc)
-    tasks = [(model_dict, cfg, vary, v) for v in values]
+    tasks = [(model, cfg, vary, v) for v in values]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_row, tasks))
@@ -419,7 +397,7 @@ def _cmd_sweep(cfg, model, out, tag, plot, jobs=1):
     return files, diags
 
 
-def _cmd_liouville(cfg, model, out, tag, plot):
+def _cmd_liouville(cfg, model, out, tag, plot, jobs):
     if not isinstance(model, LadderParams):
         raise ConfigError("liouville command needs a ladder model")
     dm = liouville.build_damping(model)
@@ -455,11 +433,8 @@ def execute(cfg, out_dir, plot=False, jobs=1, seed=None, tag=""):
     if command == "figure":
         return _run_figure(cfg, out, plot, jobs, seed)
     impl = {"spectrum": _cmd_spectrum, "igc": _cmd_igc, "walk": _cmd_walk,
-            "burst": _cmd_burst, "liouville": _cmd_liouville}
-    if command == "sweep":
-        files, diags = _cmd_sweep(cfg, model, out, tag, plot, jobs=jobs)
-    else:
-        files, diags = impl[command](cfg, model, out, tag, plot)
+            "burst": _cmd_burst, "sweep": _cmd_sweep, "liouville": _cmd_liouville}
+    files, diags = impl[command](cfg, model, out, tag, plot, jobs)
     diags["model"] = echo
     return files, diags
 

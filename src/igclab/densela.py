@@ -46,10 +46,6 @@ class Spectrum:
     residuals: np.ndarray | None = None
     condition_flag: bool = False
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
-
 
 @dataclass(frozen=True)
 class Banded:
@@ -149,9 +145,3 @@ def eigendecompose(A: np.ndarray, want_vectors: bool = False) -> Spectrum:
     return Spectrum(eigenvalues=w, right_vectors=V, residuals=residuals,
                     condition_flag=flag)
 
-
-def max_imag(spec: Spectrum) -> float:
-    """Largest imaginary part in the spectrum (0 for Hermitian input)."""
-    if spec.eigenvalues.size == 0:
-        raise ValueError("empty spectrum")
-    return float(spec.eigenvalues.imag.max())

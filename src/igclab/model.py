@@ -160,16 +160,6 @@ def band_order(p: LadderParams) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class HamiltonianMatrix:
-    """A dense complex Hamiltonian (the general-graph builder's output)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class LadderOperator:
     """An operator on the ladder's sites as `band` data, sites permuted by
     `order` (`band_order`); its dense natural-order `matrix` is derived."""
@@ -193,17 +183,6 @@ class LadderOperator:
         rates = np.empty(self.order.size)
         rates[self.order] = -np.imag(self.band.ab[self.band.ku])
         return rates
-
-
-@dataclass(frozen=True)
-class BlochMatrix:
-    """The 2x2 momentum-space matrix of the uniform-loss ladder."""
-
-    k: float
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
 
 
 def build_ladder(p: LadderParams) -> LadderOperator:
@@ -249,8 +228,8 @@ def h_y(t_p, phi, k):
     return t_p * np.cos(np.asarray(k, dtype=float) - phi)
 
 
-def build_bloch(p: LadderParams, k: float) -> BlochMatrix:
-    """Momentum-space 2x2 matrix of the ladder at momentum k.
+def build_bloch(p: LadderParams, k: float) -> np.ndarray:
+    """Momentum-space 2x2 matrix of the ladder at momentum k, read-only.
 
     Requires a uniform loss profile; a site-dependent gamma_x breaks the
     discrete translational symmetry and has no Bloch form.
@@ -262,7 +241,8 @@ def build_bloch(p: LadderParams, k: float) -> BlochMatrix:
     hy = float(h_y(p.t_p, p.phi, k))
     m = np.array([[hy, hx],
                   [hx, -hy - 1j * g]], dtype=complex)
-    return BlochMatrix(k=float(k), matrix=m)
+    m.setflags(write=False)
+    return m
 
 
 def bloch_bands(p: LadderParams, ks) -> np.ndarray:
@@ -356,8 +336,8 @@ class GeneralModel:
         return self.B_herm.shape[0]
 
 
-def build_general(g: GeneralModel) -> HamiltonianMatrix:
-    """Assemble the (n_h + n_d)-dimensional matrix of a general lossy graph.
+def build_general(g: GeneralModel) -> np.ndarray:
+    """Assemble the (n_h + n_d)-dimensional matrix of a general lossy graph, read-only.
 
     Ordering: lossless sites first, lossy sites after, so the blocks read
 
@@ -370,7 +350,8 @@ def build_general(g: GeneralModel) -> HamiltonianMatrix:
     H[nh:, nh:] = g.B_herm - 1j * np.diag(g.gamma)
     H[nh:, :nh] = g.C
     H[:nh, nh:] = g.C.conj().T
-    return HamiltonianMatrix(matrix=H)
+    H.setflags(write=False)
+    return H
 
 
 def ladder_to_general(p: LadderParams) -> GeneralModel:
@@ -402,8 +383,7 @@ class DarkModeReport:
     condition_flag: bool
 
 
-def verify_dark_modes(H: HamiltonianMatrix | LadderOperator,
-                      tol: float = 1e-8) -> DarkModeReport:
+def verify_dark_modes(Hm: np.ndarray, tol: float = 1e-8) -> DarkModeReport:
     """Check that every near-real eigenmode lives on the lossless sites only.
 
     An eigenpair with |Im E| < tol is tested for (i) weight on lossy sites,
@@ -411,8 +391,8 @@ def verify_dark_modes(H: HamiltonianMatrix | LadderOperator,
     residual of the coupling condition.  The report passes when both residuals
     stay below tol for every such pair (weights are reported alongside).
     A model with loss everywhere and no near-real eigenvalue passes vacuously.
+    `Hm` is the dense matrix, e.g. `build_ladder(p).matrix` or `build_general(g)`.
     """
-    Hm = H.matrix
     spec = eigendecompose(Hm, want_vectors=True)
     if spec.condition_flag:
         warnings.warn("eigenbasis is ill-conditioned; dark-mode residuals may "

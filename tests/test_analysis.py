@@ -3,7 +3,7 @@ import pytest
 
 from igclab import (
     BIPOLAR, EXP, LEFT, LadderParams, NONE, POWER, RIGHT, burst_metrics,
-    fit_bulk, scan_x0, self_intersections,
+    fit_bulk, self_intersections,
 )
 from igclab.analysis import WindowError, _window
 
@@ -118,15 +118,6 @@ def test_burst_threshold_configurable():
     P[0] = P.min() * 5
     assert burst_metrics(P, 100).burst_type == NONE
     assert burst_metrics(P, 100, threshold=3.0).burst_type == LEFT
-
-
-def test_scan_single_row():
-    p = LadderParams(L=60, t=[0.3, 0.5], t_p=0.5, phi=np.pi / 2, gamma=0.5)
-    scan = scan_x0(p, [45])
-    assert len(scan.rows) == 1
-    assert scan.rows[0].x0 == 45
-    assert scan.rows[0].ratio_left > 1.0
-    assert np.isnan(scan.ratio_slope)
 
 
 def test_self_intersections_validation():

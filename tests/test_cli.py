@@ -22,6 +22,7 @@ def igc_config(**extra):
 
 
 def run_cli(tmp_path, cfg, *args):
+    tmp_path.mkdir(parents=True, exist_ok=True)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
@@ -83,6 +84,10 @@ def test_sweep_validation():
     cfg = igc_config(command="sweep", sweep={"vary": "t2", "values": [0.1]})
     with pytest.raises(ConfigError, match="fixed x0"):
         validate_config(cfg)
+    # a sweep row holds one profile, so it takes one engine
+    cfg = dict(small_sweep([4, 6]), engine="BOTH")
+    with pytest.raises(ConfigError, match="TIME or RESOLVENT"):
+        validate_config(cfg)
 
 
 def small_sweep(values):
@@ -109,6 +114,13 @@ def test_release_out_of_range_is_a_config_error(tmp_path, capsys):
 
 
 def test_sweep_with_an_edge_release_skips_the_slope_fits(tmp_path):
+    # and so does a sweep of a single release
+    status, out = run_cli(tmp_path / "one", small_sweep([9]))
+    assert status == 0
+    diags = json.loads((out / "run.json").read_text())["diagnostics"]
+    assert diags["n_rows"] == 1 and "ratio_loglog_slope" not in diags
+    row = (out / "sweep.csv").read_text().splitlines()[1].split(",")
+    assert float(row[0]) == 9 and float(row[1]) > 1.0
     status, out = run_cli(tmp_path, small_sweep([1, 6]))
     assert status == 0
     rows = (out / "sweep.csv").read_text().splitlines()
@@ -151,6 +163,16 @@ def test_sweep_over_x0_reports_the_slope_fits(tmp_path):
     for key in ("ratio_loglog_slope", "ratio_loglog_r2",
                 "p_edge_loglinear_rate", "p_edge_loglinear_r2"):
         assert np.isfinite(diags[key])
+
+
+def test_sweep_workers_write_what_one_process_writes(tmp_path):
+    cfg = dict(small_sweep([1.2, 1.3, 1.4, 1.5]), x0=6)
+    cfg["sweep"]["vary"] = "phi"
+    status, serial = run_cli(tmp_path / "serial", cfg, "--jobs", "1")
+    assert status == 0
+    status, pooled = run_cli(tmp_path / "pooled", cfg, "--jobs", "2")
+    assert status == 0
+    assert (pooled / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
 
 
 def test_every_preset_validates():

@@ -3,9 +3,9 @@ import pytest
 
 from igclab import (
     OBC, PBC, LadderParams, SingularMatrixError, build_ladder, eigendecompose,
-    lu_solve, max_imag,
+    lu_solve,
 )
-from igclab.densela import Banded, Spectrum
+from igclab.densela import Banded
 
 
 def test_lu_solve_identity():
@@ -135,22 +135,15 @@ def test_obc_skin_matrix_flags_conditioning(fig3_params):
     assert spec.condition_flag
 
 
-def test_max_imag():
-    herm = eigendecompose(np.array([[1.0, 2.0], [2.0, -1.0]]))
-    assert abs(max_imag(herm)) < 1e-12
-    with pytest.raises(ValueError):
-        max_imag(Spectrum(eigenvalues=np.array([])))
-
-
 def test_max_imag_obc_strictly_gapped(fig3_params):
-    spec = eigendecompose(build_ladder(fig3_params(bc=OBC)).matrix)
-    assert max_imag(spec) < -1e-3
+    w = eigendecompose(build_ladder(fig3_params(bc=OBC)).matrix).eigenvalues
+    assert w.imag.max() < -1e-3
 
 
 def test_max_imag_pbc_near_axis(fig3_params, commensurate_params):
     # the finite incommensurate ring only approaches the axis; the
     # commensurate one touches it to machine precision
-    near = max_imag(eigendecompose(build_ladder(fig3_params(bc=PBC)).matrix))
+    near = eigendecompose(build_ladder(fig3_params(bc=PBC)).matrix).eigenvalues.imag.max()
     assert -1e-4 < near <= 1e-12
-    exact = max_imag(eigendecompose(build_ladder(commensurate_params()).matrix))
+    exact = eigendecompose(build_ladder(commensurate_params()).matrix).eigenvalues.imag.max()
     assert abs(exact) < 1e-12

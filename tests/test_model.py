@@ -3,7 +3,7 @@ import pytest
 
 from igclab import (
     OBC, PBC, GeneralModel, LadderParams, bloch_blocks, build_bloch, build_general,
-    build_ladder, eigendecompose, linear_gamma,
+    build_ladder, eigendecompose, ladder_to_general, linear_gamma,
     random_gamma, site_index, verify_dark_modes,
 )
 from igclab.model import bloch_bands, h_x, h_y
@@ -54,13 +54,13 @@ def test_dissipativity_random_models():
 
 def test_bloch_matrix_entries():
     p = LadderParams(L=10, t=[0.3, 0.5], t_p=0.5, phi=np.pi / 2, gamma=0.5, bc=PBC)
-    m = build_bloch(p, 0.0).matrix
+    m = build_bloch(p, 0.0)
     assert m[0, 1] == pytest.approx(0.8)         # h_x(0) = 0.3 + 0.5
     assert m[0, 0] == pytest.approx(0.0, abs=1e-15)  # h_y(0) = cos(-pi/2) = 0
     assert m[1, 1] == pytest.approx(-0.5j, abs=1e-15)
     p3 = LadderParams(L=10, t=[0.3, 0.5, 0.1], t_p=0.5, phi=np.pi / 2,
                       gamma=0.5, bc=PBC)
-    m3 = build_bloch(p3, np.pi).matrix
+    m3 = build_bloch(p3, np.pi)
     assert m3[0, 1] == pytest.approx(0.3 - 0.5 + 0.1)
     assert np.trace(m3) == pytest.approx(-0.5j, abs=1e-14)
 
@@ -80,7 +80,7 @@ def test_bloch_eigenvalues_at_connection_root():
     k = np.arccos(-0.6)
     assert abs(h_x(p.t, k)) < 1e-15
     E = h_y(p.t_p, p.phi, k)
-    w = eigendecompose(build_bloch(p, k).matrix).eigenvalues
+    w = eigendecompose(build_bloch(p, k)).eigenvalues
     expected = np.array([E, -E - 0.5j])
     dist = np.abs(w[:, None] - expected[None, :])
     assert dist.min(axis=1).max() < 1e-12
@@ -151,7 +151,7 @@ def test_general_model_block_diagonal_when_uncoupled():
     B = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     B = (B + B.conj().T) / 2
     g = GeneralModel(A=A, B_herm=B, C=np.zeros((3, 4)), gamma=[0.5, 1.0, 2.0])
-    w = eigendecompose(build_general(g).matrix).eigenvalues
+    w = eigendecompose(build_general(g)).eigenvalues
     wa = eigendecompose(A).eigenvalues
     wb = eigendecompose(B - 1j * np.diag([0.5, 1.0, 2.0])).eigenvalues
     expected = np.concatenate([wa, wb])
@@ -176,13 +176,13 @@ def test_random_six_site_model_is_dissipative():
     A = (A + A.conj().T) / 2
     C = rng.normal(size=(1, 5)) + 1j * rng.normal(size=(1, 5))
     g = GeneralModel(A=A, B_herm=np.zeros((1, 1)), C=C, gamma=[1.0])
-    w = eigendecompose(build_general(g).matrix).eigenvalues
+    w = eigendecompose(build_general(g)).eigenvalues
     assert w.imag.max() <= 1e-12
 
 
 def test_dark_modes_commensurate_ring(commensurate_params):
     p = commensurate_params(gamma=random_gamma(200, seed=2))
-    rep = verify_dark_modes(build_ladder(p), tol=1e-8)
+    rep = verify_dark_modes(build_ladder(p).matrix, tol=1e-8)
     assert not rep.vacuous
     assert len(rep.energies) == 2
     assert rep.passed
@@ -198,7 +198,7 @@ def test_dark_modes_obc_vacuous(fig3_params):
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        rep = verify_dark_modes(build_ladder(fig3_params(bc=OBC)), tol=1e-6)
+        rep = verify_dark_modes(build_ladder(fig3_params(bc=OBC)).matrix, tol=1e-6)
     assert rep.vacuous
     assert rep.passed
 
@@ -208,3 +208,7 @@ def test_built_matrix_is_readonly():
     H = build_ladder(p)
     with pytest.raises(ValueError):
         H.matrix[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        build_bloch(p, 0.0)[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        build_general(ladder_to_general(p))[0, 0] = 1.0

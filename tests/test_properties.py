@@ -151,7 +151,7 @@ def test_bloch_blocks_are_the_ring(p):
     ks = 2 * np.pi * np.arange(p.L) / p.L
     blocks = bloch_blocks(p, H)
     scale = max(1.0, np.abs(H.matrix).sum(axis=1).max())
-    closed_form = np.array([build_bloch(p, k).matrix for k in ks])
+    closed_form = np.array([build_bloch(p, k) for k in ks])
     assert np.abs(blocks - closed_form).max() <= 1e-14 * scale
     tol = 8 * np.sqrt(np.finfo(float).eps) * scale
     w = eigendecompose(blocks).eigenvalues
@@ -171,7 +171,7 @@ def test_ladder_maps_to_general_form(p):
     H = build_ladder(p).matrix
     # blocked ordering: every A site first, then every B site
     perm = np.concatenate([np.arange(0, p.dim, 2), np.arange(1, p.dim, 2)])
-    assert np.array_equal(build_general(ladder_to_general(p)).matrix,
+    assert np.array_equal(build_general(ladder_to_general(p)),
                           H[np.ix_(perm, perm)])
 
 
