@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from igclab import (
-    BIPOLAR, EXP, LEFT, LadderParams, NONE, POWER, RIGHT, burst_metrics,
-    fit_bulk, self_intersections,
+    BIPOLAR, EXP, LEFT, LadderParams, NONE, POWER, RIGHT, WalkConfig,
+    burst_metrics, fit_bulk, loss_profile_time, self_intersections,
 )
-from igclab.analysis import WindowError, _window
+from igclab.analysis import WindowError, _window, x0_slopes
 
 
 def planted_power(L=200, x0=150, alpha=2.0, c=1.0):
@@ -118,6 +118,17 @@ def test_burst_threshold_configurable():
     P[0] = P.min() * 5
     assert burst_metrics(P, 100).burst_type == NONE
     assert burst_metrics(P, 100, threshold=3.0).burst_type == LEFT
+
+
+def test_scan_single_row():
+    # a scan of one release measures its left edge but fits no slope
+    p = LadderParams(L=60, t=[0.3, 0.5], t_p=0.5, phi=np.pi / 2, gamma=0.5)
+    prof = loss_profile_time(WalkConfig(params=p, x0=45))
+    m = burst_metrics(prof, 45)
+    assert not prof.incomplete
+    assert m.ratio_left > 1.0
+    slopes = x0_slopes([45], [m.ratio_left], [m.p_edge_left])
+    assert all(np.isnan(v) for v in slopes)
 
 
 def test_self_intersections_validation():
