@@ -146,7 +146,11 @@ def _parse_model(cfg, default_seed):
 
 
 def _check_x0(value, L, where):
-    if not isinstance(value, (int, float)) or not 1 <= value <= L:
+    # a release cell is an integer: 4.5 would be released at cell 4 but
+    # reported and fitted as 4.5, and a bool is no cell at all
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{where} must be an integer cell, got {value!r}")
+    if not 1 <= value <= L:
         raise ConfigError(f"{where} must lie in 1..{L}, got {value!r}")
 
 

@@ -2,13 +2,14 @@
 
 Everything downstream funnels its linear solves and eigenproblems through
 this module.  The factorizations themselves are delegated to LAPACK
-(partial-pivot LU via scipy, dense or in band storage; Hessenberg +
-implicitly shifted QR via numpy's eig); what this module owns is the contract
-around them: singularity detection at a fixed pivot threshold, the same for
-dense and banded input, per-pair eigen residuals, and a condition flag that
-marks spectra whose eigenbasis cannot be trusted.  Skin-effect matrices under
-open boundaries are expected to trip that flag at moderate sizes; callers
-must not propagate with their eigenvectors.
+(partial-pivot LU via scipy: dense, in band storage, or tridiagonal for a
+stack of 2x2 blocks; Hessenberg + implicitly shifted QR via numpy's eig);
+what this module owns is the contract around them: singularity detection at a
+fixed pivot threshold, the same for dense, banded and stacked input, per-pair
+eigen residuals, and a condition flag that marks spectra whose eigenbasis
+cannot be trusted.  Skin-effect matrices under open boundaries are expected
+to trip that flag at moderate sizes; callers must not propagate with their
+eigenvectors.
 """
 
 from __future__ import annotations
@@ -69,8 +70,9 @@ class Banded:
 
 
 def _check_pivots(pivots: np.ndarray, scale: float):
-    # written so that a NaN pivot or scale (an overflowed elimination) fails too
-    if not (scale > 0.0 and pivots.min() >= PIVOT_RTOL * scale):
+    # written so that a NaN pivot, a NaN scale (an overflowed elimination) or
+    # an infinite entry fails too
+    if not (0.0 < scale < np.inf and pivots.min() >= PIVOT_RTOL * scale):
         raise SingularMatrixError(
             f"matrix is singular to working precision (min pivot "
             f"{pivots.min():.3e} vs scale {scale:.3e})")
@@ -88,16 +90,44 @@ def _banded_solve(A: Banded, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _stacked_2x2_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # m 2x2 blocks are one block-diagonal tridiagonal matrix of order 2m, whose
+    # partial-pivot LU (LAPACK `zgtsv`) pivots within each block and leaves U's
+    # diagonal in place of the diagonal; the couplings between blocks are zero
+    m = A.shape[0]
+    work = np.zeros((4, m, 2), dtype=complex)     # dl, d, du, rhs
+    work[0, :, 0] = A[:, 1, 0]
+    work[1] = A.diagonal(0, 1, 2)
+    work[2, :, 0] = A[:, 0, 1]
+    work[3] = b
+    flat = work.reshape(4, 2 * m)
+    # positional: dl, d, du, b, then overwrite_dl, _d, _du, _b
+    _, u, _, x, info = sla.lapack.zgtsv(flat[0, :-1], flat[1], flat[2, :-1],
+                                        flat[3, :, None], 1, 1, 1, 1)
+    # an exact zero pivot (info > 0) stops the elimination early
+    _check_pivots(np.abs(u) if info == 0 else np.zeros(1), np.abs(A).max(initial=0.0))
+    return x.reshape(m, 2)
+
+
 def lu_solve(A: np.ndarray | Banded, b: np.ndarray) -> np.ndarray:
     """Solve A x = b by partial-pivot LU, for a dense square array or a `Banded`.
 
-    Either way the matrix counts as singular, and `SingularMatrixError` is
-    raised, when a pivot of U falls below PIVOT_RTOL * max|A|.
+    A stack of m 2x2 blocks, shape (m, 2, 2), is solved block by block
+    against b of shape (m, 2), or against one (2,) right-hand side for all
+    blocks, and gives x of shape (m, 2).  In every case the matrix counts as
+    singular, and `SingularMatrixError` is raised, when a pivot of U falls
+    below PIVOT_RTOL * max|A| (for a stack, the largest entry of any block);
+    a NaN or infinite entry is refused the same way.
     """
     b = np.asarray(b, dtype=complex)
     if isinstance(A, Banded):
         return _banded_solve(A, b)
-    A = np.ascontiguousarray(A, dtype=complex)
+    A = np.asarray(A, dtype=complex)
+    if A.ndim == 3:
+        if A.shape[1:] != (2, 2):
+            raise ValueError(f"a stack of blocks must be (m, 2, 2), got {A.shape}")
+        return _stacked_2x2_solve(A, b)
+    A = np.ascontiguousarray(A)
     with warnings.catch_warnings():
         # scipy warns about exact zero pivots; the threshold check below
         # covers that case and raises instead

@@ -132,13 +132,12 @@ def steady_density(p: LadderParams, x0: int, rtol: float = 1e-9,
     gam = np.asarray(p.gamma)
     if np.all(gam == 0.0):
         return np.zeros(p.L), {"note": "lossless model"}
-    f, edges, omega_max, _, bandwidth = resolvent_integrand(
-        p, x0, build_damping(p).op.band, 1j)
+    f, edges, omega_max, _, info = resolvent_integrand(p, x0, build_damping(p).op, 1j)
     quad = adaptive_quadrature(f, edges, rtol=rtol, atol_frac=1e-16,
                                max_panels=max_panels)
     dens = gam / np.pi * quad.value
     diag = {"n_nodes": quad.n_evaluations, "n_panels": quad.n_panels,
-            "n_solves": quad.n_evaluations, "bandwidth": list(bandwidth),
+            "n_solves": quad.n_evaluations, **info,
             "converged": quad.converged, "omega_max": omega_max,
             "quadrature_error": float((gam / np.pi * quad.error).max())}
     return dens, diag

@@ -13,13 +13,17 @@ compute the escape profile P_x and serve as mutual cross-checks:
   psi is put back in natural order only where a state is recorded, and
 * the resolvent engine evaluates the frequency-domain formula
   P_x = (gamma_x / pi) * integral |<x,B| (omega - H)^{-1} |x0,A>|^2 d omega
-  by adaptive Gauss-Kronrod panels, one banded LU solve per node (natural
-  site order under OBC, folded cells under PBC, so the half-bandwidth is
-  2n+1 or 4n+1 whatever L is).  The same integrand, with the damping matrix
-  X = i conj(H) in place of H, gives the steady density in `liouville`.
+  by adaptive Gauss-Kronrod panels, one solve per node.  A periodic ring
+  with uniform loss is block diagonal in momentum, so its node is one solve
+  of the L 2x2 Bloch blocks (`bloch_blocks`) and an inverse FFT takes the
+  response back to the cells; every other ladder takes one banded LU
+  (natural site order under OBC, folded cells under PBC, so the
+  half-bandwidth is 2n+1 or 4n+1 whatever L is).  The same integrand, with
+  the damping matrix X = i conj(H) in place of H, gives the steady density
+  in `liouville`.
 
 The two engines share only the operator build: the time engine's matvec and
-the resolvent engine's banded LU are separate code, so that their agreement
+the resolvent engine's solves are separate code, so that their agreement
 stays an independent check.
 
 Eigendecomposition is deliberately not used for propagation: the open-chain
@@ -35,7 +39,7 @@ import numpy as np
 from scipy.linalg.blas import zgbmv
 
 from . import densela
-from .model import (OBC, PBC, LadderOperator, LadderParams, band_order, bloch_bands,
+from .model import (OBC, PBC, LadderOperator, LadderParams, bloch_bands, bloch_blocks,
                     build_ladder, site_index)
 from .ode import integrate
 from .quadrature import adaptive_quadrature, geometric_edges
@@ -48,6 +52,8 @@ TAIL_BOUND = 1e-8
 
 #: psi entries below the smallest normal double are flushed to zero
 _TINY = np.finfo(float).tiny
+
+_EYE2 = np.eye(2)
 
 
 @dataclass(frozen=True)
@@ -283,32 +289,14 @@ def _resolvent_edges(p: LadderParams, h_inf: float, omega_max: float) -> np.ndar
     return np.array(edges)
 
 
-def resolvent_integrand(p: LadderParams, x0: int, band: densela.Banded, s: complex):
-    """Frequency-domain integrand of the B-site response to a source at (x0, A).
-
-    Sets up the integral of |<x,B| (s*omega - M)^{-1} |x0,A>|^2 over omega,
-    with s = 1 for the Hamiltonian and s = i for the damping matrix.  The
-    window [-Omega, Omega] is fixed by the crude operator-norm tail bound
-    (gamma_max/pi) * 2 / (Omega - ||M||_inf) < TAIL_BOUND, and the integrand
-    costs one banded LU solve per node: M's `band`, in the sites'
-    `band_order`, is negated and each node adds s*omega to its diagonal row.
-    Returns (integrand, edges, Omega, tail_bound, (kl, ku)).  A lossless
-    model (every gamma_x = 0) has no such window and raises ValueError.
-    """
-    gam = np.asarray(p.gamma)
-    if not gam.any():
-        raise ValueError("lossless model (every gamma_x = 0): the integrand "
-                         "does not decay, so there is no frequency window")
-    # the row sums of M are the column sums of its transpose
-    m_inf = float(np.abs(band.T.ab).sum(axis=0).max())
-    omega_max = m_inf + 2.0 * gam.max() / (np.pi * TAIL_BOUND)
-    edges = _resolvent_edges(p, m_inf, omega_max)
-    order = band_order(p)
-    kl, ku = band.kl, band.ku
-    neg = -band.ab
-    rhs0 = _initial_state(p, x0)[order]
+def _banded_integrand(p: LadderParams, x0: int, op: LadderOperator, s: complex):
+    # M's band is negated once; each node copies it, adds s*omega to the
+    # diagonal row and makes one banded LU solve
+    kl, ku = op.band.kl, op.band.ku
+    neg = -op.band.ab
+    rhs0 = _initial_state(p, x0)[op.order]
     # position of each cell's B site in the band ordering
-    bpos = np.argsort(order)[np.arange(p.L) * 2 + 1]
+    bpos = np.argsort(op.order)[np.arange(p.L) * 2 + 1]
 
     def f(omegas):
         out = np.empty((omegas.size, p.L))
@@ -319,8 +307,59 @@ def resolvent_integrand(p: LadderParams, x0: int, band: densela.Banded, s: compl
             out[i] = np.abs(g[bpos]) ** 2
         return out
 
+    return f, {"solver": "banded", "bandwidth": [kl, ku]}
+
+
+def _bloch_integrand(p: LadderParams, x0: int, op: LadderOperator, s: complex):
+    # s*omega - M is block diagonal in momentum: each node is one stacked
+    # solve of s*omega - B_j against the A component, and a panel's B
+    # components go to cell space in one inverse FFT.  Relative to the
+    # release, cell x reads the transform at (x - x0) mod L
+    neg = -bloch_blocks(p, op)
+    src = np.array([1.0, 0.0])
+    cells = (np.arange(p.L) - (x0 - 1)) % p.L
+
+    def f(omegas):
+        gk = np.empty((omegas.size, p.L), dtype=complex)
+        for i, w in enumerate(omegas):
+            gk[i] = densela.lu_solve(neg + s * w * _EYE2, src)[:, 1]
+        g = np.fft.ifft(gk, axis=1)[:, cells]
+        return np.abs(g) ** 2
+
+    return f, {"solver": "bloch_blocks"}
+
+
+def resolvent_integrand(p: LadderParams, x0: int, op: LadderOperator, s: complex):
+    """Frequency-domain integrand of the B-site response to a source at (x0, A).
+
+    Sets up the integral of |<x,B| (s*omega - M)^{-1} |x0,A>|^2 over omega,
+    with s = 1 for the Hamiltonian and s = i for the damping matrix, M being
+    `op` (`build_ladder(p)` or `build_damping(p).op`).  The window
+    [-Omega, Omega] is fixed by the crude operator-norm tail bound
+    (gamma_max/pi) * 2 / (Omega - ||M||_inf) < TAIL_BOUND.  The integrand
+    makes one `densela.lu_solve` call per node: on a periodic ring with
+    uniform loss, one solve of the stack of L 2x2 blocks s*omega - B_j, B =
+    `bloch_blocks(p, op)`, whose B components an inverse FFT over k takes to
+    the cells; on any other ladder, one banded LU of s*omega - M in the
+    sites' `band_order`.  Returns (integrand, edges, Omega, tail_bound,
+    info), info naming the `solver` ("bloch_blocks" or "banded") and, for
+    the banded one, its `bandwidth` [kl, ku].  A lossless model (every
+    gamma_x = 0) has no such window and raises ValueError.
+    """
+    gam = np.asarray(p.gamma)
+    if not gam.any():
+        raise ValueError("lossless model (every gamma_x = 0): the integrand "
+                         "does not decay, so there is no frequency window")
+    # the row sums of M are the column sums of its transpose
+    m_inf = float(np.abs(op.band.T.ab).sum(axis=0).max())
+    omega_max = m_inf + 2.0 * gam.max() / (np.pi * TAIL_BOUND)
+    edges = _resolvent_edges(p, m_inf, omega_max)
+    if p.bc == PBC and p.uniform_gamma is not None:
+        f, info = _bloch_integrand(p, x0, op, s)
+    else:
+        f, info = _banded_integrand(p, x0, op, s)
     tail_bound = float(gam.max() / np.pi * 2.0 / (omega_max - m_inf))
-    return f, edges, omega_max, tail_bound, (kl, ku)
+    return f, edges, omega_max, tail_bound, info
 
 
 def loss_profile_resolvent(cfg: WalkConfig, rtol: float = 1e-9,
@@ -341,8 +380,8 @@ def loss_profile_resolvent(cfg: WalkConfig, rtol: float = 1e-9,
         return LossProfile(P=np.zeros(p.L), engine=RESOLVENT, total=0.0,
                            diagnostics={"note": "lossless model, nothing escapes",
                                         "engine": RESOLVENT})
-    f, edges, omega_max, tail_bound, bandwidth = resolvent_integrand(
-        p, cfg.x0, build_ladder(p).band, 1.0)
+    f, edges, omega_max, tail_bound, info = resolvent_integrand(
+        p, cfg.x0, build_ladder(p), 1.0)
     quad = adaptive_quadrature(f, edges, rtol=rtol, atol_frac=1e-16,
                                max_panels=max_panels)
     P = gam / np.pi * quad.value
@@ -351,8 +390,8 @@ def loss_profile_resolvent(cfg: WalkConfig, rtol: float = 1e-9,
         "engine": RESOLVENT,
         "n_nodes": quad.n_evaluations,
         "n_panels": quad.n_panels,
-        "n_solves": quad.n_evaluations,     # one LU per node
-        "bandwidth": list(bandwidth),
+        "n_solves": quad.n_evaluations,     # one solve call per node
+        **info,
         "omega_max": omega_max,
         "tail_bound": tail_bound,
         "quadrature_error": float((gam / np.pi * quad.error).max()),

@@ -113,6 +113,20 @@ def test_release_out_of_range_is_a_config_error(tmp_path, capsys):
         validate_config(source)
 
 
+@pytest.mark.parametrize("bad", [4.5, 6.0, True])
+def test_a_release_cell_must_be_an_integer(tmp_path, capsys, bad):
+    # 4.5 would be released at cell 4 but written and fitted as 4.5
+    walk = {"command": "walk", "x0": bad, "engine": "TIME",
+            "model": small_sweep([6])["model"]}
+    for cfg, where in ((walk, "x0"), (small_sweep([6, bad]), "sweep.values")):
+        with pytest.raises(ConfigError, match=f"{where} must be an integer cell"):
+            validate_config(cfg)
+        status, out = run_cli(tmp_path / where, cfg)
+        assert status == 2
+        assert where in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert not out.exists()
+
+
 def test_sweep_with_an_edge_release_skips_the_slope_fits(tmp_path):
     # and so does a sweep of a single release
     status, out = run_cli(tmp_path / "one", small_sweep([9]))
@@ -220,6 +234,28 @@ def test_walk_run_small(tmp_path):
         sums[eng] = sums.get(eng, 0.0) + float(p)
     assert sums["TIME"] == pytest.approx(1.0, abs=1e-6)
     assert sums["RESOLVENT"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_run_record_names_the_resolvent_solver(tmp_path):
+    # uniform rings solve their Bloch blocks, every other ladder its band,
+    # and only the band has a bandwidth to report
+    ring = dict(small_sweep([6])["model"], bc="PBC")
+    random_loss = {"kind": "random", "low": 0.4, "high": 0.6, "seed": 3}
+    runs = [("walk", ring, "bloch_blocks"),
+            ("burst", small_sweep([6])["model"], "banded"),
+            ("liouville", ring, "bloch_blocks"),
+            ("liouville", dict(ring, gamma=random_loss), "banded")]
+    for i, (command, model, solver) in enumerate(runs):
+        cfg = {"command": command, "x0": 6, "model": model}
+        if command != "liouville":
+            cfg["engine"] = "RESOLVENT"
+        status, out = run_cli(tmp_path / str(i), cfg)
+        assert status == 0
+        diags = json.loads((out / "run.json").read_text())["diagnostics"]
+        diag = diags["steady_density" if command == "liouville" else "RESOLVENT"]
+        assert diag["solver"] == solver
+        assert ("bandwidth" in diag) == (solver == "banded")
+        assert diag["n_solves"] == diag["n_nodes"]
 
 
 def test_burst_run_reports_fits(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from igclab import (
     OBC, PBC, LadderParams, SingularMatrixError, build_ladder, eigendecompose,
     lu_solve,
 )
-from igclab.densela import Banded
+from igclab.densela import PIVOT_RTOL, Banded
 
 
 def test_lu_solve_identity():
@@ -40,6 +42,42 @@ def test_lu_solve_singular_raises():
                  np.zeros((2, 2)), Banded(np.zeros((1, 2)), 0, 0)):
         with pytest.raises(SingularMatrixError):
             lu_solve(form, np.array([1.0, 1.0]))
+
+
+def _near_singular_block(ratio):
+    # |c| > |a| makes partial pivoting swap the rows: U = [[1, 2 + e], [0, -e/2]],
+    # and with max|A| = 2 + e the second pivot is ratio * PIVOT_RTOL * max|A|
+    e = 4.0 * ratio * PIVOT_RTOL / (1.0 - 2.0 * ratio * PIVOT_RTOL)
+    return np.exp(0.3j) * np.array([[0.5, 1.0], [1.0, 2.0 + e]])
+
+
+def test_lu_solve_stacked_blocks():
+    rng = np.random.default_rng(7)
+    # entries below 1 in modulus, so that the test block below sets max|A|
+    A = rng.uniform(-0.7, 0.7, size=(9, 2, 2)) + 1j * rng.uniform(-0.7, 0.7, size=(9, 2, 2))
+    b = rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rhs in (b, b[0]):               # one row per block, or one for all
+            ref = np.linalg.solve(A, np.broadcast_to(rhs, (9, 2))[..., None])[..., 0]
+            assert np.abs(lu_solve(A, rhs) - ref).max() <= 1e-13 * np.abs(ref).max()
+        # just above the pivot threshold the block is solved, backward stably
+        A[4] = _near_singular_block(1.1)
+        x = lu_solve(A, b)
+        eps = np.finfo(float).eps
+        norm_a = np.abs(A[4]).sum(axis=1).max()
+        assert np.abs(A[4] @ x[4] - b[4]).max() <= 8 * eps * norm_a * np.abs(x[4]).max()
+        A[4] = _near_singular_block(0.9)    # just below: refused
+        with pytest.raises(SingularMatrixError):
+            lu_solve(A, b)
+        A[4] = [[1.0, np.nan], [0.0, 1.0]]
+        with pytest.raises(SingularMatrixError):
+            lu_solve(A, b)
+        A[4] = 0.0
+        with pytest.raises(SingularMatrixError):
+            lu_solve(A, b)
+    with pytest.raises(ValueError, match="stack"):
+        lu_solve(np.ones((3, 3, 3)), np.ones(3))
 
 
 def test_banded_transpose():

@@ -7,12 +7,12 @@ ladder assembled entry by entry here, the periodic spectrum must be the Bloch
 bands on the ring's momenta, and so must the eigenvalues of the ring's 2x2
 Bloch blocks read off the band, the split form and the damping matrix must
 reproduce the ladder matrix exactly, the banded solves of the resolvent
-integrand and the TIME engine's banded rhs must reproduce the dense
-reference, and the two resolvent integrals (of H and of X) must give the same
-profile.  The self-crossings of the
-momentum-space spectrum must be points where the Bloch bands meet, closed
-under the mirror E -> -i gamma - E, and absent from the time-reversal-symmetric
-phases.
+integrand, its Bloch-block solves on uniform rings and the TIME engine's
+banded rhs must reproduce the dense reference, and the two resolvent
+integrals (of H and of X) must give the same profile.  The self-crossings of
+the momentum-space spectrum must be points where the Bloch bands meet, closed
+under the mirror E -> -i gamma - E, and absent from the
+time-reversal-symmetric phases.
 """
 
 import numpy as np
@@ -226,12 +226,12 @@ NEAR_LOSSLESS = LadderParams(L=4, t=[2.2e-16], t_p=0.0, phi=0.0, gamma=1.0, bc=O
 
 
 def _operator(p, side):
-    """The dense natural-order matrix and the band of H or of X."""
+    """The dense natural-order matrix and the `LadderOperator` of H or of X."""
     if side == "H":
         H = build_ladder(p)
-        return H.matrix, H.band
+        return H.matrix, H
     dm = build_damping(p)
-    return dm.X, dm.op.band
+    return dm.X, dm.op
 
 
 def _dense(band):
@@ -253,7 +253,8 @@ def _max(v):
        data=st.data())
 def test_banded_solve_matches_dense(p, side, data):
     s = _SIDES[side]
-    M, m_band = _operator(p, side)
+    M, op = _operator(p, side)
+    m_band = op.band
     width = np.abs(M).sum(axis=1).max() + 1.0
     w = data.draw(st.floats(-width, width))
     x0 = data.draw(st.integers(1, p.L))
@@ -265,14 +266,17 @@ def test_banded_solve_matches_dense(p, side, data):
     ab[m_band.ku] += s * w
     band = densela.Banded(ab, m_band.kl, m_band.ku)
     assert np.array_equal(_dense(band), A[np.ix_(order, order)])
-    f = resolvent_integrand(p, x0, m_band, s)[0]
+    f, *_, info = resolvent_integrand(p, x0, op, s)
+    # uniform rings take the Bloch blocks instead (test_bloch_integrand_matches_dense)
+    banded = info["solver"] == "banded"
     try:
         x = densela.lu_solve(A, b)
     except SingularMatrixError:
         with pytest.raises(SingularMatrixError):
             densela.lu_solve(band, b[order])
-        with pytest.raises(SingularMatrixError):
-            f(np.array([w]))
+        if banded:
+            with pytest.raises(SingularMatrixError):
+                f(np.array([w]))
         return
     xb = np.empty(p.dim, complex)
     xb[order] = densela.lu_solve(band, b[order])
@@ -281,8 +285,74 @@ def test_banded_solve_matches_dense(p, side, data):
     assert _max(A @ xb - b) <= 1e-12 * np.abs(A).sum(axis=1).max() * _max(xb)
     kappa = np.linalg.cond(A)
     assert _max(xb - x) <= max(1e-12, 100 * kappa * np.finfo(float).eps) * _max(x)
-    # the integrand makes that same solve and un-permutes its B sites
-    assert np.allclose(f(np.array([w]))[0], np.abs(xb[1::2]) ** 2, rtol=1e-13, atol=0)
+    if banded:
+        # the integrand makes that same solve and un-permutes its B sites
+        assert np.allclose(f(np.array([w]))[0], np.abs(xb[1::2]) ** 2, rtol=1e-13, atol=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=ladders(min_L=2, min_gamma=0.05, uniform=True, bc=PBC),
+       side=st.sampled_from(sorted(_SIDES)), u=st.floats(-1.0, 1.0),
+       cell=st.integers(0, 23))
+@example(p=LadderParams(L=2, t=[0.3], t_p=0.7, phi=1.0, gamma=0.4, bc=PBC),
+         side="H", u=0.1, cell=1)
+@example(p=LadderParams(L=2, t=[0.3], t_p=0.7, phi=1.0, gamma=0.4, bc=PBC),
+         side="X", u=-0.3, cell=0)
+@example(p=LadderParams(L=5, t=[0.3, 0.2, 0.1], t_p=0.5, phi=0.3, gamma=0.6, bc=PBC),
+         side="H", u=0.05, cell=3)
+@example(p=LadderParams(L=5, t=[0.3, 0.2, 0.1], t_p=0.5, phi=0.3, gamma=0.6, bc=PBC),
+         side="X", u=0.2, cell=4)
+@example(p=LadderParams(L=12, t=[0.25], t_p=0.0, phi=0.0, gamma=0.5, bc=PBC),
+         side="H", u=0.0, cell=7)
+@example(p=LadderParams(L=12, t=[0.25], t_p=0.0, phi=0.0, gamma=0.5, bc=PBC),
+         side="X", u=0.01, cell=2)
+def test_bloch_integrand_matches_dense(p, side, u, cell):
+    # a uniform ring's integrand solves the 2x2 Bloch blocks and goes back to
+    # the cells by an inverse FFT; the reference is the dense solve of
+    # s*omega - M.  The examples: L = 2, a band (kl + ku + 1 = 19) wider than
+    # its matrix (10), and a ring whose every block is at an exceptional point
+    # (t_p = 0 and t_0 = gamma/2: the Bloch matrix [[0, t_0], [t_0, -i gamma]]
+    # has the double eigenvalue -i gamma/2).
+    #
+    # The bound: s*omega - M is unitarily block diagonal (the DFT over
+    # cells), so every block's condition number is at most kappa, that of the
+    # whole matrix.  The block LU is backward stable with pivot growth at most
+    # 2, and the inverse FFT adds a normwise error of order log2(L) eps, so
+    # the integrand's response g and the dense solve x (backward stable, order
+    # 2L) each lie within a few kappa eps ||x||_2 of the exact response.  With
+    # delta = 100 kappa eps ||x||_2 >= max_x |g_x - x_x|, the squared moduli
+    # the integrand returns differ by at most delta (2 max|x_B| + delta)
+    # (measured over 2000 draws: within 2 kappa eps ||x||_2 * 2 max|x_B|).
+    s = _SIDES[side]
+    M, op = _operator(p, side)
+    w = u * (np.abs(M).sum(axis=1).max() + 1.0)
+    x0 = 1 + cell % p.L
+    b = np.zeros(p.dim, complex)
+    b[2 * (x0 - 1)] = 1.0
+    f, *_, info = resolvent_integrand(p, x0, op, s)
+    assert info == {"solver": "bloch_blocks"}
+    # a second node checks that each node keeps its own row through the FFT
+    nodes = np.array([w, w + 0.5])
+    shifts = [s * v * np.eye(p.dim) - M for v in nodes]
+    refs = []
+    for A in shifts:
+        try:
+            refs.append(densela.lu_solve(A, b))
+        except SingularMatrixError:
+            refs.append(None)
+    try:
+        got = f(nodes)
+    except SingularMatrixError:
+        got = None
+    if got is None or any(x is None for x in refs):
+        # the dense LU and the blocks test their pivots against different
+        # scales (max|A| of the matrix or of the stack), so they may disagree,
+        # or both refuse, only at a node within about PIVOT_RTOL of singular
+        assert max(np.linalg.cond(A) for A in shifts) > 0.01 / densela.PIVOT_RTOL
+        return
+    for g, x, A in zip(got, refs, shifts):
+        delta = 100 * np.linalg.cond(A) * np.finfo(float).eps * np.linalg.norm(x)
+        assert _max(g - np.abs(x[1::2]) ** 2) <= delta * (2 * _max(x[1::2]) + delta)
 
 
 @settings(max_examples=60, deadline=None)
@@ -317,16 +387,19 @@ def test_banded_rhs_is_the_dense_one(p, seed):
 @pytest.mark.parametrize("side", sorted(_SIDES))
 def test_both_paths_refuse_an_exactly_singular_shift(bc, side):
     # without couplings every A site is an exact zero mode: at omega = 0 the
-    # A rows of s*omega - M vanish
+    # A rows of s*omega - M vanish, and so do the A rows of every Bloch block
     p = LadderParams(L=6, t=[0.0], t_p=0.0, phi=0.0, gamma=1.0, bc=bc)
-    M, band = _operator(p, side)
+    M, op = _operator(p, side)
+    band = op.band
     b = np.ones(p.dim)
     with pytest.raises(SingularMatrixError):
         densela.lu_solve(-M, b)
     with pytest.raises(SingularMatrixError):
         densela.lu_solve(densela.Banded(-band.ab, band.kl, band.ku), b)
+    f, *_, info = resolvent_integrand(p, 1, op, _SIDES[side])
+    assert info["solver"] == ("bloch_blocks" if bc == PBC else "banded")
     with pytest.raises(SingularMatrixError):
-        resolvent_integrand(p, 1, band, _SIDES[side])[0](np.array([0.0]))
+        f(np.array([0.0]))
 
 
 @pytest.mark.parametrize("side", sorted(_SIDES))
@@ -367,12 +440,20 @@ def test_both_paths_refuse_the_near_lossless_mode(monkeypatch):
 def test_band_width_does_not_grow_with_L(p):
     # folded cells keep every wrap-around hop near the diagonal under PBC;
     # a full-width fallback would give 2L-1
-    kl, ku = resolvent_integrand(p, 1, build_ladder(p).band, 1.0)[4]
+    H = build_ladder(p)
+    kl, ku = H.band.kl, H.band.ku
     n = p.n
     bound = max(4 * n + 1, 4) if p.bc == PBC else max(2 * n + 1, 2)
     assert kl == ku <= bound
     if n >= 1 and 0.5 * p.t[n] != 0.0:
         assert kl == bound
+    # the banded resolvent solves on that band; a uniform ring takes its
+    # Bloch blocks and reports no bandwidth
+    info = resolvent_integrand(p, 1, H, 1.0)[4]
+    if p.bc == PBC and p.uniform_gamma is not None:
+        assert info == {"solver": "bloch_blocks"}
+    else:
+        assert info == {"solver": "banded", "bandwidth": [kl, ku]}
 
 
 @settings(max_examples=25, deadline=None)
