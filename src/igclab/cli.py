@@ -380,7 +380,7 @@ def _cmd_sweep(cfg, model, out, tag, plot, jobs):
               [(v, rl, rr, pl_, pr, bt, int(inc))
                for v, rl, rr, pl_, pr, bt, inc in results])
     files = {str(csv): f"burst metrics against {vary}"}
-    diags = {"n_rows": len(results)}
+    diags = {"n_rows": len(results), "n_incomplete": sum(r[6] for r in results)}
     if vary == "x0":
         fits = analysis.x0_slopes([r[0] for r in results], [r[1] for r in results],
                                   [r[3] for r in results])

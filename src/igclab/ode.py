@@ -1,20 +1,27 @@
 """Embedded adaptive Runge-Kutta integration for complex ODE systems.
 
-A single Dormand-Prince 5(4) pair drives every time-domain propagation in the
-package.  The controller measures the embedded error estimate against a
-per-component scale supplied by the caller, which lets the quantum-walk code
-tie the tolerance to the decaying wave-function magnitude instead of an
-absolute floor.  Steps are clipped to land exactly on requested sample times,
-so trajectories need no interpolant and two runs sampled on the same grid are
-directly comparable.
+A single Tsitouras 5(4) pair (Ch. Tsitouras, Comput. Math. Appl. 62 (2011)
+770-775) drives every time-domain propagation in the package.  It has the
+7-stage FSAL shape of Dormand & Prince's pair, six new rhs calls per
+attempted step, with smaller error constants.  The controller measures the
+embedded error estimate against a per-component scale supplied by the
+caller, which lets the quantum-walk code tie the tolerance to the decaying
+wave-function magnitude instead of an absolute floor.  Steps are clipped to
+land exactly on requested sample times, so trajectories need no interpolant
+and two runs sampled on the same grid are directly comparable.
 
-A step allocates nothing: the seven stage derivatives, the stage state, the
-error estimate and its weighted magnitude live in buffers made once per
-integration, each stage sum is one BLAS product with a row of the
-coefficient table, and the accepted state is swapped with the stage buffer
-instead of copied.  The rhs only has to return an array; it may return the
-same buffer on every call, because its value is copied into the stage table
-at once.
+A rider is an integral carried along the solution, q' = rates(y), that feeds
+nothing back into the rhs (the walk's escaped probabilities).  Its rates at
+the six new stage states come from one vectorised call per step; it is
+advanced with the pair's weights and its error estimate enters the step
+control like any other component.
+
+A step allocates nothing.  The state and the seven stage derivatives are the
+rows of one table [y; k0..k6] (rider block after the rhs block), each stage
+state is one BLAS product of an h-scaled coefficient row with that table,
+and the stage states are kept for the rider's rates.  The rhs only has to
+return an array; it may return the same buffer on every call, because its
+value is copied into the table at once.
 """
 
 from __future__ import annotations
@@ -23,22 +30,33 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Dormand-Prince coefficients (FSAL: the 7th stage is next step's first, and
-# its row of _A is the fifth-order solution's weights _B5, so the last stage
-# state is the new state).  Complex, so a stage sum is one BLAS product
-# written straight into its buffer.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = np.zeros((7, 7), dtype=complex)
-_A[1, :1] = [1 / 5]
-_A[2, :2] = [3 / 40, 9 / 40]
-_A[3, :3] = [44 / 45, -56 / 15, 32 / 9]
-_A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
-_A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
-_A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                187 / 2100, 1 / 40])
-_E = (_B5 - _B4).astype(complex)
+#: name of the embedded pair, as reported in run diagnostics
+PAIR = "Tsit5(4)"
+
+# Tsitouras' Table 1.  FSAL: the 7th stage is the next step's first, and its
+# row of _A is the fifth-order weights b, so the last stage state is the new
+# state.  _E = b - b_hat, the fifth- minus the fourth-order weights.
+_C = np.array([0.0, 0.161, 0.327, 0.9, 0.9800255409045097, 1.0, 1.0])
+_A = np.zeros((7, 7))
+_A[1, :1] = [0.161]
+_A[2, :2] = [-0.008480655492356989, 0.335480655492357]
+_A[3, :3] = [2.897153057105493, -6.359448489975075, 4.3622954328695815]
+_A[4, :4] = [5.325864828439257, -11.748883564062828, 7.4955393428898365,
+             -0.09249506636175525]
+_A[5, :5] = [5.86145544294642, -12.92096931784711, 8.159367898576159,
+             -0.071584973281401, -0.028269050394068383]
+_A[6, :6] = [0.09646076681806523, 0.01, 0.4798896504144996, 1.379008574103742,
+             -3.290069515436081, 2.324710524099774]
+_E = np.array([0.001780011052225777, 0.0008164344596567469, -0.007880878010261995,
+               0.1447110071732629, -0.5823571654525552, 0.45808210592918697,
+               -1 / 66])
+
+# the coefficient rows of one step, to be scaled by h: stages 1..6 act on
+# [y; k0..k6] (unit weight on y), the error estimate on [k0..k6]
+_ROWS = np.zeros((7, 8), dtype=complex)
+_ROWS[:6, 0] = 1.0
+_ROWS[:6, 1:] = _A[1:]
+_ROWS[6, 1:] = _E
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -53,8 +71,13 @@ class OdeResult:
     y: np.ndarray
     n_steps: int
     n_rejected: int
+    n_rhs: int = 0                                 # rhs calls made
     samples: list = field(default_factory=list)   # (t, y) pairs on request
     stopped_early: bool = False
+
+
+def _no_rates(ys, out):
+    """The rates of an empty rider block."""
 
 
 def _default_scale(rtol, atol):
@@ -64,50 +87,72 @@ def _default_scale(rtol, atol):
 
 
 def integrate(rhs, y0, t0, t_end, rtol=1e-8, atol=0.0, scale_fn=None,
-              stop_fn=None, sample_times=None):
+              stop_fn=None, sample_times=None, rider=None):
     """Integrate dy/dt = rhs(t, y) from t0 to t_end.
 
     Parameters
     ----------
     rhs : callable
-        Right-hand side, returning an array like y (1-D); it may return one
-        buffer of its own on every call.
+        Right-hand side, returning an array like y (1-D, without the rider
+        block); it may return one buffer of its own on every call.
     scale_fn : callable, optional
-        Maps (y_old, y_new) to the per-component error scale.  Defaults to
-        the standard atol + rtol*|y| weighting.
+        Maps (y_old, y_new), rider block included, to the per-component error
+        scale.  Defaults to the standard atol + rtol*|y| weighting.
     stop_fn : callable, optional
         Called after every accepted step with (t, y); returning True ends the
         integration early (flagged on the result).  y is the integrator's own
-        state buffer, reused for later stages: copy what is to be kept.  An
-        in-place change to it (such as flushing underflowed entries) carries
-        into the next step.
+        state buffer, rider block included, overwritten by later steps: copy
+        what is to be kept.  An in-place change to it (such as flushing
+        underflowed entries) carries into the next step.
     sample_times : sequence, optional
         Times to land on exactly; a copy of the state there is recorded on
         the result.
+    rider : (rates, m), optional
+        The last m entries of y0 are an integral q with dq/dt = rates(y),
+        which the rhs never sees.  ``rates(ys, out)`` is handed an (s, n)
+        stack of states (n = y0.size - m) and writes their (s, m) real rates
+        into `out`: once for y0, then once per attempted step for its six new
+        stage states.  Without a rider the same step runs with an empty
+        rider block.
 
     The error norm is the max over components of |err_i| / scale_i; a step is
     accepted at norm <= 1 and the next h follows the standard fifth-order
     rescaling with safety 0.9.
     """
-    y = np.asarray(y0, dtype=complex).copy()
+    y0 = np.asarray(y0, dtype=complex)
+    rates, m = rider if rider is not None else (_no_rates, 0)
+    size = y0.size
+    n = size - m
     t = float(t0)
     if scale_fn is None:
         scale_fn = _default_scale(rtol, atol)
     if sample_times is None:
         sample_times = []
     pending = sorted(float(s) for s in sample_times if t0 < s <= t_end)
-    result = OdeResult(t=t, y=y, n_steps=0, n_rejected=0)
+    result = OdeResult(t=t, y=y0, n_steps=0, n_rejected=0)
 
-    k = np.empty((7,) + y.shape, dtype=complex)
-    ys = np.empty_like(y)                 # stage state; after stage 6, y_new
-    err = np.empty_like(y)
-    w = np.empty(y.shape)                 # |err| / scale
-    stages = [(_C[i], _A[i, :i], k[:i], k[i]) for i in range(1, 7)]
-    k[0] = rhs(t, y)
+    tab = np.zeros((8, size), dtype=complex)     # [y; k0..k6]
+    ys = np.zeros((6, size), dtype=complex)      # stage states 1..6; ys[5] is y_new
+    coef = _ROWS.copy()
+    rows, hcoef = _ROWS[:, 1:], coef[:, 1:]      # hcoef = h * rows at every step
+    err = np.empty(size, dtype=complex)
+    w = np.empty(size)                           # |err| / scale
+    y, y_new = tab[0], ys[5]
+    rhs_tab, rhs_ys = tab[:, :n], ys[:, :n]
+    stage_rates = tab[2:, n:].real               # rider rates of k1..k6
+    stages = [(_C[i], coef[i - 1, :i + 1], rhs_tab[:i + 1], rhs_ys[i - 1],
+               rhs_tab[i + 1]) for i in range(1, 7)]
+    b_row, q_tab, q_new = coef[5, :7], tab[:7, n:], y_new[n:]
+    e_row, k_tab = coef[6, 1:], tab[1:]
+
+    y[...] = y0
+    rhs_tab[1] = rhs(t, y[:n])
+    n_rhs = 1
+    rates(rhs_tab[:1], tab[1:2, n:].real)
     # initial step heuristic (conservative power-of-tolerance scaling)
     sc = scale_fn(y, y)
-    d0 = np.max(np.abs(y) / sc) if y.size else 1.0
-    d1 = np.max(np.abs(k[0]) / sc)
+    d0 = np.max(np.abs(y) / sc) if size else 1.0
+    d1 = np.max(np.abs(tab[1]) / sc)
     h = min(t_end - t, 1e-2 * (d0 / d1 if d1 > 0 else 1.0) + 1e-6)
 
     while t < t_end:
@@ -120,21 +165,23 @@ def integrate(rhs, y0, t0, t_end, rtol=1e-8, atol=0.0, scale_fn=None,
             target = pending[0]
             h = target - t
             end_hit = False
-        for c, a, k_prev, k_i in stages:
-            np.dot(a, k_prev, out=ys)
-            ys *= h
-            ys += y
-            k_i[...] = rhs(t + c * h, ys)
-        np.dot(_E, k, out=err)
-        err *= h
-        sc = scale_fn(y, ys)
+        np.multiply(rows, h, out=hcoef)
+        for c, row, table, y_i, k_i in stages:
+            np.dot(row, table, out=y_i)
+            k_i[...] = rhs(t + c * h, y_i)
+            n_rhs += 1
+        # the rider's rates at the six new stage states, then its new value
+        rates(rhs_ys, stage_rates)
+        np.dot(b_row, q_tab, out=q_new)
+        np.dot(e_row, k_tab, out=err)
+        sc = scale_fn(y, y_new)
         np.abs(err, out=w)
         w /= sc
         enorm = w.max()
         if enorm <= 1.0:
             t = target if target is not None else (t_end if end_hit else t + h)
-            y, ys = ys, y
-            k[0] = k[6]  # FSAL
+            y[...] = y_new
+            tab[1] = tab[7]  # FSAL
             result.n_steps += 1
             if target is not None:
                 pending.pop(0)
@@ -152,4 +199,5 @@ def integrate(rhs, y0, t0, t_end, rtol=1e-8, atol=0.0, scale_fn=None,
                 raise RuntimeError(f"step size underflow at t={t:.6g}")
     result.t = t
     result.y = y.copy()
+    result.n_rhs = n_rhs
     return result

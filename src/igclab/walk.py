@@ -5,12 +5,13 @@ Hamiltonian; probability leaks out through the B sites only.  Two engines
 compute the escape profile P_x and serve as mutual cross-checks:
 
 * the time engine integrates the Schroedinger equation with the adaptive
-  Runge-Kutta pair and accumulates 2 gamma_x |psi_x^B|^2 as an extra ODE
-  block, so the quadrature rides at the integrator's own order.  The state
-  is kept in `band_order`, so -i H psi is one BLAS `zgbmv` on the band
-  `build_ladder` writes (half-bandwidth 2n+1 under OBC, 4n+1 under folded
-  PBC, no corner blocks), at O(n L) per stage instead of the dense O(L^2);
-  psi is put back in natural order only where a state is recorded, and
+  Runge-Kutta pair of `ode` and accumulates 2 gamma_x |psi_x^B|^2 as its
+  rider integral, so the quadrature rides at the integrator's own order.
+  The state is kept in `band_order`, so -i H psi is one BLAS `zgbmv` on
+  the band `build_ladder` writes (half-bandwidth 2n+1 under OBC, 4n+1
+  under folded PBC, no corner blocks), at O(n L) per stage instead of the
+  dense O(L^2); psi is put back in natural order only where a state is
+  recorded, and
 * the resolvent engine evaluates the frequency-domain formula
   P_x = (gamma_x / pi) * integral |<x,B| (omega - H)^{-1} |x0,A>|^2 d omega
   by adaptive Gauss-Kronrod panels, one solve per node.  A periodic ring
@@ -41,7 +42,7 @@ from scipy.linalg.blas import zgbmv
 from . import densela
 from .model import (OBC, PBC, LadderOperator, LadderParams, bloch_bands, bloch_blocks,
                     build_ladder, site_index)
-from .ode import integrate
+from .ode import PAIR, integrate
 from .quadrature import adaptive_quadrature, geometric_edges
 
 TIME = "TIME"
@@ -113,36 +114,47 @@ def _initial_state(p: LadderParams, x0: int) -> np.ndarray:
     return psi0
 
 
-def _band_rhs(op: LadderOperator, gamma: np.ndarray):
-    """The walk's rhs in `op.order`: -i H psi and the 2 gamma_x |psi_x^B|^2 block.
+def _band_rhs(op: LadderOperator):
+    """The walk's rhs in `op.order`: -i H psi, one BLAS `zgbmv` on the band.
 
-    y holds psi in band order, then one accumulator per cell in the order the
-    cells' A-B pairs take there (so the B sites are psi[1::2]).  The matvec is
-    BLAS `zgbmv` on the band as stored, and every call writes into, and
-    returns, the same buffer.
+    Every call writes into, and returns, the same buffer.
     """
     kl, ku, n = op.band.kl, op.band.ku, op.order.size
     ab = np.asfortranarray(op.band.ab)
-    two_gam = 2.0 * gamma[op.order[0::2] // 2]
     # scipy's wrapper wants at least kl + ku + 1 rows, more than a short ring
     # with long couplings has; the extra rows read the zeros band storage
-    # keeps outside the matrix, so they write zeros past psi.  The
-    # accumulator rates are real: only the real part of their block is written.
+    # keeps outside the matrix, so they write zeros past psi
     m = max(n, kl + ku + 1)
-    full = np.zeros(max(m, n + two_gam.size), dtype=complex)
-    out, acc = full[:n + two_gam.size], full[n:n + two_gam.size].real
-    mag = np.empty(two_gam.size)
+    full = np.zeros(m, dtype=complex)
+    out = full[:n]
 
-    def rhs(_, y):
+    def rhs(_, psi):
         # positional: (m, n, kl, ku, alpha, a, x, incx, offx, beta, y, incy,
         # offy, trans, overwrite_y); keywords cost f2py a third of the call
-        zgbmv(m, n, kl, ku, -1j, ab, y, 1, 0, 0j, full, 1, 0, 0, 1)
-        np.abs(y[1:n:2], out=mag)
-        np.square(mag, out=mag)
-        np.multiply(two_gam, mag, out=acc)
+        zgbmv(m, n, kl, ku, -1j, ab, psi, 1, 0, 0j, full, 1, 0, 0, 1)
         return out
 
     return rhs
+
+
+def _loss_rates(op: LadderOperator, gamma: np.ndarray):
+    """The walk's rider rates 2 gamma_x |psi_x^B|^2, for a stack of states.
+
+    The states are in `op.order`, so the B sites are psi[:, 1::2], and there
+    is one accumulator per cell in the order the cells' A-B pairs take there.
+    """
+    two_gam = 2.0 * gamma[op.order[0::2] // 2]
+    mag = np.empty((6, two_gam.size))     # at most a step's six stage states
+
+    def rates(psi, out):
+        # |psi_B|^2 in a contiguous buffer: ufuncs on the strided `out` the
+        # integrator hands over are twice as slow
+        sq = mag[:psi.shape[0]]
+        np.abs(psi[:, 1::2], out=sq)
+        np.square(sq, out=sq)
+        np.multiply(sq, two_gam, out=out)
+
+    return rates
 
 
 def _walk_scale(n, size, rtol):
@@ -178,10 +190,13 @@ def evolve(cfg: WalkConfig, snapshot_stride: int = 0,
 
     The state is integrated in `band_order`, where H is the band of
     `build_ladder` (see `_band_rhs`), and put back in natural order only
-    where a `StateVector` is recorded.  After each accepted step the psi
-    entries whose magnitude is below the smallest normal double are set to
-    zero: the far tail of the wavefront otherwise underflows into subnormals,
-    on which every arithmetic operation is many times slower.
+    where a `StateVector` is recorded.  The escaped probabilities are the
+    integrator's rider (see `_loss_rates`), one accumulator per cell after
+    psi in the state the error scale and the stop test see.  After each
+    accepted step the psi entries whose magnitude is below the smallest
+    normal double are set to zero: the far tail of the wavefront otherwise
+    underflows into subnormals, on which every arithmetic operation is many
+    times slower.
     """
     p = cfg.params
     op = build_ladder(p)
@@ -209,8 +224,9 @@ def evolve(cfg: WalkConfig, snapshot_stride: int = 0,
             states.append(StateVector(t=t, psi=natural(psi), norm=nrm))
         return nrm < cfg.norm_floor
 
-    res = integrate(_band_rhs(op, np.asarray(p.gamma)), y0, 0.0, cfg.t_max,
-                    scale_fn=scale, stop_fn=stop, sample_times=sample_times)
+    res = integrate(_band_rhs(op), y0, 0.0, cfg.t_max, scale_fn=scale,
+                    stop_fn=stop, sample_times=sample_times,
+                    rider=(_loss_rates(op, np.asarray(p.gamma)), p.L))
     for t, y in res.samples:
         states.append(StateVector(t=t, psi=natural(y[:n]),
                                   norm=float(np.vdot(y[:n], y[:n]).real)))
@@ -228,6 +244,7 @@ def evolve(cfg: WalkConfig, snapshot_stride: int = 0,
         norm_end=norm_end,
         escaped=escaped,
         diagnostics={"n_steps": res.n_steps, "n_rejected": res.n_rejected,
+                     "n_rhs": res.n_rhs, "rk_pair": PAIR,
                      "residual_norm": norm_end},
     )
 

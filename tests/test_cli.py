@@ -152,6 +152,21 @@ def test_sweep_with_an_edge_release_skips_the_slope_fits(tmp_path):
     assert "ratio_loglog_slope" not in diags
 
 
+def test_sweep_counts_its_incomplete_rows(tmp_path):
+    status, out = run_cli(tmp_path / "full", small_sweep([4, 6, 9]))
+    assert status == 0
+    diags = json.loads((out / "run.json").read_text())["diagnostics"]
+    assert (diags["n_rows"], diags["n_incomplete"]) == (3, 0)
+    # a ceiling far below any walk's escape time leaves every row short
+    status, out = run_cli(tmp_path / "short", dict(small_sweep([4, 6, 9]), t_max=0.5))
+    assert status == 0
+    diags = json.loads((out / "run.json").read_text())["diagnostics"]
+    assert (diags["n_rows"], diags["n_incomplete"]) == (3, 3)
+    flags = [row.split(",")[-1] for row in
+             (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert flags == ["1", "1", "1"]
+
+
 def test_numerical_failure_leaves_a_run_record(tmp_path, capsys):
     # a nearly lossless A-site mode puts a quadrature node within the pivot
     # threshold of its energy, so the resolvent engine refuses the model
@@ -234,6 +249,12 @@ def test_walk_run_small(tmp_path):
         sums[eng] = sums.get(eng, 0.0) + float(p)
     assert sums["TIME"] == pytest.approx(1.0, abs=1e-6)
     assert sums["RESOLVENT"] == pytest.approx(1.0, abs=1e-6)
+    # the TIME record counts its rhs calls: one to start, then six per
+    # attempted step of the FSAL pair
+    time_diags = json.loads((out / "run.json").read_text())["diagnostics"]["TIME"]
+    assert time_diags["rk_pair"] == "Tsit5(4)"
+    assert time_diags["n_rhs"] == \
+        1 + 6 * (time_diags["n_steps"] + time_diags["n_rejected"])
 
 
 def test_run_record_names_the_resolvent_solver(tmp_path):

@@ -1,7 +1,49 @@
 import numpy as np
 import pytest
 
+from igclab import ode
 from igclab.ode import integrate
+
+
+def _order_conditions(A, c, b, order):
+    """(elementary weight, 1/gamma) of every rooted tree up to `order` nodes.
+
+    The trees of Butcher's order conditions, as in Hairer, Norsett & Wanner,
+    Solving ODEs I, Table II.2.1, under the row-sum assumption A 1 = c.
+    """
+    Ac, Ac2, Ac3 = A @ c, A @ c**2, A @ c**3
+    AAc, AAc2, AcAc, AAAc = A @ Ac, A @ Ac2, A @ (c * Ac), A @ (A @ Ac)
+    by_order = {
+        1: [(b.sum(), 1)],
+        2: [(b @ c, 2)],
+        3: [(b @ c**2, 3), (b @ Ac, 6)],
+        4: [(b @ c**3, 4), (b @ (c * Ac), 8), (b @ Ac2, 12), (b @ AAc, 24)],
+        5: [(b @ c**4, 5), (b @ (c**2 * Ac), 10), (b @ Ac**2, 20),
+            (b @ (c * Ac2), 15), (b @ (c * AAc), 30), (b @ Ac3, 20),
+            (b @ AcAc, 40), (b @ AAc2, 60), (b @ AAAc, 120)],
+    }
+    return [(w, 1.0 / g) for k in range(1, order + 1) for w, g in by_order[k]]
+
+
+def test_tableau_is_tsitouras_5_4_pair():
+    # pins the transcription of Tsitouras' Table 1: the published 16-digit
+    # coefficients meet every condition to a few 1e-16
+    A, c, E = ode._A, ode._C, ode._E
+    b = A[6]            # FSAL: the 7th stage's row is b, with b_7 = 0
+    assert np.allclose(A.sum(axis=1), c, rtol=0, atol=1e-14)
+    assert np.all(np.triu(A) == 0.0) and b[6] == 0.0 and c[6] == 1.0
+    # the new state and the rider's increment use the FSAL row
+    assert np.array_equal(ode._ROWS[5, 1:], b)
+    assert abs(E.sum()) < 1e-14
+    conditions = _order_conditions(A, c, b, 5)
+    assert len(conditions) == 17
+    for weight, target in conditions:
+        assert weight == pytest.approx(target, rel=0, abs=1e-14)
+    for weight, target in _order_conditions(A, c, b - E, 4):
+        assert weight == pytest.approx(target, rel=0, abs=1e-14)
+    # b - E is a different, fourth-order method: the pair's error estimate
+    # is not identically zero
+    assert max(abs(w - g) for w, g in _order_conditions(A, c, b - E, 5)) > 1e-6
 
 
 def test_scalar_exponential_decay():

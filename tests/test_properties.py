@@ -8,8 +8,8 @@ bands on the ring's momenta, and so must the eigenvalues of the ring's 2x2
 Bloch blocks read off the band, the split form and the damping matrix must
 reproduce the ladder matrix exactly, the banded solves of the resolvent
 integrand, its Bloch-block solves on uniform rings and the TIME engine's
-banded rhs must reproduce the dense reference, and the two resolvent
-integrals (of H and of X) must give the same profile.  The self-crossings of
+banded rhs and loss rates must reproduce the dense reference, and the two
+resolvent integrals (of H and of X) must give the same profile.  The self-crossings of
 the momentum-space spectrum must be points where the Bloch bands meet, closed
 under the mirror E -> -i gamma - E, and absent from the
 time-reversal-symmetric phases.
@@ -29,7 +29,7 @@ from igclab import (
     self_intersections, steady_density,
 )
 from igclab.model import band_order
-from igclab.walk import _band_rhs, resolvent_integrand
+from igclab.walk import _band_rhs, _loss_rates, resolvent_integrand
 
 _amplitude = st.floats(-1.0, 1.0, allow_nan=False)
 
@@ -364,23 +364,26 @@ def test_bloch_integrand_matches_dense(p, side, u, cell):
 @example(p=LadderParams(L=5, t=[0.3, 0.2, 0.1], t_p=0.5, phi=0.3,
                         gamma=[0.1, 0.5, 0.2, 0.7, 0.3], bc=PBC), seed=3)
 def test_banded_rhs_is_the_dense_one(p, seed):
-    # the TIME engine's state is psi in band order, then one accumulator per
-    # cell in the order the cells' A-B pairs take there; the third example's
-    # band (kl + ku + 1 = 19) is wider than its matrix (10)
+    # the TIME engine's rhs is -i H psi on psi in band order, and its rider
+    # rates are 2 gamma_x |psi_x^B|^2, one per cell in the order the cells'
+    # A-B pairs take there, for a stack of states; the third example's band
+    # (kl + ku + 1 = 19) is wider than its matrix (10)
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=p.dim) + 1j * rng.normal(size=p.dim)
     order = band_order(p)
     cells = order[0::2] // 2
-    y = np.concatenate([psi[order], rng.normal(size=p.L) + 0j])
     H = build_ladder(p)
     gam = np.asarray(p.gamma)
-    out = _band_rhs(H, gam)(0.0, y)
+    out = _band_rhs(H)(0.0, psi[order])
     ref = -1j * (H.matrix @ psi)
     # zgbmv sums each row over the band only: same terms, another order
     tol = 1e-14 * max(1.0, np.abs(H.matrix).sum(axis=1).max()) * _max(psi)
-    assert _max(out[:p.dim] - ref[order]) <= tol
-    assert np.allclose(out[p.dim:], 2.0 * gam[cells] * np.abs(psi[1::2][cells]) ** 2,
-                       rtol=1e-15, atol=0)
+    assert _max(out - ref[order]) <= tol
+    rates = np.empty((2, p.L))
+    _loss_rates(H, gam)(np.stack([psi[order], ref[order]]), rates)
+    for got, state in zip(rates, (psi, ref)):
+        assert np.allclose(got, 2.0 * gam[cells] * np.abs(state[1::2][cells]) ** 2,
+                           rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("bc", [OBC, PBC])
