@@ -15,12 +15,11 @@ from .model import (
 )
 from .densela import Spectrum, SingularMatrixError, lu_solve, eigendecompose
 from .igc import (
-    IGC, GAPPED, IgcPoint, IgcSolution, solve_connection, f_min_closed_form,
-    igc_energies_closed_form, classify,
+    IGC, GAPPED, IgcPoint, IgcSolution, solve_connection, igc_energies_closed_form,
+    classify,
 )
 from .walk import (
-    TIME, RESOLVENT, WalkConfig, StateVector, LossProfile, WalkResult,
-    evolve, loss_profile_time, loss_profile_resolvent, bulk_boundary_equivalence,
+    TIME, RESOLVENT, WalkConfig, LossProfile, loss_profile_time, loss_profile_resolvent,
 )
 from .analysis import (
     POWER, EXP, NONE, LEFT, RIGHT, BIPOLAR, FitResult, BurstMetrics,

@@ -181,20 +181,6 @@ def solve_connection(t, t_p: float, phi: float) -> IgcSolution:
                        classification=IGC if f_min <= near_zero else GAPPED)
 
 
-def f_min_closed_form(t0: float, t1: float, t2: float):
-    """Minimum of F(k) = t0 + t1 cos k + t2 cos 2k and its location.
-
-    For t2 <= t1/4 the minimum sits at k = pi with value t0 - t1 + t2; beyond
-    that the interior stationary point cos k = -t1/(4 t2) takes over and the
-    value becomes t0 - t1^2/(8 t2) - t2.
-    """
-    if t1 <= 0 or t2 < 0:
-        raise ValueError("need t1 > 0 and t2 >= 0")
-    if t2 <= t1 / 4.0:
-        return t0 - t1 + t2, float(np.pi)
-    return t0 - t1**2 / (8.0 * t2) - t2, float(np.arccos(-t1 / (4.0 * t2)))
-
-
 def igc_energies_closed_form(t0: float, t1: float, t_p: float, phi: float):
     """Energies of the two nearest-coupling roots, (t_p/t1)(-t0 cos phi +/- sqrt(t1^2 - t0^2) sin phi).
 

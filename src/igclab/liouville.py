@@ -39,7 +39,7 @@ GAPLESS_TOL = 1e-6
 
 @dataclass(frozen=True)
 class DampingMatrix:
-    """Relaxation generator X, as band data, with its Hermitian/loss split."""
+    """Relaxation generator X, as band data, with its loss diagonal M."""
 
     op: LadderOperator            # X in the ladder's band order
     M: np.ndarray                 # diagonal loss rates, interleaved pattern
@@ -49,10 +49,6 @@ class DampingMatrix:
     def X(self) -> np.ndarray:
         return self.op.matrix
 
-    @property
-    def H0(self) -> np.ndarray:
-        return (-1j * (self.X + np.diag(self.M))).T       # X = i H0^T - M
-
 
 @dataclass
 class LiouvilleReport:
@@ -61,7 +57,6 @@ class LiouvilleReport:
     max_real: float
     note: str
     eigenvalues: np.ndarray = field(repr=False)   # the spectrum of X the gap is read from
-    dark_mode_residuals: list = field(default_factory=list)
 
 
 def build_damping(p: LadderParams) -> DampingMatrix:

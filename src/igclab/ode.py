@@ -6,9 +6,7 @@ A single Tsitouras 5(4) pair (Ch. Tsitouras, Comput. Math. Appl. 62 (2011)
 attempted step, with smaller error constants.  The controller measures the
 embedded error estimate against a per-component scale supplied by the
 caller, which lets the quantum-walk code tie the tolerance to the decaying
-wave-function magnitude instead of an absolute floor.  Steps are clipped to
-land exactly on requested sample times, so trajectories need no interpolant
-and two runs sampled on the same grid are directly comparable.
+wave-function magnitude instead of an absolute floor.
 
 A rider is an integral carried along the solution, q' = rates(y), that feeds
 nothing back into the rhs (the walk's escaped probabilities).  Its rates at
@@ -26,7 +24,7 @@ value is copied into the table at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,8 +69,7 @@ class OdeResult:
     y: np.ndarray
     n_steps: int
     n_rejected: int
-    n_rhs: int = 0                                 # rhs calls made
-    samples: list = field(default_factory=list)   # (t, y) pairs on request
+    n_rhs: int = 0                # rhs calls made
     stopped_early: bool = False
 
 
@@ -87,7 +84,7 @@ def _default_scale(rtol, atol):
 
 
 def integrate(rhs, y0, t0, t_end, rtol=1e-8, atol=0.0, scale_fn=None,
-              stop_fn=None, sample_times=None, rider=None):
+              stop_fn=None, rider=None):
     """Integrate dy/dt = rhs(t, y) from t0 to t_end.
 
     Parameters
@@ -104,9 +101,6 @@ def integrate(rhs, y0, t0, t_end, rtol=1e-8, atol=0.0, scale_fn=None,
         state buffer, rider block included, overwritten by later steps: copy
         what is to be kept.  An in-place change to it (such as flushing
         underflowed entries) carries into the next step.
-    sample_times : sequence, optional
-        Times to land on exactly; a copy of the state there is recorded on
-        the result.
     rider : (rates, m), optional
         The last m entries of y0 are an integral q with dq/dt = rates(y),
         which the rhs never sees.  ``rates(ys, out)`` is handed an (s, n)
@@ -126,9 +120,6 @@ def integrate(rhs, y0, t0, t_end, rtol=1e-8, atol=0.0, scale_fn=None,
     t = float(t0)
     if scale_fn is None:
         scale_fn = _default_scale(rtol, atol)
-    if sample_times is None:
-        sample_times = []
-    pending = sorted(float(s) for s in sample_times if t0 < s <= t_end)
     result = OdeResult(t=t, y=y0, n_steps=0, n_rejected=0)
 
     tab = np.zeros((8, size), dtype=complex)     # [y; k0..k6]
@@ -159,12 +150,7 @@ def integrate(rhs, y0, t0, t_end, rtol=1e-8, atol=0.0, scale_fn=None,
         if result.n_steps + result.n_rejected > _MAX_STEPS:
             raise RuntimeError(f"step budget exhausted at t={t:.6g}")
         h = min(h, t_end - t)
-        target = None
         end_hit = t + h >= t_end
-        if pending and t + h >= pending[0] - 1e-14 * max(1.0, abs(pending[0])):
-            target = pending[0]
-            h = target - t
-            end_hit = False
         np.multiply(rows, h, out=hcoef)
         for c, row, table, y_i, k_i in stages:
             np.dot(row, table, out=y_i)
@@ -179,13 +165,10 @@ def integrate(rhs, y0, t0, t_end, rtol=1e-8, atol=0.0, scale_fn=None,
         w /= sc
         enorm = w.max()
         if enorm <= 1.0:
-            t = target if target is not None else (t_end if end_hit else t + h)
+            t = t_end if end_hit else t + h
             y[...] = y_new
             tab[1] = tab[7]  # FSAL
             result.n_steps += 1
-            if target is not None:
-                pending.pop(0)
-                result.samples.append((t, y.copy()))
             if stop_fn is not None and stop_fn(t, y):
                 result.stopped_early = True
                 break

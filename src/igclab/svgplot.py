@@ -49,10 +49,6 @@ def _ticks(lo, hi, log):
     return out
 
 
-def _finite_positive(vals, log):
-    return [v for v in vals if math.isfinite(v) and (not log or v > 0)]
-
-
 class SvgPlot:
     """Accumulates series, then renders one SVG document."""
 

@@ -10,8 +10,7 @@ compute the escape profile P_x and serve as mutual cross-checks:
   The state is kept in `band_order`, so -i H psi is one BLAS `zgbmv` on
   the band `build_ladder` writes (half-bandwidth 2n+1 under OBC, 4n+1
   under folded PBC, no corner blocks), at O(n L) per stage instead of the
-  dense O(L^2); psi is put back in natural order only where a state is
-  recorded, and
+  dense O(L^2), and
 * the resolvent engine evaluates the frequency-domain formula
   P_x = (gamma_x / pi) * integral |<x,B| (omega - H)^{-1} |x0,A>|^2 d omega
   by adaptive Gauss-Kronrod panels, one solve per node.  A periodic ring
@@ -40,7 +39,7 @@ import numpy as np
 from scipy.linalg.blas import zgbmv
 
 from . import densela
-from .model import (OBC, PBC, LadderOperator, LadderParams, bloch_bands, bloch_blocks,
+from .model import (PBC, LadderOperator, LadderParams, bloch_bands, bloch_blocks,
                     build_ladder, site_index)
 from .ode import PAIR, integrate
 from .quadrature import adaptive_quadrature, geometric_edges
@@ -76,25 +75,6 @@ class WalkConfig:
             raise ValueError("norm_floor must lie in (0, 1)")
         if not 0 < self.step_tol < 1e-2:
             raise ValueError("step_tol out of range")
-
-
-@dataclass
-class StateVector:
-    t: float
-    psi: np.ndarray
-    norm: float
-
-
-@dataclass
-class WalkResult:
-    """Trajectory snapshots plus how and why the integration stopped."""
-
-    states: list
-    complete: bool
-    t_end: float
-    norm_end: float
-    escaped: np.ndarray | None = None     # accumulated P_x at t_end
-    diagnostics: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -180,23 +160,25 @@ def _walk_scale(n, size, rtol):
     return scale, an
 
 
-def evolve(cfg: WalkConfig, snapshot_stride: int = 0,
-           sample_times=None) -> WalkResult:
-    """Propagate the walker until the norm floor or the time ceiling.
+def loss_profile_time(cfg: WalkConfig) -> LossProfile:
+    """Escape profile accumulated along the adaptive trajectory.
 
-    `snapshot_stride` > 0 records the state every that many accepted steps;
-    `sample_times` lands on the given times exactly and records them.  The
-    initial and final states are always included, psi in natural site order.
-
-    The state is integrated in `band_order`, where H is the band of
-    `build_ladder` (see `_band_rhs`), and put back in natural order only
-    where a `StateVector` is recorded.  The escaped probabilities are the
+    The walker is propagated until the norm floor or the time ceiling.  The
+    state is integrated in `band_order`, where H is the band of
+    `build_ladder` (see `_band_rhs`).  The escaped probabilities are the
     integrator's rider (see `_loss_rates`), one accumulator per cell after
     psi in the state the error scale and the stop test see.  After each
     accepted step the psi entries whose magnitude is below the smallest
     normal double are set to zero: the far tail of the wavefront otherwise
     underflows into subnormals, on which every arithmetic operation is many
     times slower.
+
+    The truncated remainder of the time integral is bounded by the residual
+    norm (whatever probability is still in the system must eventually leave
+    through some B site); the bound is reported, not folded into P.  In
+    continuous time sum P + residual norm = 1 exactly, so the reported
+    `conservation_defect` |1 - sum P - residual| is the accumulated
+    integration error of the escape probabilities.
     """
     p = cfg.params
     op = build_ladder(p)
@@ -206,69 +188,26 @@ def evolve(cfg: WalkConfig, snapshot_stride: int = 0,
     scale, mag = _walk_scale(n, y0.size, cfg.step_tol)
     mag_psi, underflow = mag[:n], np.zeros(n, dtype=bool)
 
-    def natural(psi):
-        out = np.empty(n, dtype=complex)
-        out[order] = psi
-        return out
-
-    states = [StateVector(t=0.0, psi=natural(y0[:n]), norm=1.0)]
-    counter = {"steps": 0}
-
-    def stop(t, y):
-        counter["steps"] += 1
+    def stop(_, y):
         psi = y[:n]
         np.less(mag_psi, _TINY, out=underflow)    # |psi| from this step's error scale
         np.copyto(psi, 0.0, where=underflow)
-        nrm = float(np.vdot(psi, psi).real)
-        if snapshot_stride > 0 and counter["steps"] % snapshot_stride == 0:
-            states.append(StateVector(t=t, psi=natural(psi), norm=nrm))
-        return nrm < cfg.norm_floor
+        return float(np.vdot(psi, psi).real) < cfg.norm_floor
 
     res = integrate(_band_rhs(op), y0, 0.0, cfg.t_max, scale_fn=scale,
-                    stop_fn=stop, sample_times=sample_times,
-                    rider=(_loss_rates(op, np.asarray(p.gamma)), p.L))
-    for t, y in res.samples:
-        states.append(StateVector(t=t, psi=natural(y[:n]),
-                                  norm=float(np.vdot(y[:n], y[:n]).real)))
+                    stop_fn=stop, rider=(_loss_rates(op, np.asarray(p.gamma)), p.L))
     norm_end = float(np.vdot(res.y[:n], res.y[:n]).real)
-    if not states or states[-1].t != res.t:
-        states.append(StateVector(t=res.t, psi=natural(res.y[:n]), norm=norm_end))
-    states.sort(key=lambda s: s.t)
     escaped = np.empty(p.L)
     escaped[order[0::2] // 2] = res.y[n:].real
-    complete = res.stopped_early  # floor reached before the ceiling
-    return WalkResult(
-        states=states,
-        complete=complete,
-        t_end=res.t,
-        norm_end=norm_end,
-        escaped=escaped,
-        diagnostics={"n_steps": res.n_steps, "n_rejected": res.n_rejected,
-                     "n_rhs": res.n_rhs, "rk_pair": PAIR,
-                     "residual_norm": norm_end},
-    )
-
-
-def loss_profile_time(cfg: WalkConfig) -> LossProfile:
-    """Escape profile accumulated along the adaptive trajectory.
-
-    The truncated remainder of the time integral is bounded by the residual
-    norm (whatever probability is still in the system must eventually leave
-    through some B site); the bound is reported, not folded into P.  In
-    continuous time sum P + residual norm = 1 exactly, so the reported
-    `conservation_defect` |1 - sum P - residual| is the accumulated
-    integration error of the escape probabilities.
-    """
-    res = evolve(cfg)
-    P = np.maximum(res.escaped, 0.0)
+    P = np.maximum(escaped, 0.0)
     total = float(P.sum())
-    incomplete = not res.complete
-    diag = dict(res.diagnostics)
-    diag.update({"t_end": res.t_end, "tail_bound": res.norm_end,
-                 "conservation_defect": abs(1.0 - total - res.norm_end),
-                 "engine": TIME})
+    diag = {"n_steps": res.n_steps, "n_rejected": res.n_rejected,
+            "n_rhs": res.n_rhs, "rk_pair": PAIR, "residual_norm": norm_end,
+            "t_end": res.t, "tail_bound": norm_end,
+            "conservation_defect": abs(1.0 - total - norm_end), "engine": TIME}
+    # stopped early: the norm floor was reached before the time ceiling
     return LossProfile(P=P, engine=TIME, total=total,
-                       incomplete=incomplete, diagnostics=diag)
+                       incomplete=not res.stopped_early, diagnostics=diag)
 
 
 def _band_edge_seeds(p: LadderParams, width: float) -> list:
@@ -417,54 +356,3 @@ def loss_profile_resolvent(cfg: WalkConfig, rtol: float = 1e-9,
     }
     return LossProfile(P=P, engine=RESOLVENT, total=total,
                        incomplete=not quad.converged, diagnostics=diag)
-
-
-@dataclass
-class BoundaryReport:
-    """Open-vs-periodic trajectory comparison over a finite horizon."""
-
-    horizon: float
-    times: np.ndarray
-    differences: np.ndarray       # ||psi_OBC - psi_PBC|| at each time
-    bounds: np.ndarray            # accumulated boundary-coupling integral
-    max_difference: float
-    bound_at_end: float
-
-
-def bulk_boundary_equivalence(cfg: WalkConfig, horizon: float,
-                              n_samples: int = 65) -> BoundaryReport:
-    """Evolve the same release under both boundary conditions and compare.
-
-    As long as the wave packet has negligible weight near the boundary, the
-    two evolutions agree; the difference is bounded by the time integral of
-    ||(H_PBC - H_OBC) psi(t)|| because the semigroup is norm-contracting.
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    p = cfg.params
-    times = np.linspace(0.0, horizon, n_samples)
-    if horizon == 0.0:
-        z = np.zeros(1)
-        return BoundaryReport(horizon=0.0, times=times[:1], differences=z,
-                              bounds=z, max_difference=0.0, bound_at_end=0.0)
-    H_obc = build_ladder(p.replace(bc=OBC)).matrix
-    H_pbc = build_ladder(p.replace(bc=PBC)).matrix
-    delta = H_pbc - H_obc
-    psi0 = _initial_state(p, cfg.x0)
-    runs = {}
-    for label, H in (("OBC", H_obc), ("PBC", H_pbc)):
-        def rhs(_, y, H=H):
-            return -1j * (H @ y)
-
-        res = integrate(rhs, psi0, 0.0, horizon,
-                        scale_fn=_walk_scale(psi0.size, psi0.size, cfg.step_tol)[0],
-                        sample_times=times[1:])
-        runs[label] = [psi0] + [y for _, y in res.samples]
-    diffs = np.array([np.linalg.norm(a - b)
-                      for a, b in zip(runs["OBC"], runs["PBC"])])
-    leak = np.array([np.linalg.norm(delta @ y) for y in runs["OBC"]])
-    bounds = np.concatenate([[0.0], np.cumsum(0.5 * (leak[1:] + leak[:-1])
-                                              * np.diff(times))])
-    return BoundaryReport(horizon=horizon, times=times, differences=diffs,
-                          bounds=bounds, max_difference=float(diffs.max()),
-                          bound_at_end=float(bounds[-1]))

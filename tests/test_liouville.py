@@ -23,13 +23,16 @@ def test_damping_identity_and_pattern():
     assert np.abs(dm.X - 1j * np.conj(H)).max() < 1e-14
     assert np.allclose(dm.M[0::2], 0.0)
     assert np.allclose(dm.M[1::2], p.gamma)
-    assert np.abs(dm.H0 - dm.H0.conj().T).max() < 1e-15
+    H0 = 0.5 * (H + H.conj().T)                 # the Hermitian part of H
+    assert np.abs(dm.X - (1j * H0.T - np.diag(dm.M))).max() < 1e-15
 
 
 def test_lossless_damping_is_purely_rotational():
     p = ladder(gamma=np.zeros(30))
     dm = build_damping(p)
-    assert np.allclose(dm.X, 1j * dm.H0.T)
+    H0 = build_ladder(p).matrix                 # Hermitian without loss
+    assert np.abs(H0 - H0.conj().T).max() < 1e-15
+    assert np.allclose(dm.X, 1j * H0.T)
     rep = liouvillian_gap(dm)
     assert abs(rep.gap) < 1e-12
     assert rep.gapless
