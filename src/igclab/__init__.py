@@ -16,7 +16,6 @@ from .model import (
 from .densela import Spectrum, SingularMatrixError, lu_solve, eigendecompose
 from .igc import (
     IGC, GAPPED, IgcPoint, IgcSolution, solve_connection, igc_energies_closed_form,
-    classify,
 )
 from .walk import (
     TIME, RESOLVENT, WalkConfig, LossProfile, loss_profile_time, loss_profile_resolvent,
@@ -26,7 +25,7 @@ from .analysis import (
     fit_bulk, burst_metrics, self_intersections,
 )
 from .liouville import (
-    DampingMatrix, LiouvilleReport, build_damping, liouvillian_gap,
+    LiouvilleReport, build_damping, liouvillian_gap,
     dark_mode_check, steady_density, propagate_correlation,
 )
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import LadderParams, bloch_bands, h_x, h_y
-from .walk import LossProfile
 
 POWER = "POWER"
 EXP = "EXP"
@@ -33,10 +32,12 @@ BIPOLAR = "BIPOLAR"
 
 BURST_THRESHOLD = 10.0
 
-#: bulk-window construction constants (near-field cut, edge layer, depth)
+#: bulk-window construction constants (near-field cut, edge layer, depth,
+#: fewest positive points)
 NEAR_FIELD = 15
 EDGE_LAYER = 10
 WINDOW_FRACTION = 0.6
+MIN_POINTS = 20
 
 
 class WindowError(ValueError):
@@ -50,9 +51,7 @@ class FitResult:
     r_squared: float
     window: tuple
     n_points: int
-    power_exponent: float = 0.0
     power_r2: float = 0.0
-    exp_rate: float = 0.0
     exp_r2: float = 0.0
     n_excluded: int = 0
 
@@ -79,26 +78,25 @@ def _window(x0, L, side):
     return lo, hi
 
 
-def fit_bulk(profile, x0: int, side: str = LEFT, min_points: int = 20) -> FitResult:
-    """Classify the bulk decay of a profile as power law or exponential.
+def fit_bulk(P, x0: int, side: str = LEFT) -> FitResult:
+    """Classify the bulk decay of a profile P as power law or exponential.
 
     Fits log P against log d and against d (d the distance from x0) over the
-    bulk window and returns the better model by r^2, with both fits attached.
+    bulk window and returns the better model by r^2, with both fits' r^2.
     Non-positive profile values inside the window are dropped and counted.
     """
-    P = np.asarray(profile.P if isinstance(profile, LossProfile) else profile,
-                   dtype=float)
+    P = np.asarray(P, dtype=float)
     L = P.size
     lo, hi = _window(x0, L, side)
     xs = np.arange(lo, hi + 1)
-    if xs.size < min_points:
+    if xs.size < MIN_POINTS:
         raise WindowError(f"bulk window [{lo}, {hi}] has {xs.size} points, "
-                          f"need >= {min_points}")
+                          f"need >= {MIN_POINTS}")
     vals = P[xs - 1]
     keep = vals > 0.0
     n_excluded = int((~keep).sum())
     xs, vals = xs[keep], vals[keep]
-    if xs.size < min_points:
+    if xs.size < MIN_POINTS:
         raise WindowError(f"only {xs.size} positive points in window "
                           f"[{lo}, {hi}] after excluding {n_excluded}")
     d = np.abs(xs - x0).astype(float)
@@ -111,59 +109,46 @@ def fit_bulk(profile, x0: int, side: str = LEFT, min_points: int = 20) -> FitRes
         kind, exponent, r2 = EXP, e_slope, e_r2
     return FitResult(kind=kind, exponent=exponent, r_squared=r2,
                      window=(lo, hi), n_points=int(xs.size),
-                     power_exponent=-p_slope, power_r2=p_r2,
-                     exp_rate=e_slope, exp_r2=e_r2, n_excluded=n_excluded)
+                     power_r2=p_r2, exp_r2=e_r2, n_excluded=n_excluded)
 
 
 @dataclass
 class BurstMetrics:
     p_edge_left: float | None
     p_edge_right: float | None
-    p_min_left: float | None
-    p_min_right: float | None
     ratio_left: float | None
     ratio_right: float | None
     burst_type: str
-    threshold: float = BURST_THRESHOLD
 
 
-def burst_metrics(profile, x0: int, threshold: float = BURST_THRESHOLD) -> BurstMetrics:
-    """Edge-to-minimum ratios of a profile and the resulting burst label.
+def burst_metrics(P, x0: int, threshold: float = BURST_THRESHOLD) -> BurstMetrics:
+    """Edge-to-minimum ratios of a profile P and the resulting burst label.
 
     The left minimum runs over cells 1..x0 and the right one over x0..L, edge
     values included, so a monotone profile scores ratio 1.  A release at an
     edge leaves that side undefined (reported as None).
     """
-    P = np.asarray(profile.P if isinstance(profile, LossProfile) else profile,
-                   dtype=float)
+    P = np.asarray(P, dtype=float)
     L = P.size
     if not 1 <= x0 <= L:
         raise ValueError("x0 outside the chain")
     def _side(edge, pmin):
         if pmin > 0:
-            return edge, pmin, edge / pmin
+            return edge, edge / pmin
         # an underflowed side (both zero) carries no burst evidence
-        return edge, pmin, (np.inf if edge > 0 else 1.0)
+        return edge, (np.inf if edge > 0 else 1.0)
 
-    left = right = None
+    left = right = (None, None)         # (edge value, ratio) of each side
     if x0 > 1:
         left = _side(float(P[0]), float(P[:x0].min()))
     if x0 < L:
         right = _side(float(P[-1]), float(P[x0 - 1:].min()))
-    burst_l = left is not None and left[2] > threshold
-    burst_r = right is not None and right[2] > threshold
+    burst_l = left[1] is not None and left[1] > threshold
+    burst_r = right[1] is not None and right[1] > threshold
     burst = {(False, False): NONE, (True, False): LEFT,
              (False, True): RIGHT, (True, True): BIPOLAR}[(burst_l, burst_r)]
-    return BurstMetrics(
-        p_edge_left=None if left is None else left[0],
-        p_edge_right=None if right is None else right[0],
-        p_min_left=None if left is None else left[1],
-        p_min_right=None if right is None else right[1],
-        ratio_left=None if left is None else left[2],
-        ratio_right=None if right is None else right[2],
-        burst_type=burst,
-        threshold=threshold,
-    )
+    return BurstMetrics(p_edge_left=left[0], p_edge_right=right[0],
+                        ratio_left=left[1], ratio_right=right[1], burst_type=burst)
 
 
 def x0_slopes(x0s, ratios, p_edges):
@@ -185,8 +170,13 @@ def x0_slopes(x0s, ratios, p_edges):
 # ---------------------------------------------------------------------------
 # momentum-space self-intersections
 
+#: fewest k samples of a self-intersection search
+MIN_K_SAMPLES = 512
 #: segment pairs tested at once, which bounds the block temporaries
 _BLOCK_PAIRS = 1 << 14
+#: a crossing's Newton polish: |E(k1) - E(k2)| goal and iteration cap
+_REFINE_TOL = 1e-10
+_MAX_NEWTON = 40
 
 
 def _band_derivative(p, gam, k, energy):
@@ -209,8 +199,7 @@ class SelfIntersection:
     energy: complex
 
 
-def self_intersections(params: LadderParams, k_samples: int = 1024,
-                       refine_tol: float = 1e-10) -> list:
+def self_intersections(params: LadderParams, k_samples: int = 1024) -> list:
     """Transversal self-crossings of the momentum-space spectral curve.
 
     Both branches are sampled on a k grid and continued: the square root
@@ -225,8 +214,8 @@ def self_intersections(params: LadderParams, k_samples: int = 1024,
     k <-> -k coincidences of the time-reversal-symmetric case, where the
     curve retraces itself instead of crossing.
     """
-    if k_samples < 512:
-        raise ValueError("need k_samples >= 512")
+    if k_samples < MIN_K_SAMPLES:
+        raise ValueError(f"need k_samples >= {MIN_K_SAMPLES}")
     gam = params.uniform_gamma
     if gam is None:
         raise ValueError("momentum-space form needs a uniform loss profile")
@@ -264,7 +253,7 @@ def self_intersections(params: LadderParams, k_samples: int = 1024,
             i1, i2 = i0 + a, i0 + 1 + b
             E = start[i1] + t[a, b] * seg[i1]
             polished = _polish_crossing(params, gam, seg_k[i1] + t[a, b] * dk, E,
-                                        seg_k[i2] + u[a, b] * dk, E, refine_tol)
+                                        seg_k[i2] + u[a, b] * dk, E)
             if polished is not None:
                 k1, k2, E = polished
                 found.append(SelfIntersection(k1=min(k1, k2), k2=max(k1, k2),
@@ -273,9 +262,9 @@ def self_intersections(params: LadderParams, k_samples: int = 1024,
     return found
 
 
-def _polish_crossing(p, gam, k1, e1, k2, e2, tol, max_iter=40):
+def _polish_crossing(p, gam, k1, e1, k2, e2):
     two_pi = 2.0 * np.pi
-    for _ in range(max_iter):
+    for _ in range(_MAX_NEWTON):
         b1, b2 = bloch_bands(p, [k1, k2]).T
         e1 = b1[np.argmin(np.abs(b1 - e1))]
         e2 = b2[np.argmin(np.abs(b2 - e2))]
@@ -293,7 +282,7 @@ def _polish_crossing(p, gam, k1, e1, k2, e2, tol, max_iter=40):
             step *= 0.5 / np.abs(step).max()
         k1 = (k1 + step[0]) % two_pi
         k2 = (k2 + step[1]) % two_pi
-        if abs(g) < tol and np.abs(step).max() < 1e-12:
+        if abs(g) < _REFINE_TOL and np.abs(step).max() < 1e-12:
             break
     else:
         return None

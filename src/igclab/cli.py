@@ -70,45 +70,64 @@ def _need(cfg, key, where="config"):
     return cfg[key]
 
 
+def _integer(value, where, what="an integer"):
+    # 12.7 would run as 12 and be echoed as 12, and a bool is no count
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{where} must be {what}, got {value!r}")
+    return int(value)
+
+
+def _number(value, where):
+    # float() reads "12" and true, and JSON's NaN compares false with all
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _resolve_gamma(spec, L, default_seed):
     """Gamma field: scalar, explicit list, or a named profile description."""
-    if isinstance(spec, (int, float)):
-        return float(spec), {"kind": "uniform", "value": float(spec)}
     if isinstance(spec, list):
-        return [float(v) for v in spec], {"kind": "explicit", "values": list(spec)}
+        return ([_number(v, "model.gamma") for v in spec],
+                {"kind": "explicit", "values": list(spec)})
     if isinstance(spec, dict):
         kind = _need(spec, "kind", "model.gamma")
         if kind not in _GAMMA_KEYS:
             raise ConfigError(f"unknown gamma profile kind {kind!r}")
         _fail_unknown(spec, _GAMMA_KEYS[kind], f"model.gamma ({kind})")
         if kind == "uniform":
-            v = float(_need(spec, "value", "model.gamma"))
+            v = _number(_need(spec, "value", "model.gamma"), "model.gamma.value")
             return v, {"kind": "uniform", "value": v}
         if kind == "linear":
-            slope = float(_need(spec, "slope", "model.gamma"))
-            offset = float(_need(spec, "offset", "model.gamma"))
+            slope = _number(_need(spec, "slope", "model.gamma"), "model.gamma.slope")
+            offset = _number(_need(spec, "offset", "model.gamma"), "model.gamma.offset")
             return (linear_gamma(L, slope, offset),
                     {"kind": "linear", "slope": slope, "offset": offset})
         seed = spec.get("seed", default_seed)
         if seed is None:
             raise ConfigError("random gamma profile needs a seed "
                               "(in the config or via --seed)")
-        low = float(spec.get("low", 0.4))
-        high = float(spec.get("high", 0.6))
-        return (random_gamma(L, low, high, int(seed)),
-                {"kind": "random", "low": low, "high": high, "seed": int(seed),
+        seed = _integer(seed, "model.gamma.seed")
+        low = _number(spec.get("low", 0.4), "model.gamma.low")
+        high = _number(spec.get("high", 0.6), "model.gamma.high")
+        return (random_gamma(L, low, high, seed),
+                {"kind": "random", "low": low, "high": high, "seed": seed,
                  "prng": f"numpy PCG64 ({np.__version__})"})
+    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
+        return float(spec), {"kind": "uniform", "value": float(spec)}
     raise ConfigError("model.gamma must be a number, a list, or a profile object")
 
 
 def _parse_ladder(m, default_seed):
     _fail_unknown(m, _LADDER_KEYS, "model")
-    L = int(_need(m, "L", "model"))
-    gamma, gamma_echo = _resolve_gamma(_need(m, "gamma", "model"), L, default_seed)
+    L = _integer(_need(m, "L", "model"), "model.L")
+    t = _need(m, "t", "model")
+    t = [_number(v, "model.t") for v in (t if isinstance(t, list) else [t])]
     try:
-        p = LadderParams(L=L, t=_need(m, "t", "model"),
-                         t_p=float(_need(m, "t_p", "model")),
-                         phi=float(_need(m, "phi", "model")),
+        gamma, gamma_echo = _resolve_gamma(_need(m, "gamma", "model"), L, default_seed)
+        p = LadderParams(L=L, t=t,
+                         t_p=_number(_need(m, "t_p", "model"), "model.t_p"),
+                         phi=_number(_need(m, "phi", "model"), "model.phi"),
                          gamma=gamma, bc=m.get("bc", OBC))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad ladder model: {exc}") from exc
@@ -146,12 +165,45 @@ def _parse_model(cfg, default_seed):
 
 
 def _check_x0(value, L, where):
-    # a release cell is an integer: 4.5 would be released at cell 4 but
-    # reported and fitted as 4.5, and a bool is no cell at all
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{where} must be an integer cell, got {value!r}")
-    if not 1 <= value <= L:
+    # 4.5 would be released at cell 4 but reported and fitted as 4.5
+    if not 1 <= _integer(value, where, "an integer cell") <= L:
         raise ConfigError(f"{where} must lie in 1..{L}, got {value!r}")
+
+
+def _check_walks(cfg, model):
+    """Refuse a walk, burst or sweep config before anything runs: every
+    release's `WalkConfig`, on every sweep row's ladder, is built here."""
+    for key in ("t_max", "norm_floor", "step_tol", "threshold"):
+        if key in cfg:
+            _number(cfg[key], key)
+    engine = cfg.get("engine", walk.TIME)
+    if engine not in (walk.TIME, walk.RESOLVENT, "BOTH"):
+        raise ConfigError("engine must be TIME, RESOLVENT, or BOTH")
+    if cfg["command"] != "sweep":
+        vary, values, where = "x0", [_need(cfg, "x0")], "x0"
+    else:
+        if engine == "BOTH":
+            raise ConfigError("sweep takes engine TIME or RESOLVENT, not BOTH")
+        sw = _need(cfg, "sweep")
+        _fail_unknown(sw, _SWEEP_KEYS, "sweep")
+        vary = _need(sw, "vary", "sweep")
+        if vary not in ("x0", "t2", "phi"):
+            raise ConfigError("sweep.vary must be one of x0, t2, phi")
+        values, where = _need(sw, "values", "sweep"), "sweep.values"
+        if not isinstance(values, list) or not values:
+            raise ConfigError("sweep.values must be a non-empty list")
+        if vary != "x0" and "x0" not in cfg:
+            raise ConfigError("parameter sweeps need a fixed x0")
+    for v in values:
+        if vary == "x0":
+            _check_x0(v, model.L, where)
+        else:
+            _number(v, where)
+        try:
+            _walk_config(cfg, _row_params(model, vary, v),
+                         v if vary == "x0" else cfg["x0"])
+        except ValueError as exc:
+            raise ConfigError(f"bad walk at {where} {v!r}: {exc}") from exc
 
 
 def validate_config(cfg, default_seed=None):
@@ -170,34 +222,16 @@ def validate_config(cfg, default_seed=None):
                               f"known: {', '.join(sorted(PRESETS))}")
         return dict(cfg), None, {"figure": name}
     model, echo = _parse_model(cfg, seed)
-    if command in ("walk", "burst", "sweep"):
-        if not isinstance(model, LadderParams):
-            raise ConfigError(f"command {command!r} needs a ladder model")
-    if command in ("walk", "burst"):
-        _check_x0(_need(cfg, "x0"), model.L, "x0")
-    if command == "liouville" and isinstance(model, LadderParams) and "x0" in cfg:
+    if command != "spectrum" and not isinstance(model, LadderParams):
+        raise ConfigError(f"command {command!r} needs a ladder model")
+    if "k_samples" in cfg:
+        k = _integer(cfg["k_samples"], "k_samples")
+        if k < analysis.MIN_K_SAMPLES:
+            raise ConfigError(f"k_samples must be >= {analysis.MIN_K_SAMPLES}, got {k}")
+    if "x0" in cfg:
         _check_x0(cfg["x0"], model.L, "x0")
-    if command == "sweep":
-        sw = _need(cfg, "sweep")
-        _fail_unknown(sw, _SWEEP_KEYS, "sweep")
-        vary = _need(sw, "vary", "sweep")
-        if vary not in ("x0", "t2", "phi"):
-            raise ConfigError("sweep.vary must be one of x0, t2, phi")
-        values = _need(sw, "values", "sweep")
-        if not isinstance(values, list) or not values:
-            raise ConfigError("sweep.values must be a non-empty list")
-        if vary == "x0":
-            for v in values:
-                _check_x0(v, model.L, "sweep.values")
-        elif "x0" not in cfg:
-            raise ConfigError("parameter sweeps need a fixed x0")
-        else:
-            _check_x0(cfg["x0"], model.L, "x0")
-    engine = cfg.get("engine", walk.TIME)
-    if engine not in (walk.TIME, walk.RESOLVENT, "BOTH"):
-        raise ConfigError("engine must be TIME, RESOLVENT, or BOTH")
-    if command == "sweep" and engine == "BOTH":
-        raise ConfigError("sweep takes engine TIME or RESOLVENT, not BOTH")
+    if command in ("walk", "burst", "sweep"):
+        _check_walks(cfg, model)
     return dict(cfg), model, echo
 
 
@@ -218,15 +252,30 @@ def write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _walk_config(cfg, params, x0):
+    kw = {key: float(cfg[key]) for key in ("t_max", "norm_floor", "step_tol")
+          if key in cfg}
+    return walk.WalkConfig(params=params, x0=int(x0), **kw)
+
+
+def _row_params(params, vary, value):
+    """The ladder of one sweep row: `params` with t2 or phi set to `value`."""
+    if vary == "t2":
+        t = list(params.t) + [0.0] * (3 - len(params.t))
+        t[2] = float(value)
+        return params.replace(t=tuple(t))
+    if vary == "phi":
+        return params.replace(phi=float(value))
+    return params
+
+
 def _profiles(cfg, params, x0):
     """Escape profiles of a release at cell x0, one per engine `cfg` names.
 
     The one place that picks an engine: walk, burst and every sweep row
     come through here.
     """
-    kw = {key: float(cfg[key]) for key in ("t_max", "norm_floor", "step_tol")
-          if key in cfg}
-    wc = walk.WalkConfig(params=params, x0=int(x0), **kw)
+    wc = _walk_config(cfg, params, x0)
     engine = cfg.get("engine", walk.TIME)
     profs = []
     if engine in (walk.TIME, "BOTH"):
@@ -287,8 +336,6 @@ def _cmd_spectrum(cfg, model, out, tag, plot, jobs):
 
 
 def _cmd_igc(cfg, model, out, tag, plot, jobs):
-    if not isinstance(model, LadderParams):
-        raise ConfigError("igc command needs a ladder model")
     sol = igc.solve_connection(model.t, model.t_p, model.phi)
     csv = out / f"{tag}igc.csv"
     write_csv(csv, ["k", "beta_re", "beta_im", "energy", "marginal"],
@@ -330,14 +377,14 @@ def _cmd_burst(cfg, model, out, tag, plot, jobs):
     x0 = int(cfg["x0"])
     threshold = float(cfg.get("threshold", analysis.BURST_THRESHOLD))
     for prof in profs:
-        m = analysis.burst_metrics(prof, x0, threshold)
+        m = analysis.burst_metrics(prof.P, x0, threshold)
         entry = diags[prof.engine]
         entry.update(burst_type=m.burst_type,
                      ratio_left=m.ratio_left, ratio_right=m.ratio_right,
                      p_edge_left=m.p_edge_left, p_edge_right=m.p_edge_right)
         for side in (analysis.LEFT, analysis.RIGHT):
             try:
-                fit = analysis.fit_bulk(prof, x0, side)
+                fit = analysis.fit_bulk(prof.P, x0, side)
                 entry[f"fit_{side.lower()}"] = {
                     "kind": fit.kind, "exponent": fit.exponent,
                     "r_squared": fit.r_squared, "window": list(fit.window),
@@ -352,15 +399,9 @@ def _sweep_row(args):
     """One sweep sample; module-level so worker pools can pickle it."""
     params, cfg, vary, value = args
     x0 = int(value) if vary == "x0" else int(cfg["x0"])
-    if vary == "t2":
-        t = list(params.t) + [0.0] * (3 - len(params.t))
-        t[2] = float(value)
-        params = params.replace(t=tuple(t))
-    elif vary == "phi":
-        params = params.replace(phi=float(value))
-    prof, = _profiles(cfg, params, x0)
-    m = analysis.burst_metrics(prof, x0, float(cfg.get("threshold",
-                                                       analysis.BURST_THRESHOLD)))
+    prof, = _profiles(cfg, _row_params(params, vary, value), x0)
+    m = analysis.burst_metrics(prof.P, x0, float(cfg.get("threshold",
+                                                         analysis.BURST_THRESHOLD)))
     return (float(value), m.ratio_left, m.ratio_right,
             m.p_edge_left, m.p_edge_right, m.burst_type, prof.incomplete)
 
@@ -402,10 +443,7 @@ def _cmd_sweep(cfg, model, out, tag, plot, jobs):
 
 
 def _cmd_liouville(cfg, model, out, tag, plot, jobs):
-    if not isinstance(model, LadderParams):
-        raise ConfigError("liouville command needs a ladder model")
-    dm = liouville.build_damping(model)
-    rep = liouville.liouvillian_gap(dm)
+    rep = liouville.liouvillian_gap(liouville.build_damping(model))
     csv = out / f"{tag}liouville_spectrum.csv"
     write_csv(csv, ["re", "im", "label"],
               [(w.real, w.imag, model.bc) for w in rep.eigenvalues])

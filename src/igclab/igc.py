@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import chebyshev as C
 
-from .model import LadderParams, h_y
+from .model import h_y
 
 IGC = "IGC"
 GAPPED = "GAPPED"
@@ -60,10 +60,6 @@ class IgcSolution:
 
     def __post_init__(self):
         object.__setattr__(self, "energies", tuple(p.energy for p in self.points))
-
-
-def _cheb(t) -> np.ndarray:
-    return np.asarray(t, dtype=float)
 
 
 def _bisect(coef, lo, hi, flo):
@@ -135,7 +131,7 @@ def solve_connection(t, t_p: float, phi: float) -> IgcSolution:
     tangential as well.  Energies follow the chain-A dispersion
     t_p cos(k - phi).
     """
-    coef = _cheb(t)
+    coef = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(coef)):
         raise ValueError("couplings must be finite")
     if coef.sum() <= 0:
@@ -192,11 +188,3 @@ def igc_energies_closed_form(t0: float, t1: float, t_p: float, phi: float):
     return [float(t_p / t1 * (-t0 * np.cos(phi) + s * root * np.sin(phi)))
             for s in (+1.0, -1.0)]
 
-
-def classify(p: LadderParams) -> str:
-    """"IGC" when F reaches zero or below, "GAPPED" otherwise.
-
-    The loss profile plays no role here; only the couplings enter.  A small
-    tolerance absorbs float noise at exact criticality (f_min = 0).
-    """
-    return solve_connection(p.t, p.t_p, p.phi).classification

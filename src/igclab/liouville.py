@@ -37,19 +37,6 @@ from .walk import resolvent_integrand
 GAPLESS_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class DampingMatrix:
-    """Relaxation generator X, as band data, with its loss diagonal M."""
-
-    op: LadderOperator            # X in the ladder's band order
-    M: np.ndarray                 # diagonal loss rates, interleaved pattern
-    params: LadderParams = field(repr=False, default=None)
-
-    @property
-    def X(self) -> np.ndarray:
-        return self.op.matrix
-
-
 @dataclass
 class LiouvilleReport:
     gap: float
@@ -59,12 +46,12 @@ class LiouvilleReport:
     eigenvalues: np.ndarray = field(repr=False)   # the spectrum of X the gap is read from
 
 
-def build_damping(p: LadderParams) -> DampingMatrix:
-    """Derive X = i conj(H) from the ladder's band and verify its two identities.
+def build_damping(p: LadderParams) -> LadderOperator:
+    """X = i conj(H) as band data in H's site order, its two identities verified.
 
-    The loss diagonal must follow the interleaved site ordering (zeros on the
-    A slots); X must equal i (H0^T + i M) elementwise.  Both checks run on the
-    band data and fail only if the model builder's conventions drift.
+    H's loss diagonal M must follow the interleaved site ordering (zeros on
+    the A slots); X must equal i (H0^T + i M) elementwise.  Both checks run
+    on the band data and fail only if the model builder's conventions drift.
     """
     H = build_ladder(p)
     b, m = H.band, H.loss_diagonal()
@@ -75,12 +62,12 @@ def build_damping(p: LadderParams) -> DampingMatrix:
     via_h0[b.ku] -= m[H.order]
     if np.abs(via_h0 - X.ab).max() > 1e-14 * max(1.0, np.abs(b.ab).max()):
         raise AssertionError("X != i conj(H); damping-matrix identity broken")
-    return DampingMatrix(op=LadderOperator(X, H.order), M=m, params=p)
+    return LadderOperator(X, H.order)
 
 
-def liouvillian_gap(dm: DampingMatrix) -> LiouvilleReport:
+def liouvillian_gap(X: LadderOperator) -> LiouvilleReport:
     """Relaxation gap of X and the convergence class it implies, with X's spectrum."""
-    spec = densela.eigendecompose(dm.X)
+    spec = densela.eigendecompose(X.matrix)
     max_real = float(spec.eigenvalues.real.max())
     gap = -2.0 * max_real
     gapless = gap < GAPLESS_TOL
@@ -91,7 +78,7 @@ def liouvillian_gap(dm: DampingMatrix) -> LiouvilleReport:
                            eigenvalues=spec.eigenvalues)
 
 
-def dark_mode_check(dm: DampingMatrix, sol: IgcSolution) -> np.ndarray:
+def dark_mode_check(p: LadderParams, sol: IgcSolution) -> np.ndarray:
     """Residuals of the analytically constructed gapless modes of X.
 
     Each surviving plane wave of the lattice at momentum k maps through the
@@ -99,15 +86,14 @@ def dark_mode_check(dm: DampingMatrix, sol: IgcSolution) -> np.ndarray:
     A slots and zero on the B slots, at eigenvalue i E.  The residuals are
     independent of the loss profile; that is the whole point of the check.
     """
-    p = dm.params
-    if p is None or p.bc != PBC:
+    if p.bc != PBC:
         raise ValueError("gapless-mode construction needs periodic boundaries")
-    L = p.L
+    X, L = build_damping(p).matrix, p.L
     res = []
     for pt in sol.points:
         v = np.zeros(2 * L, dtype=complex)
         v[0::2] = np.exp(-1j * pt.k * np.arange(1, L + 1)) / np.sqrt(L)
-        r = np.linalg.norm(dm.X @ v - 1j * pt.energy * v)
+        r = np.linalg.norm(X @ v - 1j * pt.energy * v)
         res.append(float(r))
     return np.array(res)
 
@@ -127,7 +113,7 @@ def steady_density(p: LadderParams, x0: int, rtol: float = 1e-9,
     gam = np.asarray(p.gamma)
     if np.all(gam == 0.0):
         return np.zeros(p.L), {"note": "lossless model"}
-    f, edges, omega_max, _, info = resolvent_integrand(p, x0, build_damping(p).op, 1j)
+    f, edges, omega_max, _, info = resolvent_integrand(p, x0, build_damping(p), 1j)
     quad = adaptive_quadrature(f, edges, rtol=rtol, atol_frac=1e-16,
                                max_panels=max_panels)
     dens = gam / np.pi * quad.value
@@ -142,7 +128,6 @@ def steady_density(p: LadderParams, x0: int, rtol: float = 1e-9,
 class CorrelationTrace:
     times: np.ndarray
     distances: np.ndarray         # Frobenius distance to the empty steady state
-    final: np.ndarray
 
 
 def propagate_correlation(p: LadderParams, x0: int, times) -> CorrelationTrace:
@@ -154,7 +139,7 @@ def propagate_correlation(p: LadderParams, x0: int, times) -> CorrelationTrace:
     """
     if p.L > 40:
         raise ValueError("reference propagation is limited to L <= 40")
-    dm = build_damping(p)
+    X = build_damping(p).matrix
     e0 = np.zeros(p.dim, dtype=complex)
     e0[site_index(x0, "A")] = 1.0
     c0 = np.outer(e0, e0.conj())
@@ -162,9 +147,7 @@ def propagate_correlation(p: LadderParams, x0: int, times) -> CorrelationTrace:
     if times.size == 0 or times[0] < 0:
         raise ValueError("need non-negative sample times")
     dists = np.empty(times.size)
-    c_t = c0
     for i, t in enumerate(times):
-        prop = sla.expm(dm.X * t)
-        c_t = prop @ c0 @ prop.conj().T
-        dists[i] = np.linalg.norm(c_t)
-    return CorrelationTrace(times=times, distances=dists, final=c_t)
+        prop = sla.expm(X * t)
+        dists[i] = np.linalg.norm(prop @ c0 @ prop.conj().T)
+    return CorrelationTrace(times=times, distances=dists)

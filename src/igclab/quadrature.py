@@ -47,6 +47,8 @@ NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
 _W15 = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _GAUSS_POS = np.arange(1, 15, 2)          # Gauss nodes sit at the odd slots
 _W7 = np.concatenate([_WG[:3], _WG[3:], _WG[2::-1]])
+#: ratio of successive `geometric_edges`
+_EDGE_FACTOR = 4.0
 
 
 @dataclass
@@ -67,8 +69,8 @@ def kronrod_panel(f, a, b):
     return i15, np.abs(i15 - i7)
 
 
-def geometric_edges(start, stop, factor=4.0):
-    """Edges start, start*factor, ... covering up to |stop| (same sign).
+def geometric_edges(start, stop):
+    """Edges start, start*_EDGE_FACTOR, ... covering up to |stop| (same sign).
 
     Suitable for 1/omega^p tails: each panel's width stays comparable to its
     distance from the origin, which keeps all features visible to the rule.
@@ -79,8 +81,8 @@ def geometric_edges(start, stop, factor=4.0):
         return [float(start), float(stop)]
     edges = [float(start)]
     v = abs(start)
-    while v * factor < abs(stop):
-        v *= factor
+    while v * _EDGE_FACTOR < abs(stop):
+        v *= _EDGE_FACTOR
         edges.append(float(np.sign(start) * v))
     edges.append(float(stop))
     return edges

@@ -290,7 +290,7 @@ def resolvent_integrand(p: LadderParams, x0: int, op: LadderOperator, s: complex
 
     Sets up the integral of |<x,B| (s*omega - M)^{-1} |x0,A>|^2 over omega,
     with s = 1 for the Hamiltonian and s = i for the damping matrix, M being
-    `op` (`build_ladder(p)` or `build_damping(p).op`).  The window
+    `op` (`build_ladder(p)` or `build_damping(p)`).  The window
     [-Omega, Omega] is fixed by the crude operator-norm tail bound
     (gamma_max/pi) * 2 / (Omega - ||M||_inf) < TAIL_BOUND.  The integrand
     makes one `densela.lu_solve` call per node: on a periodic ring with

@@ -320,8 +320,9 @@ def test_c4_scaling_dichotomy(corner_profiles):
     fit classification always matches the coupling-based classification."""
     checks = []
     for (t0, profile), (pt, _, _, _) in corner_profiles.items():
-        fit = il.fit_bulk(pt, 150, il.LEFT)
-        cls = il.classify(_corner_params(t0, profile))
+        fit = il.fit_bulk(pt.P, 150, il.LEFT)
+        p = _corner_params(t0, profile)
+        cls = il.solve_connection(p.t, p.t_p, p.phi).classification
         expected = il.POWER if cls == il.IGC else il.EXP
         ordered = (fit.power_r2 > fit.exp_r2 if expected == il.POWER
                    else fit.exp_r2 > fit.power_r2)
@@ -329,8 +330,8 @@ def test_c4_scaling_dichotomy(corner_profiles):
     for t0 in (0.3, 0.4, 0.5):
         p = fig3(t0=t0, t2=0.1)
         prof = il.loss_profile_time(il.WalkConfig(params=p, x0=150))
-        fit = il.fit_bulk(prof, 150, il.LEFT)
-        cls = il.classify(p)
+        fit = il.fit_bulk(prof.P, 150, il.LEFT)
+        cls = il.solve_connection(p.t, p.t_p, p.phi).classification
         checks.append((fit.kind == il.POWER) == (cls == il.IGC))
     ok = all(checks)
     assert _report("C4", ok, f"{len(checks)} configuration checks")
@@ -374,7 +375,7 @@ def test_c6_bipolar_burst_and_self_intersections():
     for t2 in (0.2, 0.5):
         p = fig3(t2=t2)
         prof = il.loss_profile_time(il.WalkConfig(params=p, x0=150))
-        m = il.burst_metrics(prof, 150)
+        m = il.burst_metrics(prof.P, 150)
         hits = il.self_intersections(fig3(t2=t2, bc=PBC), 1024)
         results[t2] = (m.burst_type, len(hits))
     ok = results[0.2] == (il.LEFT, 0) and \
@@ -429,9 +430,9 @@ def test_c8_damping_identity_everywhere():
     worst = 0.0
     for t0, bc in FIG8_CONFIGS:
         p = _fig8_params(t0, bc)
-        dm = il.build_damping(p)
+        X = il.build_damping(p).matrix
         H = il.build_ladder(p).matrix
-        worst = max(worst, np.abs(dm.X - 1j * np.conj(H)).max())
+        worst = max(worst, np.abs(X - 1j * np.conj(H)).max())
     ok = worst < 1e-14
     assert _report("C8a", ok, f"elementwise identity, worst {worst:.2e}")
 
@@ -462,7 +463,7 @@ def test_c8_spectral_mapping_multiset_as_stated():
     for t0, bc in FIG8_CONFIGS:
         p = _fig8_params(t0, bc)
         spec_h = il.eigendecompose(il.build_ladder(p).matrix, want_vectors=True)
-        spec_x = il.eigendecompose(il.build_damping(p).X, want_vectors=True)
+        spec_x = il.eigendecompose(il.build_damping(p).matrix, want_vectors=True)
         mapped, w_x = 1j * np.conj(spec_h.eigenvalues), spec_x.eigenvalues
         if not (spec_h.condition_flag or spec_x.condition_flag):
             unflagged.add((t0, bc))
@@ -488,7 +489,7 @@ def test_c8_spectral_mapping_multiset_reference_scale():
     for t0, bc in FIG8_CONFIGS:
         p = _fig8_params(t0, bc, L=30)
         w_h = il.eigendecompose(il.build_ladder(p).matrix).eigenvalues
-        w_x = il.eigendecompose(il.build_damping(p).X).eigenvalues
+        w_x = il.eigendecompose(il.build_damping(p).matrix).eigenvalues
         mapped = 1j * np.conj(w_h)
         dist = np.abs(mapped[:, None] - w_x[None, :])
         worst = max(worst, dist.min(axis=1).max(), dist.min(axis=0).max())
@@ -518,12 +519,13 @@ def test_c8_gapless_iff_igc_as_stated():
     """As stated: PBC gapless (gap < 1e-6) exactly when the couplings are in
     the surviving-mode class, for uniform, linear, and random profiles.
 
-    The infinite-L verdict is `classify`.  The finite ring is gapless only if
-    a root of F lies on its grid (see C1b), which at L=200 holds for neither
-    class: in the IGC class (t0=0.3) the gap is 4.1e-5 / 3.9e-5 / 4.1e-5, not
-    zero.  `liouvillian_gap` reports on the finite matrix, so per profile:
+    The infinite-L verdict is `solve_connection`'s classification.  The
+    finite ring is gapless only if a root of F lies on its grid (see C1b),
+    which at L=200 holds for neither class: in the IGC class (t0=0.3) the
+    gap is 4.1e-5 / 3.9e-5 / 4.1e-5, not zero.  `liouvillian_gap` reports
+    on the finite matrix, so per profile:
 
-    * `classify` gives IGC for t0=0.3 and GAPPED for t0=0.6;
+    * the classification gives IGC for t0=0.3 and GAPPED for t0=0.6;
     * gap >= `_gap_lower_bound` (set by f_L = min_j |F(2 pi j/L)|, t_p and
       the loss range) in both classes;
     * the IGC-class gap lies below the gapped-class bound for the same
@@ -546,7 +548,8 @@ def test_c8_gapless_iff_igc_as_stated():
             f_ok = (grid.f_L <= slope * min(r.dk for r in grid.roots)
                     <= slope * np.pi / p.L if expect_igc
                     else grid.f_L >= p.t[0] - p.t[1])
-            checks += [(il.classify(p) == il.IGC) == expect_igc,
+            checks += [(il.solve_connection(p.t, p.t_p, p.phi).classification
+                        == il.IGC) == expect_igc,
                        rep.gap >= bounds[t0], f_ok,
                        rep.gapless == grid.on_grid]
         checks.append(gaps[0.3] < bounds[0.6])
@@ -564,7 +567,7 @@ def test_c8_gapless_iff_igc_commensurate():
         for g in (0.5, LINEAR, il.random_gamma(200, 0.4, 0.6, seed=1)):
             p = fig3(t0=t0, gamma=g, bc=PBC)
             rep = il.liouvillian_gap(il.build_damping(p))
-            cls = il.classify(p) == il.IGC
+            cls = il.solve_connection(p.t, p.t_p, p.phi).classification == il.IGC
             ok = ok and cls == expect_igc and rep.gapless == expect_igc
     assert _report("C8e", ok, "gapless exactly in the surviving-mode class")
 

@@ -124,7 +124,7 @@ def test_scan_single_row():
     # a scan of one release measures its left edge but fits no slope
     p = LadderParams(L=60, t=[0.3, 0.5], t_p=0.5, phi=np.pi / 2, gamma=0.5)
     prof = loss_profile_time(WalkConfig(params=p, x0=45))
-    m = burst_metrics(prof, 45)
+    m = burst_metrics(prof.P, 45)
     assert not prof.incomplete
     assert m.ratio_left > 1.0
     slopes = x0_slopes([45], [m.ratio_left], [m.p_edge_left])

@@ -127,6 +127,51 @@ def test_a_release_cell_must_be_an_integer(tmp_path, capsys, bad):
         assert not out.exists()
 
 
+def _probe(command="walk", model=None, **top):
+    """A small valid config of `command` with model and top-level edits."""
+    cfg = {"command": command, "x0": 6, "engine": "TIME",
+           "model": dict(small_sweep([6])["model"], **(model or {}))}
+    if command in ("spectrum", "igc"):
+        del cfg["x0"], cfg["engine"]
+    return dict(cfg, **top)
+
+
+_GENERAL = {"kind": "general", "A": [[[0.0, 0.0]]], "B_herm": [[[0.0, 0.0]]],
+            "C": [[[0.1, 0.0]]], "gamma": [0.7]}
+
+#: configs the schema accepts but no run can honour as written
+BAD_VALUES = {
+    "t_max negative": _probe(t_max=-1),
+    "t_max a string": _probe(t_max="abc"),
+    "t2 row beyond L/2": dict(_probe("sweep", model={"L": 4}, x0=2),
+                              sweep={"vary": "t2", "values": [0.1]}),
+    "threshold a string": _probe("burst", threshold="abc"),
+    "threshold not a number": _probe("burst", threshold=float("nan")),
+    "L not whole": _probe(model={"L": 12.7}),
+    "L a string": _probe(model={"L": "12"}),
+    "gamma a bool": _probe(model={"gamma": True}),
+    "t_p a bool": _probe(model={"t_p": True}),
+    "t_max a bool": _probe(t_max=True),
+    "phi row a string": dict(_probe("sweep"), sweep={"vary": "phi", "values": ["1"]}),
+    "random seed not whole": _probe(model={"gamma": {"kind": "random", "seed": 1.5}}),
+    "negative linear loss": _probe(model={"gamma": {"kind": "linear", "slope": -1.0,
+                                                    "offset": 0.2}}),
+    "k_samples not whole": _probe("spectrum", self_intersections=True,
+                                  k_samples=1024.9),
+    "k_samples too few": _probe("spectrum", self_intersections=True, k_samples=100),
+    "igc on a general model": {"command": "igc", "model": _GENERAL},
+    "liouville on a general model": {"command": "liouville", "model": _GENERAL},
+}
+
+
+@pytest.mark.parametrize("cfg", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+def test_a_bad_value_is_a_config_error_before_any_output(tmp_path, capsys, cfg):
+    status, out = run_cli(tmp_path, cfg)
+    assert status == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
+    assert not out.exists()
+
+
 def test_sweep_with_an_edge_release_skips_the_slope_fits(tmp_path):
     # and so does a sweep of a single release
     status, out = run_cli(tmp_path / "one", small_sweep([9]))

@@ -3,7 +3,7 @@ import pytest
 from numpy.polynomial import chebyshev as C
 
 from igclab import (
-    GAPPED, IGC, LadderParams, build_ladder, classify, eigendecompose,
+    GAPPED, IGC, LadderParams, build_ladder, eigendecompose,
     igc_energies_closed_form, linear_gamma, random_gamma, solve_connection,
 )
 from igclab.igc import _add_root, _bisect, _critical_points, _sign_roots
@@ -141,11 +141,12 @@ def test_solver_matches_closed_form_energies():
 
 
 def test_classify():
-    def params(t):
-        return LadderParams(L=20, t=t, t_p=0.5, phi=np.pi / 2, gamma=0.5)
-    assert classify(params([0.3, 0.5])) == IGC
-    assert classify(params([0.6, 0.5])) == GAPPED
-    assert classify(params([0.5, 0.5])) == IGC          # marginal root at pi
+    def classify(t):
+        p = LadderParams(L=20, t=t, t_p=0.5, phi=np.pi / 2, gamma=0.5)
+        return solve_connection(p.t, p.t_p, p.phi).classification
+    assert classify([0.3, 0.5]) == IGC
+    assert classify([0.6, 0.5]) == GAPPED
+    assert classify([0.5, 0.5]) == IGC          # marginal root at pi
     assert solve_connection([0.6, 0.5], 0.5, 0.0).classification == GAPPED
     assert solve_connection([0.5, 0.5], 0.5, 0.0).classification == IGC
     rng = np.random.default_rng(13)
@@ -153,7 +154,7 @@ def test_classify():
     for _ in range(10):
         t2 = rng.uniform(0, 1.5)
         t0 = rng.uniform(0, t1 / np.sqrt(2))
-        assert classify(params([t0, t1, t2])) == IGC
+        assert classify([t0, t1, t2]) == IGC
 
 
 def _loop_scans(coef, near_zero):

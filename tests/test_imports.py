@@ -1,9 +1,10 @@
-"""No module of the package imports a name it never uses or defines a
-private name nothing reads.
+"""No module of the package imports a name it never uses, defines a
+private name nothing reads, or carries a dataclass field nothing reads.
 
 No linter runs on this repository, so these are the checks that catch an
-import or a private helper left behind when the code that used it goes.
-`__init__.py` imports only to re-export, so its imports are not checked.
+import, a private helper or a result field left behind when the code that
+used it goes.  `__init__.py` imports only to re-export, so its imports are
+not checked.
 """
 
 import ast
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "igclab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "igclab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 PACKAGE = sorted(SRC.glob("*.py"))
 
@@ -78,3 +80,34 @@ def test_the_check_sees_an_unused_private_name():
 def test_no_unused_private_name():
     sources = {p.name: p.read_text() for p in PACKAGE}
     assert len(sources) > 1 and unused_private_names(sources) == []
+
+
+def unread_fields(package, readers):
+    """(module, class, field) of every annotated field of a `@dataclass` in
+    `package` (name -> text) that no text of `readers` loads as an attribute."""
+    loaded = {node.attr for source in readers for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for module, source in package.items():
+        for cls in ast.walk(ast.parse(source)):
+            if isinstance(cls, ast.ClassDef) and any(
+                    ast.unparse(d).split("(")[0] == "dataclass" for d in cls.decorator_list):
+                unread += [(module, cls.name, node.target.id) for node in cls.body
+                           if isinstance(node, ast.AnnAssign)
+                           and node.target.id not in loaded]
+    return sorted(unread)
+
+
+def test_the_check_sees_an_unread_field():
+    package = {"a": "@dataclass\nclass R:\n    x: int\n    y: int = 0\n"
+                    "@dataclass(frozen=True)\nclass S:\n    z: int\n"
+                    "class T:\n    w: int\n"}
+    readers = ["print(R(1).x)\ns = S(z=1)\ns.z = 2\n"]     # a store is no read
+    assert unread_fields(package, readers) == [("a", "R", "y"), ("a", "S", "z")]
+
+
+def test_no_unread_field():
+    readers = [p.read_text() for d in (SRC, ROOT / "tests", ROOT / "perfbench")
+               for p in sorted(d.glob("*.py"))]
+    package = {p.name: p.read_text() for p in PACKAGE}
+    assert len(readers) > len(package) and unread_fields(package, readers) == []

@@ -18,22 +18,23 @@ def ladder(t0=0.3, L=30, bc=PBC, gamma=None, seed=1):
 
 def test_damping_identity_and_pattern():
     p = ladder()
-    dm = build_damping(p)
+    X = build_damping(p).matrix
+    M = build_ladder(p).loss_diagonal()
     H = build_ladder(p).matrix
-    assert np.abs(dm.X - 1j * np.conj(H)).max() < 1e-14
-    assert np.allclose(dm.M[0::2], 0.0)
-    assert np.allclose(dm.M[1::2], p.gamma)
+    assert np.abs(X - 1j * np.conj(H)).max() < 1e-14
+    assert np.allclose(M[0::2], 0.0)
+    assert np.allclose(M[1::2], p.gamma)
     H0 = 0.5 * (H + H.conj().T)                 # the Hermitian part of H
-    assert np.abs(dm.X - (1j * H0.T - np.diag(dm.M))).max() < 1e-15
+    assert np.abs(X - (1j * H0.T - np.diag(M))).max() < 1e-15
 
 
 def test_lossless_damping_is_purely_rotational():
     p = ladder(gamma=np.zeros(30))
-    dm = build_damping(p)
+    X = build_damping(p)
     H0 = build_ladder(p).matrix                 # Hermitian without loss
     assert np.abs(H0 - H0.conj().T).max() < 1e-15
-    assert np.allclose(dm.X, 1j * H0.T)
-    rep = liouvillian_gap(dm)
+    assert np.allclose(X.matrix, 1j * H0.T)
+    rep = liouvillian_gap(X)
     assert abs(rep.gap) < 1e-12
     assert rep.gapless
 
@@ -45,7 +46,7 @@ def test_spectral_mapping_multiset_small_sizes():
         for t0 in (0.3, 0.6):
             p = ladder(t0=t0, bc=bc)
             w_h = eigendecompose(build_ladder(p).matrix).eigenvalues
-            w_x = eigendecompose(build_damping(p).X).eigenvalues
+            w_x = eigendecompose(build_damping(p).matrix).eigenvalues
             mapped = 1j * np.conj(w_h)
             dist = np.abs(mapped[:, None] - w_x[None, :])
             assert dist.min(axis=1).max() < 1e-9
@@ -54,7 +55,7 @@ def test_spectral_mapping_multiset_small_sizes():
 
 def test_real_parts_never_positive():
     for t0 in (0.3, 0.6):
-        w = eigendecompose(build_damping(ladder(t0=t0)).X).eigenvalues
+        w = eigendecompose(build_damping(ladder(t0=t0)).matrix).eigenvalues
         assert w.real.max() <= 1e-10
 
 
@@ -76,9 +77,9 @@ def test_gap_gapped_and_obc():
 
 
 def test_gap_report_carries_the_spectrum_it_read():
-    dm = build_damping(ladder(t0=0.6))
-    rep = liouvillian_gap(dm)
-    assert np.array_equal(rep.eigenvalues, eigendecompose(dm.X).eigenvalues)
+    X = build_damping(ladder(t0=0.6))
+    rep = liouvillian_gap(X)
+    assert np.array_equal(rep.eigenvalues, eigendecompose(X.matrix).eigenvalues)
     assert rep.max_real == rep.eigenvalues.real.max()
 
 
@@ -86,23 +87,21 @@ def test_dark_mode_residuals_commensurate(commensurate_params):
     sol = solve_connection(commensurate_params().t, 0.5, np.pi / 2)
     assert len(sol.points) == 2
     for gamma in (0.5, random_gamma(200, seed=6), random_gamma(200, seed=7)):
-        dm = build_damping(commensurate_params(gamma=gamma))
-        res = dark_mode_check(dm, sol)
+        res = dark_mode_check(commensurate_params(gamma=gamma), sol)
         assert res.max() < 1e-8
 
 
 def test_dark_mode_check_needs_pbc(commensurate_params):
     sol = solve_connection(commensurate_params().t, 0.5, np.pi / 2)
-    dm = build_damping(commensurate_params(bc=OBC))
     with pytest.raises(ValueError, match="periodic"):
-        dark_mode_check(dm, sol)
+        dark_mode_check(commensurate_params(bc=OBC), sol)
 
 
 def test_dark_mode_check_vacuous_when_gapped():
     p = ladder(t0=0.6, gamma=0.5)
     sol = solve_connection(p.t, p.t_p, p.phi)
     assert sol.gapped
-    res = dark_mode_check(build_damping(p), sol)
+    res = dark_mode_check(p, sol)
     assert res.size == 0
 
 

@@ -186,6 +186,8 @@ def test_dark_modes_commensurate_ring(commensurate_params):
     assert not rep.vacuous
     assert len(rep.energies) == 2
     assert rep.passed
+    for residuals in (rep.subsystem_residuals, rep.coupling_residuals):
+        assert len(residuals) == 2 and max(residuals) < 1e-8
     assert max(rep.lossy_weights) < 1e-10
     E = 0.5 * np.sin(3 * np.pi / 5)
     assert sorted(round(e.real, 8) for e in rep.energies) == \

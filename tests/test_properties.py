@@ -178,7 +178,7 @@ def test_ladder_maps_to_general_form(p):
 @settings(max_examples=60, deadline=None)
 @given(p=ladders())
 def test_damping_matrix_is_i_conj_h(p):
-    assert np.array_equal(build_damping(p).X, 1j * np.conj(build_ladder(p).matrix))
+    assert np.array_equal(build_damping(p).matrix, 1j * np.conj(build_ladder(p).matrix))
 
 
 @settings(max_examples=30, deadline=None)
@@ -230,8 +230,8 @@ def _operator(p, side):
     if side == "H":
         H = build_ladder(p)
         return H.matrix, H
-    dm = build_damping(p)
-    return dm.X, dm.op
+    X = build_damping(p)
+    return X.matrix, X
 
 
 def _dense(band):
