@@ -2,10 +2,12 @@
 
 One run executes one command (spectrum, igc, walk, burst, sweep, liouville,
 or a named figure preset) against one model description.  Configs are
-validated fail-closed: unknown keys anywhere are rejected before any
-computation starts.  Every run writes a metadata record with the resolved
-config echo, so a result can always be reproduced from its own output
-directory; identical config and seed give byte-identical CSV files.
+validated fail-closed before any output is written, and `validate_config`
+returns the plan the commands run (defaults filled in, every release's
+`WalkConfig` built), so what was checked is what runs.  Every run writes a
+metadata record with the resolved config echo, so a result can always be
+reproduced from its own output directory; identical config and seed give
+byte-identical CSV files.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 """
@@ -138,8 +140,9 @@ def _parse_ladder(m, default_seed):
 
 def _complex_matrix(rows, where):
     try:
-        return np.array([[complex(c[0], c[1]) for c in row] for row in rows])
-    except (TypeError, IndexError) as exc:
+        return np.array([[complex(_number(c[0], where), _number(c[1], where))
+                          for c in row] for row in rows])
+    except (TypeError, IndexError, KeyError) as exc:
         raise ConfigError(f"{where} must be a matrix of [re, im] pairs") from exc
 
 
@@ -152,11 +155,13 @@ def _parse_model(cfg, default_seed):
         return _parse_ladder(m, default_seed)
     if kind == "general":
         _fail_unknown(m, _GENERAL_KEYS, "model")
+        gamma = _need(m, "gamma", "model")
         try:
             g = GeneralModel(A=_complex_matrix(_need(m, "A", "model"), "model.A"),
                              B_herm=_complex_matrix(_need(m, "B_herm", "model"), "model.B_herm"),
                              C=_complex_matrix(_need(m, "C", "model"), "model.C"),
-                             gamma=_need(m, "gamma", "model"))
+                             gamma=[_number(v, "model.gamma") for v in
+                                    (gamma if isinstance(gamma, list) else [gamma])])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad general model: {exc}") from exc
         return g, {"kind": "general", "n_h": g.n_h, "n_d": g.n_d,
@@ -166,23 +171,33 @@ def _parse_model(cfg, default_seed):
 
 def _check_x0(value, L, where):
     # 4.5 would be released at cell 4 but reported and fitted as 4.5
-    if not 1 <= _integer(value, where, "an integer cell") <= L:
+    x0 = _integer(value, where, "an integer cell")
+    if not 1 <= x0 <= L:
         raise ConfigError(f"{where} must lie in 1..{L}, got {value!r}")
+    return x0
 
 
-def _check_walks(cfg, model):
-    """Refuse a walk, burst or sweep config before anything runs: every
-    release's `WalkConfig`, on every sweep row's ladder, is built here."""
-    for key in ("t_max", "norm_floor", "step_tol", "threshold"):
-        if key in cfg:
-            _number(cfg[key], key)
-    engine = cfg.get("engine", walk.TIME)
-    if engine not in (walk.TIME, walk.RESOLVENT, "BOTH"):
-        raise ConfigError("engine must be TIME, RESOLVENT, or BOTH")
+def _row_params(params, vary, value):
+    """The ladder of one sweep row: `params` with t2 or phi set to `value`."""
+    if vary == "t2":
+        t = list(params.t) + [0.0] * (3 - len(params.t))
+        t[2] = value
+        return params.replace(t=tuple(t))
+    if vary == "phi":
+        return params.replace(phi=value)
+    return params
+
+
+def _plan_walks(cfg, model):
+    """(row value, `WalkConfig`) of every release a walk, burst or sweep
+    config runs: its one release, or one per sweep row on that row's ladder.
+    A release that cannot be built is a config error."""
+    kw = {key: _number(cfg[key], key) for key in ("t_max", "norm_floor", "step_tol")
+          if key in cfg}
     if cfg["command"] != "sweep":
         vary, values, where = "x0", [_need(cfg, "x0")], "x0"
     else:
-        if engine == "BOTH":
+        if cfg["engine"] == "BOTH":
             raise ConfigError("sweep takes engine TIME or RESOLVENT, not BOTH")
         sw = _need(cfg, "sweep")
         _fail_unknown(sw, _SWEEP_KEYS, "sweep")
@@ -194,55 +209,65 @@ def _check_walks(cfg, model):
             raise ConfigError("sweep.values must be a non-empty list")
         if vary != "x0" and "x0" not in cfg:
             raise ConfigError("parameter sweeps need a fixed x0")
+    walks = []
     for v in values:
-        if vary == "x0":
-            _check_x0(v, model.L, where)
-        else:
-            _number(v, where)
+        v = _check_x0(v, model.L, where) if vary == "x0" else _number(v, where)
         try:
-            _walk_config(cfg, _row_params(model, vary, v),
-                         v if vary == "x0" else cfg["x0"])
+            walks.append((v, walk.WalkConfig(params=_row_params(model, vary, v),
+                                             x0=v if vary == "x0" else cfg["x0"], **kw)))
         except ValueError as exc:
             raise ConfigError(f"bad walk at {where} {v!r}: {exc}") from exc
+    return walks
 
 
 def validate_config(cfg, default_seed=None):
-    """Schema-check a raw config dict; returns (normalized config, model, echo)."""
+    """Schema-check a raw config dict; returns (plan, model, echo).
+
+    The plan is the config with `engine`, `threshold`, `k_samples` and `x0`
+    typed and defaulted where its command reads them, plus `walks`, the
+    `_plan_walks` list of a walk, burst or sweep."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     command = _need(cfg, "command")
     if command not in COMMANDS:
         raise ConfigError(f"command must be one of {COMMANDS}, got {command!r}")
     _fail_unknown(cfg, _TOP_KEYS[command], f"{command} config")
-    seed = cfg.get("seed", default_seed)
+    cfg, seed = dict(cfg), cfg.get("seed", default_seed)
     if command == "figure":
         name = _need(cfg, "figure")
         if name not in PRESETS:
             raise ConfigError(f"unknown figure preset {name!r}; "
                               f"known: {', '.join(sorted(PRESETS))}")
-        return dict(cfg), None, {"figure": name}
+        return cfg, None, {"figure": name}
     model, echo = _parse_model(cfg, seed)
-    if command != "spectrum" and not isinstance(model, LadderParams):
-        raise ConfigError(f"command {command!r} needs a ladder model")
-    if "k_samples" in cfg:
-        k = _integer(cfg["k_samples"], "k_samples")
+    if isinstance(model, GeneralModel):
+        if command != "spectrum":
+            raise ConfigError(f"command {command!r} needs a ladder model")
+        _fail_unknown(cfg, _MODEL_KEYS, "spectrum config of a general model")
+        return cfg, model, echo
+    if command == "spectrum":
+        k = cfg["k_samples"] = _integer(cfg.get("k_samples", 1024), "k_samples")
         if k < analysis.MIN_K_SAMPLES:
             raise ConfigError(f"k_samples must be >= {analysis.MIN_K_SAMPLES}, got {k}")
+        if cfg.get("self_intersections") and model.uniform_gamma is None:
+            raise ConfigError("self_intersections needs a uniform loss profile")
     if "x0" in cfg:
-        _check_x0(cfg["x0"], model.L, "x0")
+        cfg["x0"] = _check_x0(cfg["x0"], model.L, "x0")
     if command in ("walk", "burst", "sweep"):
-        _check_walks(cfg, model)
-    return dict(cfg), model, echo
+        cfg["engine"] = cfg.get("engine", walk.TIME)
+        if cfg["engine"] not in (walk.TIME, walk.RESOLVENT, "BOTH"):
+            raise ConfigError("engine must be TIME, RESOLVENT, or BOTH")
+        if command != "walk":
+            cfg["threshold"] = _number(cfg.get("threshold", analysis.BURST_THRESHOLD),
+                                       "threshold")
+        cfg["walks"] = _plan_walks(cfg, model)
+    return cfg, model, echo
 
 
 def _fmt(v) -> str:
     if v is None:       # a metric that does not exist (release at an edge)
         return "nan"
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        return f"{v:.17g}"
-    return str(v)
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
 def write_csv(path, header, rows):
@@ -252,31 +277,9 @@ def write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _walk_config(cfg, params, x0):
-    kw = {key: float(cfg[key]) for key in ("t_max", "norm_floor", "step_tol")
-          if key in cfg}
-    return walk.WalkConfig(params=params, x0=int(x0), **kw)
-
-
-def _row_params(params, vary, value):
-    """The ladder of one sweep row: `params` with t2 or phi set to `value`."""
-    if vary == "t2":
-        t = list(params.t) + [0.0] * (3 - len(params.t))
-        t[2] = float(value)
-        return params.replace(t=tuple(t))
-    if vary == "phi":
-        return params.replace(phi=float(value))
-    return params
-
-
-def _profiles(cfg, params, x0):
-    """Escape profiles of a release at cell x0, one per engine `cfg` names.
-
-    The one place that picks an engine: walk, burst and every sweep row
-    come through here.
-    """
-    wc = _walk_config(cfg, params, x0)
-    engine = cfg.get("engine", walk.TIME)
+def _profiles(engine, wc):
+    """Escape profiles of the release `wc` on `engine` (TIME, RESOLVENT or
+    BOTH): the one engine dispatch of walk, burst and every sweep row."""
     profs = []
     if engine in (walk.TIME, "BOTH"):
         profs.append(walk.loss_profile_time(wc))
@@ -303,12 +306,11 @@ def _ladder_spectrum(p):
 
 def _cmd_spectrum(cfg, model, out, tag, plot, jobs):
     rows, diags = [], {}
-    if isinstance(model, LadderParams):
+    if isinstance(model, GeneralModel):
+        variants = [("general", eigendecompose(build_general(model)).eigenvalues, "dense")]
+    else:
         bcs = (OBC, PBC) if cfg.get("compare_bc") else (model.bc,)
         variants = [(bc, *_ladder_spectrum(model.replace(bc=bc))) for bc in bcs]
-    else:
-        variants = [("general", eigendecompose(build_general(model)).eigenvalues,
-                     "dense")]
     for label, w, how in variants:
         rows += [(e.real, e.imag, label) for e in w]
         diags[label] = {"dim": w.size, "max_imag": float(w.imag.max()),
@@ -317,8 +319,8 @@ def _cmd_spectrum(cfg, model, out, tag, plot, jobs):
     csv = out / f"{tag}spectrum.csv"
     write_csv(csv, ["re", "im", "label"], rows)
     files[str(csv)] = "complex eigenvalues"
-    if isinstance(model, LadderParams) and cfg.get("self_intersections"):
-        hits = analysis.self_intersections(model, int(cfg.get("k_samples", 1024)))
+    if cfg.get("self_intersections"):
+        hits = analysis.self_intersections(model, cfg["k_samples"])
         path = out / f"{tag}self_intersections.csv"
         write_csv(path, ["k1", "k2", "re", "im"],
                   [(h.k1, h.k2, h.energy.real, h.energy.imag) for h in hits])
@@ -346,9 +348,30 @@ def _cmd_igc(cfg, model, out, tag, plot, jobs):
     return {str(csv): "connection-condition roots"}, diags
 
 
-def _walk(cfg, model, out, tag, plot):
-    """The profiles of a walk or burst run, with their CSV, plot and diagnostics."""
-    profs = _profiles(cfg, model, cfg["x0"])
+def _burst(P, x0, threshold):
+    """The burst metrics of a profile and its bulk fit on each side."""
+    m = analysis.burst_metrics(P, x0, threshold)
+    entry = {"burst_type": m.burst_type, "ratio_left": m.ratio_left,
+             "ratio_right": m.ratio_right, "p_edge_left": m.p_edge_left,
+             "p_edge_right": m.p_edge_right}
+    for side in (analysis.LEFT, analysis.RIGHT):
+        try:
+            fit = analysis.fit_bulk(P, x0, side)
+            entry[f"fit_{side.lower()}"] = {
+                "kind": fit.kind, "exponent": fit.exponent,
+                "r_squared": fit.r_squared, "window": list(fit.window),
+                "power_r2": fit.power_r2, "exp_r2": fit.exp_r2,
+                "n_points": fit.n_points}
+        except analysis.WindowError as exc:
+            entry[f"fit_{side.lower()}"] = {"error": str(exc)}
+    return entry
+
+
+def _cmd_walk(cfg, model, out, tag, plot, jobs):
+    """The profiles of a walk or burst run, with their CSV, plot and
+    diagnostics; a burst run adds each profile's `_burst` entry."""
+    (_, wc), = cfg["walks"]
+    profs = _profiles(cfg["engine"], wc)
     csv = out / f"{tag}profile.csv"
     write_csv(csv, ["x", "P_x", "engine"],
               [(x + 1, float(p), prof.engine) for prof in profs
@@ -356,6 +379,9 @@ def _walk(cfg, model, out, tag, plot):
     files = {str(csv): "escape probabilities"}
     diags = {prof.engine: dict(prof.diagnostics, total=prof.total,
                                incomplete=prof.incomplete) for prof in profs}
+    if cfg["command"] == "burst":
+        for prof in profs:
+            diags[prof.engine].update(_burst(prof.P, wc.x0, cfg["threshold"]))
     if plot:
         pl = SvgPlot(xlabel="x", ylabel="P_x", title="escape probability",
                      ylog=True)
@@ -364,52 +390,21 @@ def _walk(cfg, model, out, tag, plot):
         svg = out / f"{tag}profile.svg"
         pl.write(svg)
         files[str(svg)] = "escape profile plot"
-    return profs, files, diags
-
-
-def _cmd_walk(cfg, model, out, tag, plot, jobs):
-    return _walk(cfg, model, out, tag, plot)[1:]
-
-
-def _cmd_burst(cfg, model, out, tag, plot, jobs):
-    """A walk run plus each profile's burst metrics and bulk fits."""
-    profs, files, diags = _walk(cfg, model, out, tag, plot)
-    x0 = int(cfg["x0"])
-    threshold = float(cfg.get("threshold", analysis.BURST_THRESHOLD))
-    for prof in profs:
-        m = analysis.burst_metrics(prof.P, x0, threshold)
-        entry = diags[prof.engine]
-        entry.update(burst_type=m.burst_type,
-                     ratio_left=m.ratio_left, ratio_right=m.ratio_right,
-                     p_edge_left=m.p_edge_left, p_edge_right=m.p_edge_right)
-        for side in (analysis.LEFT, analysis.RIGHT):
-            try:
-                fit = analysis.fit_bulk(prof.P, x0, side)
-                entry[f"fit_{side.lower()}"] = {
-                    "kind": fit.kind, "exponent": fit.exponent,
-                    "r_squared": fit.r_squared, "window": list(fit.window),
-                    "power_r2": fit.power_r2, "exp_r2": fit.exp_r2,
-                    "n_points": fit.n_points}
-            except analysis.WindowError as exc:
-                entry[f"fit_{side.lower()}"] = {"error": str(exc)}
     return files, diags
 
 
 def _sweep_row(args):
-    """One sweep sample; module-level so worker pools can pickle it."""
-    params, cfg, vary, value = args
-    x0 = int(value) if vary == "x0" else int(cfg["x0"])
-    prof, = _profiles(cfg, _row_params(params, vary, value), x0)
-    m = analysis.burst_metrics(prof.P, x0, float(cfg.get("threshold",
-                                                         analysis.BURST_THRESHOLD)))
+    """One sweep row; module-level so worker pools can pickle it."""
+    engine, threshold, value, wc = args
+    prof, = _profiles(engine, wc)
+    m = analysis.burst_metrics(prof.P, wc.x0, threshold)
     return (float(value), m.ratio_left, m.ratio_right,
             m.p_edge_left, m.p_edge_right, m.burst_type, prof.incomplete)
 
 
 def _cmd_sweep(cfg, model, out, tag, plot, jobs):
-    sw = cfg["sweep"]
-    vary, values = sw["vary"], sw["values"]
-    tasks = [(model, cfg, vary, v) for v in values]
+    vary = cfg["sweep"]["vary"]
+    tasks = [(cfg["engine"], cfg["threshold"], v, wc) for v, wc in cfg["walks"]]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_row, tasks))
@@ -451,7 +446,7 @@ def _cmd_liouville(cfg, model, out, tag, plot, jobs):
     diags = {"gap": rep.gap, "gapless": rep.gapless, "max_real": rep.max_real,
              "note": rep.note}
     if "x0" in cfg:
-        dens, qd = liouville.steady_density(model, int(cfg["x0"]))
+        dens, qd = liouville.steady_density(model, cfg["x0"])
         dcsv = out / f"{tag}steady_density.csv"
         write_csv(dcsv, ["x", "n_B"], list(enumerate(dens, start=1)))
         files[str(dcsv)] = "steady B-site density"
@@ -475,7 +470,7 @@ def execute(cfg, out_dir, plot=False, jobs=1, seed=None, tag=""):
     if command == "figure":
         return _run_figure(cfg, out, plot, jobs, seed)
     impl = {"spectrum": _cmd_spectrum, "igc": _cmd_igc, "walk": _cmd_walk,
-            "burst": _cmd_burst, "sweep": _cmd_sweep, "liouville": _cmd_liouville}
+            "burst": _cmd_walk, "sweep": _cmd_sweep, "liouville": _cmd_liouville}
     files, diags = impl[command](cfg, model, out, tag, plot, jobs)
     diags["model"] = echo
     return files, diags
@@ -652,25 +647,14 @@ def _error_record(status, kind, message):
                                  "message": message}}, indent=2)
 
 
-def _write_failure_record(out, cfg, seed, exc):
-    """run.json of a run that failed numerically: what, where and the traceback."""
-    record = {
-        "tool": "igclab",
-        "version": __version__,
-        "status": "failed",
-        "command": cfg.get("command") if isinstance(cfg, dict) else None,
-        "config": cfg,
-        "seed": seed,
-        "error": {"type": type(exc).__name__, "message": str(exc),
-                  "traceback": "".join(traceback.format_exception(exc))},
-    }
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "run.json", "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2, default=str)
-            fh.write("\n")
-    except OSError:
-        pass    # the stderr record still reports the failure
+def _write_record(out, **record):
+    """run.json of a run: its status and config, then its outputs or error."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "run.json", "w", encoding="utf-8") as fh:
+        json.dump({"tool": "igclab", "version": __version__, **record}, fh,
+                  indent=2, default=str)
+        fh.write("\n")
 
 
 def main(argv=None) -> int:
@@ -714,24 +698,13 @@ def main(argv=None) -> int:
         started = time.time()
         files, diags = execute(cfg, args.out, plot=args.plot, jobs=args.jobs,
                                seed=args.seed)
-        record = {
-            "tool": "igclab",
-            "version": __version__,
-            "status": "ok",
-            "config": cfg,
-            "seed": args.seed,
-            "wall_time_s": round(time.time() - started, 3),
-            "diagnostics": diags,
-            "outputs": files,
-        }
-        out = Path(args.out)
         missing = [f for f in files
                    if not Path(f).is_file() or Path(f).stat().st_size == 0]
         if missing:
             raise RunFailure(f"missing or empty outputs: {missing}")
-        with open(out / "run.json", "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2, default=str)
-            fh.write("\n")
+        _write_record(args.out, status="ok", config=cfg, seed=args.seed,
+                      wall_time_s=round(time.time() - started, 3),
+                      diagnostics=diags, outputs=files)
     except ConfigError as exc:
         print(_error_record(2, "config", str(exc)), file=sys.stderr)
         return 2
@@ -741,7 +714,14 @@ def main(argv=None) -> int:
     except Exception as exc:  # numerical failures: report, do not traceback
         print(_error_record(3, "numerical", f"{type(exc).__name__}: {exc}"),
               file=sys.stderr)
-        _write_failure_record(Path(args.out), cfg, args.seed, exc)
+        try:
+            _write_record(args.out, status="failed",
+                          command=cfg.get("command") if isinstance(cfg, dict) else None,
+                          config=cfg, seed=args.seed,
+                          error={"type": type(exc).__name__, "message": str(exc),
+                                 "traceback": "".join(traceback.format_exception(exc))})
+        except OSError:
+            pass    # the stderr record still reports the failure
         return 3
     return 0
 

@@ -32,7 +32,7 @@ from . import densela
 from .igc import IgcSolution
 from .model import PBC, LadderOperator, LadderParams, build_ladder, site_index
 from .quadrature import adaptive_quadrature
-from .walk import resolvent_integrand
+from .walk import RESOLVENT_RTOL, resolvent_integrand
 
 GAPLESS_TOL = 1e-6
 
@@ -98,8 +98,7 @@ def dark_mode_check(p: LadderParams, sol: IgcSolution) -> np.ndarray:
     return np.array(res)
 
 
-def steady_density(p: LadderParams, x0: int, rtol: float = 1e-9,
-                   max_panels: int = 4000):
+def steady_density(p: LadderParams, x0: int, max_panels: int = 4000):
     """B-site density fed by a source at (x0, A), from the resolvent of X.
 
         n_x^B = (gamma_x / pi) * integral |<x,B| (i omega - X)^{-1} |x0,A>|^2
@@ -114,7 +113,7 @@ def steady_density(p: LadderParams, x0: int, rtol: float = 1e-9,
     if np.all(gam == 0.0):
         return np.zeros(p.L), {"note": "lossless model"}
     f, edges, omega_max, _, info = resolvent_integrand(p, x0, build_damping(p), 1j)
-    quad = adaptive_quadrature(f, edges, rtol=rtol, atol_frac=1e-16,
+    quad = adaptive_quadrature(f, edges, rtol=RESOLVENT_RTOL, atol_frac=1e-16,
                                max_panels=max_panels)
     dens = gam / np.pi * quad.value
     diag = {"n_nodes": quad.n_evaluations, "n_panels": quad.n_panels,

@@ -50,6 +50,9 @@ RESOLVENT = "RESOLVENT"
 #: resolvent frequency window is chosen so this crude tail bound holds
 TAIL_BOUND = 1e-8
 
+#: relative quadrature goal of the resolvent integrals (profile and density)
+RESOLVENT_RTOL = 1e-9
+
 #: psi entries below the smallest normal double are flushed to zero
 _TINY = np.finfo(float).tiny
 
@@ -318,8 +321,7 @@ def resolvent_integrand(p: LadderParams, x0: int, op: LadderOperator, s: complex
     return f, edges, omega_max, tail_bound, info
 
 
-def loss_profile_resolvent(cfg: WalkConfig, rtol: float = 1e-9,
-                           max_panels: int = 4000) -> LossProfile:
+def loss_profile_resolvent(cfg: WalkConfig, max_panels: int = 4000) -> LossProfile:
     """Escape profile from the frequency-domain resolvent formula.
 
     The integrand and its window come from `resolvent_integrand` with s = 1;
@@ -338,7 +340,7 @@ def loss_profile_resolvent(cfg: WalkConfig, rtol: float = 1e-9,
                                         "engine": RESOLVENT})
     f, edges, omega_max, tail_bound, info = resolvent_integrand(
         p, cfg.x0, build_ladder(p), 1.0)
-    quad = adaptive_quadrature(f, edges, rtol=rtol, atol_frac=1e-16,
+    quad = adaptive_quadrature(f, edges, rtol=RESOLVENT_RTOL, atol_frac=1e-16,
                                max_panels=max_panels)
     P = gam / np.pi * quad.value
     total = float(P.sum())

@@ -161,6 +161,17 @@ BAD_VALUES = {
     "k_samples too few": _probe("spectrum", self_intersections=True, k_samples=100),
     "igc on a general model": {"command": "igc", "model": _GENERAL},
     "liouville on a general model": {"command": "liouville", "model": _GENERAL},
+    "general gamma a bool": {"command": "spectrum", "model": dict(_GENERAL, gamma=[True])},
+    "general entry a bool": {"command": "spectrum",
+                             "model": dict(_GENERAL, C=[[[True, 0.0]]])},
+    "general entry NaN": {"command": "spectrum",
+                          "model": dict(_GENERAL, A=[[[float("nan"), 0.0]]])},
+    "ladder option on a general model": {"command": "spectrum", "model": _GENERAL,
+                                         "compare_bc": True},
+    "self-crossings of a linear loss": _probe(
+        "spectrum", model={"bc": "PBC", "gamma": {"kind": "linear", "slope": 0.01,
+                                                  "offset": 0.2}},
+        self_intersections=True),
 }
 
 
@@ -170,6 +181,26 @@ def test_a_bad_value_is_a_config_error_before_any_output(tmp_path, capsys, cfg):
     assert status == 2
     assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
     assert not out.exists()
+
+
+def test_the_plan_holds_one_walk_per_sweep_row():
+    cfg = dict(_probe("sweep", t_max=500), sweep={"vary": "t2", "values": [0, 0.1, 0.25]})
+    plan, model, _ = validate_config(cfg)
+    assert [v for v, _ in plan["walks"]] == [0.0, 0.1, 0.25]
+    for v, wc in plan["walks"]:
+        assert isinstance(wc, WalkConfig)
+        assert (wc.x0, wc.t_max, wc.params.t[2]) == (6, 500.0, v)
+        assert wc.params == model.replace(t=(0.3, 0.5, v))
+
+
+def test_the_plan_fills_in_the_defaults():
+    burst = {k: v for k, v in _probe("burst").items() if k != "engine"}
+    plan, model, _ = validate_config(burst)
+    assert (plan["engine"], plan["threshold"]) == ("TIME", 10.0)
+    (x0, wc), = plan["walks"]
+    assert x0 == 6 and wc == WalkConfig(params=model, x0=6)
+    spectrum = validate_config(_probe("spectrum"))[0]
+    assert spectrum["k_samples"] == 1024 and "walks" not in spectrum
 
 
 def test_sweep_with_an_edge_release_skips_the_slope_fits(tmp_path):
