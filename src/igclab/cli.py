@@ -61,6 +61,8 @@ class RunFailure(RuntimeError):
 
 
 def _fail_unknown(given, allowed, where):
+    if not isinstance(given, dict):
+        raise ConfigError(f"{where} must be an object, got {given!r}")
     unknown = set(given) - allowed
     if unknown:
         raise ConfigError(f"unknown field(s) {sorted(unknown)} in {where}")
@@ -235,7 +237,7 @@ def validate_config(cfg, default_seed=None):
     cfg, seed = dict(cfg), cfg.get("seed", default_seed)
     if command == "figure":
         name = _need(cfg, "figure")
-        if name not in PRESETS:
+        if not isinstance(name, str) or name not in PRESETS:
             raise ConfigError(f"unknown figure preset {name!r}; "
                               f"known: {', '.join(sorted(PRESETS))}")
         return cfg, None, {"figure": name}
@@ -629,6 +631,8 @@ def presets():
 # --- entry point --------------------------------------------------------------
 
 def _apply_override(cfg, key, value):
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
     try:
         parsed = json.loads(value)
     except json.JSONDecodeError:

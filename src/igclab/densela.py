@@ -3,19 +3,19 @@
 Everything downstream funnels its linear solves and eigenproblems through
 this module.  The factorizations themselves are delegated to LAPACK
 (partial-pivot LU via scipy: dense, in band storage, or tridiagonal for a
-stack of 2x2 blocks; Hessenberg + implicitly shifted QR via numpy's eig);
+band with kl = ku = 1; Hessenberg + implicitly shifted QR via numpy's eig);
 what this module owns is the contract around them: singularity detection at a
-fixed pivot threshold, the same for dense, banded and stacked input, per-pair
-eigen residuals, and a condition flag that marks spectra whose eigenbasis
-cannot be trusted.  Skin-effect matrices under open boundaries are expected
-to trip that flag at moderate sizes; callers must not propagate with their
-eigenvectors.
+fixed pivot threshold, the same for dense and banded input and any diagonal
+shift, per-pair eigen residuals, and a condition flag that marks spectra
+whose eigenbasis cannot be trusted.  Skin-effect matrices under open
+boundaries are expected to trip that flag at moderate sizes; callers must not
+propagate with their eigenvectors.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -54,12 +54,18 @@ class Banded:
 
     `ab` has kl + ku + 1 rows (the diagonal is row ku) and one column per
     matrix column; the entries outside the matrix are zero (LAPACK ignores
-    them, `T` relies on it).
+    them, `T` relies on it).  The band keeps its own read-only copy of `ab`,
+    so the LU set-up it caches (`_lu_setup`) cannot go stale.
     """
 
     ab: np.ndarray
     kl: int
     ku: int
+
+    def __post_init__(self):
+        ab = np.array(self.ab, dtype=complex)
+        ab.flags.writeable = False
+        object.__setattr__(self, "ab", ab)
 
     @property
     def T(self) -> "Banded":
@@ -68,73 +74,77 @@ class Banded:
         ab = np.array([np.roll(self.ab[w - r], self.kl - r) for r in range(w + 1)])
         return Banded(ab=ab, kl=self.ku, ku=self.kl)
 
+    @cached_property
+    def _lu_setup(self):
+        # (tridiagonal, storage, diagonal row, largest off-diagonal |a|): the
+        # band LU (`zgbtrf`) needs kl spare rows on top for the pivoting fill-in
+        # and column-major storage, the tridiagonal solver (`zgtsv`) neither
+        kl, ku = self.kl, self.ku
+        tri = kl == ku == 1 and self.ab.shape[1] > 1
+        spare = 0 if tri else kl
+        work = np.zeros((spare + kl + ku + 1, self.ab.shape[1]), dtype=complex,
+                        order="C" if tri else "F")
+        work[spare:] = self.ab
+        off = np.abs(np.delete(self.ab, ku, axis=0)).max(initial=0.0)
+        return tri, work, spare + ku, off
 
-def _check_pivots(pivots: np.ndarray, scale: float):
-    # written so that a NaN pivot, a NaN scale (an overflowed elimination) or
-    # an infinite entry fails too
-    if not (0.0 < scale < np.inf and pivots.min() >= PIVOT_RTOL * scale):
+
+def _check_pivots(pivot: float, scale: float):
+    # pivot is the smallest |U_ii|; written so that a NaN pivot, a NaN scale
+    # (an overflowed elimination) or an infinite entry fails too
+    if not (0.0 < scale < np.inf and pivot >= PIVOT_RTOL * scale):
         raise SingularMatrixError(
             f"matrix is singular to working precision (min pivot "
-            f"{pivots.min():.3e} vs scale {scale:.3e})")
+            f"{pivot:.3e} vs scale {scale:.3e})")
 
 
-def _banded_solve(A: Banded, b: np.ndarray) -> np.ndarray:
+def _banded_solve(A: Banded, b: np.ndarray, shift: complex) -> np.ndarray:
+    tri, setup, d, off = A._lu_setup
+    work = setup.copy(order="A")
+    diag = work[d]
+    diag += shift
+    # max|A + shift I|: the off-diagonal part was measured once; a NaN in
+    # either part propagates
+    scale = np.abs(diag).max(initial=off)
+    if tri:
+        # positional: dl, d, du, b, then overwrite_dl, _d, _du, _b; U's
+        # diagonal comes back in place of d
+        _, u, _, x, info = sla.lapack.zgtsv(work[2, :-1], diag, work[0, 1:],
+                                            b.reshape(b.shape[0], -1), 1, 1, 1, 0)
+        # an exact zero pivot (info > 0) stops the elimination early
+        _check_pivots(np.abs(u).min() if info == 0 else 0.0, scale)
+        return x.reshape(b.shape)
     kl, ku = A.kl, A.ku
-    # LAPACK's band LU needs kl extra rows on top for the pivoting fill-in
-    work = np.zeros((2 * kl + ku + 1, A.ab.shape[1]), dtype=complex)
-    work[kl:] = A.ab
     lu, piv, _ = sla.lapack.zgbtrf(work, kl, ku, overwrite_ab=1)
     # U's diagonal is row kl + ku; an exact zero pivot (info > 0) fails here too
-    _check_pivots(np.abs(lu[kl + ku]), np.abs(A.ab).max(initial=0.0))
+    _check_pivots(np.abs(lu[kl + ku]).min(), scale)
     x, _ = sla.lapack.zgbtrs(lu, kl, ku, b, piv)
     return x
 
 
-def _stacked_2x2_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # m 2x2 blocks are one block-diagonal tridiagonal matrix of order 2m, whose
-    # partial-pivot LU (LAPACK `zgtsv`) pivots within each block and leaves U's
-    # diagonal in place of the diagonal; the couplings between blocks are zero
-    m = A.shape[0]
-    work = np.zeros((4, m, 2), dtype=complex)     # dl, d, du, rhs
-    work[0, :, 0] = A[:, 1, 0]
-    work[1] = A.diagonal(0, 1, 2)
-    work[2, :, 0] = A[:, 0, 1]
-    work[3] = b
-    flat = work.reshape(4, 2 * m)
-    # positional: dl, d, du, b, then overwrite_dl, _d, _du, _b
-    _, u, _, x, info = sla.lapack.zgtsv(flat[0, :-1], flat[1], flat[2, :-1],
-                                        flat[3, :, None], 1, 1, 1, 1)
-    # an exact zero pivot (info > 0) stops the elimination early
-    _check_pivots(np.abs(u) if info == 0 else np.zeros(1), np.abs(A).max(initial=0.0))
-    return x.reshape(m, 2)
+def lu_solve(A: np.ndarray | Banded, b: np.ndarray, shift: complex = 0.0) -> np.ndarray:
+    """Solve (A + shift I) x = b by partial-pivot LU, A dense square or `Banded`.
 
-
-def lu_solve(A: np.ndarray | Banded, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b by partial-pivot LU, for a dense square array or a `Banded`.
-
-    A stack of m 2x2 blocks, shape (m, 2, 2), is solved block by block
-    against b of shape (m, 2), or against one (2,) right-hand side for all
-    blocks, and gives x of shape (m, 2).  In every case the matrix counts as
-    singular, and `SingularMatrixError` is raised, when a pivot of U falls
-    below PIVOT_RTOL * max|A| (for a stack, the largest entry of any block);
+    A band is factored by LAPACK's band LU, or by its tridiagonal solver when
+    kl = ku = 1; what does not depend on `shift` is set up once per `Banded`
+    (see `Banded._lu_setup`), so a sequence of shifts on one band pays for
+    its LUs only.  The matrix counts as singular, and `SingularMatrixError`
+    is raised, when a pivot of U falls below PIVOT_RTOL * max|A + shift I|;
     a NaN or infinite entry is refused the same way.
     """
     b = np.asarray(b, dtype=complex)
     if isinstance(A, Banded):
-        return _banded_solve(A, b)
-    A = np.asarray(A, dtype=complex)
-    if A.ndim == 3:
-        if A.shape[1:] != (2, 2):
-            raise ValueError(f"a stack of blocks must be (m, 2, 2), got {A.shape}")
-        return _stacked_2x2_solve(A, b)
-    A = np.ascontiguousarray(A)
-    with warnings.catch_warnings():
-        # scipy warns about exact zero pivots; the threshold check below
-        # covers that case and raises instead
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(A, check_finite=False)
-    _check_pivots(np.abs(np.diagonal(lu)), np.abs(A).max(initial=0.0))
-    return sla.lu_solve((lu, piv), b, check_finite=False)
+        return _banded_solve(A, b, shift)
+    A = np.array(A, dtype=complex, order="F")
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"lu_solve needs a square matrix, got shape {A.shape}")
+    A[np.diag_indices(A.shape[0])] += shift
+    scale = np.abs(A).max(initial=0.0)
+    lu, piv, _ = sla.lapack.zgetrf(A, overwrite_a=1)
+    # an exact zero pivot (info > 0) stays on U's diagonal and fails here too
+    _check_pivots(np.abs(np.diagonal(lu)).min(), scale)
+    x, _ = sla.lapack.zgetrs(lu, piv, b)
+    return x
 
 
 def eigendecompose(A: np.ndarray, want_vectors: bool = False) -> Spectrum:

@@ -13,14 +13,15 @@ compute the escape profile P_x and serve as mutual cross-checks:
   dense O(L^2), and
 * the resolvent engine evaluates the frequency-domain formula
   P_x = (gamma_x / pi) * integral |<x,B| (omega - H)^{-1} |x0,A>|^2 d omega
-  by adaptive Gauss-Kronrod panels, one solve per node.  A periodic ring
-  with uniform loss is block diagonal in momentum, so its node is one solve
-  of the L 2x2 Bloch blocks (`bloch_blocks`) and an inverse FFT takes the
-  response back to the cells; every other ladder takes one banded LU
-  (natural site order under OBC, folded cells under PBC, so the
-  half-bandwidth is 2n+1 or 4n+1 whatever L is).  The same integrand, with
-  the damping matrix X = i conj(H) in place of H, gives the steady density
-  in `liouville`.
+  by adaptive Gauss-Kronrod panels, one shifted band solve per node: the
+  band -M is laid out once per integral and each node solves it shifted by
+  s*omega.  A periodic ring with uniform loss is block diagonal in
+  momentum, so its band is the L 2x2 Bloch blocks (`bloch_blocks`) as one
+  tridiagonal matrix, and an inverse FFT takes the response back to the
+  cells; every other ladder solves its own band (natural site order under
+  OBC, folded cells under PBC, so the half-bandwidth is 2n+1 or 4n+1
+  whatever L is).  The same integrand, with the damping matrix
+  X = i conj(H) in place of H, gives the steady density in `liouville`.
 
 The two engines share only the operator build: the time engine's matvec and
 the resolvent engine's solves are separate code, so that their agreement
@@ -55,8 +56,6 @@ RESOLVENT_RTOL = 1e-9
 
 #: psi entries below the smallest normal double are flushed to zero
 _TINY = np.finfo(float).tiny
-
-_EYE2 = np.eye(2)
 
 
 @dataclass(frozen=True)
@@ -248,46 +247,6 @@ def _resolvent_edges(p: LadderParams, h_inf: float, omega_max: float) -> np.ndar
     return np.array(edges)
 
 
-def _banded_integrand(p: LadderParams, x0: int, op: LadderOperator, s: complex):
-    # M's band is negated once; each node copies it, adds s*omega to the
-    # diagonal row and makes one banded LU solve
-    kl, ku = op.band.kl, op.band.ku
-    neg = -op.band.ab
-    rhs0 = _initial_state(p, x0)[op.order]
-    # position of each cell's B site in the band ordering
-    bpos = np.argsort(op.order)[np.arange(p.L) * 2 + 1]
-
-    def f(omegas):
-        out = np.empty((omegas.size, p.L))
-        for i, w in enumerate(omegas):
-            ab = neg.copy()
-            ab[ku] += s * w
-            g = densela.lu_solve(densela.Banded(ab, kl, ku), rhs0)
-            out[i] = np.abs(g[bpos]) ** 2
-        return out
-
-    return f, {"solver": "banded", "bandwidth": [kl, ku]}
-
-
-def _bloch_integrand(p: LadderParams, x0: int, op: LadderOperator, s: complex):
-    # s*omega - M is block diagonal in momentum: each node is one stacked
-    # solve of s*omega - B_j against the A component, and a panel's B
-    # components go to cell space in one inverse FFT.  Relative to the
-    # release, cell x reads the transform at (x - x0) mod L
-    neg = -bloch_blocks(p, op)
-    src = np.array([1.0, 0.0])
-    cells = (np.arange(p.L) - (x0 - 1)) % p.L
-
-    def f(omegas):
-        gk = np.empty((omegas.size, p.L), dtype=complex)
-        for i, w in enumerate(omegas):
-            gk[i] = densela.lu_solve(neg + s * w * _EYE2, src)[:, 1]
-        g = np.fft.ifft(gk, axis=1)[:, cells]
-        return np.abs(g) ** 2
-
-    return f, {"solver": "bloch_blocks"}
-
-
 def resolvent_integrand(p: LadderParams, x0: int, op: LadderOperator, s: complex):
     """Frequency-domain integrand of the B-site response to a source at (x0, A).
 
@@ -296,13 +255,13 @@ def resolvent_integrand(p: LadderParams, x0: int, op: LadderOperator, s: complex
     `op` (`build_ladder(p)` or `build_damping(p)`).  The window
     [-Omega, Omega] is fixed by the crude operator-norm tail bound
     (gamma_max/pi) * 2 / (Omega - ||M||_inf) < TAIL_BOUND.  The integrand
-    makes one `densela.lu_solve` call per node: on a periodic ring with
-    uniform loss, one solve of the stack of L 2x2 blocks s*omega - B_j, B =
-    `bloch_blocks(p, op)`, whose B components an inverse FFT over k takes to
-    the cells; on any other ladder, one banded LU of s*omega - M in the
-    sites' `band_order`.  Returns (integrand, edges, Omega, tail_bound,
-    info), info naming the `solver` ("bloch_blocks" or "banded") and, for
-    the banded one, its `bandwidth` [kl, ku].  A lossless model (every
+    makes one `densela.lu_solve(neg, rhs, shift=s*omega)` call per node on a
+    band `neg` built once: on a periodic ring with uniform loss, the L 2x2
+    blocks -B_j, B = `bloch_blocks(p, op)`, as one tridiagonal band whose
+    B components an inverse FFT over k takes to the cells; on any other
+    ladder, -M in the sites' `band_order`.  Returns (integrand, edges,
+    Omega, tail_bound, info), info naming the `solver` ("bloch_blocks" or
+    "banded") and, for the banded one, its `bandwidth` [kl, ku].  A lossless model (every
     gamma_x = 0) has no such window and raises ValueError.
     """
     gam = np.asarray(p.gamma)
@@ -313,10 +272,37 @@ def resolvent_integrand(p: LadderParams, x0: int, op: LadderOperator, s: complex
     m_inf = float(np.abs(op.band.T.ab).sum(axis=0).max())
     omega_max = m_inf + 2.0 * gam.max() / (np.pi * TAIL_BOUND)
     edges = _resolvent_edges(p, m_inf, omega_max)
-    if p.bc == PBC and p.uniform_gamma is not None:
-        f, info = _bloch_integrand(p, x0, op, s)
+    ring = p.bc == PBC and p.uniform_gamma is not None
+    if ring:
+        # s*omega - M is block diagonal in momentum: its L 2x2 blocks
+        # s*omega - B_j are one tridiagonal band of order 2L (cells' (A, B)
+        # pairs in turn, zero couplings between blocks), solved against the A
+        # component of each; a panel's B components go to cell space in one
+        # inverse FFT, where cell x reads the transform at (x - x0) mod L
+        blocks = -bloch_blocks(p, op)
+        ab = np.zeros((3, 2 * p.L), dtype=complex)
+        ab[0, 1::2], ab[2, 0::2] = blocks[:, 0, 1], blocks[:, 1, 0]
+        ab[1] = blocks.diagonal(0, 1, 2).ravel()
+        neg, rhs = densela.Banded(ab, 1, 1), np.tile([1.0, 0.0], p.L)
+        cells = (np.arange(p.L) - (x0 - 1)) % p.L
+        info = {"solver": "bloch_blocks"}
     else:
-        f, info = _banded_integrand(p, x0, op, s)
+        # s*omega - M in the sites' band order, read at each cell's B site
+        neg = densela.Banded(-op.band.ab, op.band.kl, op.band.ku)
+        rhs = _initial_state(p, x0)[op.order]
+        cells = np.argsort(op.order)[np.arange(p.L) * 2 + 1]
+        info = {"solver": "banded", "bandwidth": [neg.kl, neg.ku]}
+
+    def f(omegas):
+        g = np.empty((omegas.size, rhs.size), dtype=complex)
+        for i, w in enumerate(omegas):
+            g[i] = densela.lu_solve(neg, rhs, shift=s * w)
+        # the Kronrod sums round differently on C- and F-ordered values, so
+        # each path keeps its layout: switching it moves P in the last bits
+        if ring:
+            return np.abs(np.fft.ifft(g[:, 1::2], axis=1)[:, cells]) ** 2
+        return np.abs(g.take(cells, axis=1)) ** 2
+
     tail_bound = float(gam.max() / np.pi * 2.0 / (omega_max - m_inf))
     return f, edges, omega_max, tail_bound, info
 

@@ -172,6 +172,8 @@ BAD_VALUES = {
         "spectrum", model={"bc": "PBC", "gamma": {"kind": "linear", "slope": 0.01,
                                                   "offset": 0.2}},
         self_intersections=True),
+    "sweep not an object": dict(_probe("sweep"), sweep=5),
+    "figure name a list": {"command": "figure", "figure": ["fig3a"]},
 }
 
 
@@ -307,6 +309,13 @@ def test_override_via_set(tmp_path):
     assert len(rows) == 1          # header only: gapped couplings, no roots
     record = json.loads((out / "run.json").read_text())
     assert record["diagnostics"]["gapped"] is True
+
+
+def test_override_on_a_config_that_is_not_an_object(tmp_path, capsys):
+    status, out = run_cli(tmp_path, [1], "--set", "a=1")
+    assert status == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
+    assert not out.exists()
 
 
 def test_walk_run_small(tmp_path):

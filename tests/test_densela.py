@@ -51,6 +51,16 @@ def _near_singular_block(ratio):
     return np.exp(0.3j) * np.array([[0.5, 1.0], [1.0, 2.0 + e]])
 
 
+def _block_band(blocks):
+    # m 2x2 blocks on the diagonal of a tridiagonal band of order 2m, the
+    # couplings between blocks zero
+    ab = np.zeros((3, 2 * len(blocks)), dtype=complex)
+    ab[0, 1::2] = blocks[:, 0, 1]
+    ab[1] = blocks.diagonal(0, 1, 2).ravel()
+    ab[2, 0::2] = blocks[:, 1, 0]
+    return Banded(ab, 1, 1)
+
+
 def test_lu_solve_stacked_blocks():
     rng = np.random.default_rng(7)
     # entries below 1 in modulus, so that the test block below sets max|A|
@@ -58,26 +68,38 @@ def test_lu_solve_stacked_blocks():
     b = rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for rhs in (b, b[0]):               # one row per block, or one for all
-            ref = np.linalg.solve(A, np.broadcast_to(rhs, (9, 2))[..., None])[..., 0]
-            assert np.abs(lu_solve(A, rhs) - ref).max() <= 1e-13 * np.abs(ref).max()
+        for z in (0.0, 0.3 - 0.2j):         # the shift lands on every block
+            ref = np.linalg.solve(A + z * np.eye(2), b[..., None])[..., 0]
+            x = lu_solve(_block_band(A), b.ravel(), shift=z)
+            assert np.abs(x.reshape(9, 2) - ref).max() <= 1e-13 * np.abs(ref).max()
         # just above the pivot threshold the block is solved, backward stably
         A[4] = _near_singular_block(1.1)
-        x = lu_solve(A, b)
+        x = lu_solve(_block_band(A), b.ravel()).reshape(9, 2)
         eps = np.finfo(float).eps
         norm_a = np.abs(A[4]).sum(axis=1).max()
         assert np.abs(A[4] @ x[4] - b[4]).max() <= 8 * eps * norm_a * np.abs(x[4]).max()
         A[4] = _near_singular_block(0.9)    # just below: refused
         with pytest.raises(SingularMatrixError):
-            lu_solve(A, b)
+            lu_solve(_block_band(A), b.ravel())
         A[4] = [[1.0, np.nan], [0.0, 1.0]]
         with pytest.raises(SingularMatrixError):
-            lu_solve(A, b)
+            lu_solve(_block_band(A), b.ravel())
         A[4] = 0.0
         with pytest.raises(SingularMatrixError):
-            lu_solve(A, b)
-    with pytest.raises(ValueError, match="stack"):
+            lu_solve(_block_band(A), b.ravel())
+    with pytest.raises(ValueError, match="square"):
         lu_solve(np.ones((3, 3, 3)), np.ones(3))
+
+
+def test_a_band_is_read_only():
+    # the band caches its LU set-up, so its entries must not change under it
+    ab = np.array([[0.0, 2.0], [1.0, 4.0], [3.0, 0.0]])
+    band = Banded(ab, 1, 1)
+    x = lu_solve(band, np.ones(2), shift=1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        band.ab[1, 0] = 5.0
+    ab[1, 0] = 5.0                      # the caller's array is not the band's
+    assert np.array_equal(lu_solve(band, np.ones(2), shift=1.0), x)
 
 
 def test_banded_transpose():

@@ -290,6 +290,61 @@ def test_banded_solve_matches_dense(p, side, data):
         assert np.allclose(f(np.array([w]))[0], np.abs(xb[1::2]) ** 2, rtol=1e-13, atol=0)
 
 
+@settings(max_examples=150, deadline=None)
+@given(kl=st.integers(0, 5), ku=st.integers(0, 5), n=st.integers(1, 16),
+       seed=st.integers(0, 2**32 - 1),
+       shift=st.just(0j) | st.complex_numbers(max_magnitude=3.0),
+       defect=st.sampled_from(["none", "zero column", "nan"]))
+@example(kl=1, ku=1, n=6, seed=1, shift=0.5 - 0.25j, defect="none")
+@example(kl=1, ku=1, n=6, seed=2, shift=0j, defect="zero column")
+@example(kl=1, ku=1, n=6, seed=3, shift=1j, defect="nan")
+def test_shifted_band_solve_matches_dense(kl, ku, n, seed, shift, defect):
+    # lu_solve(B, b, shift=z) solves (B + z I) x = b on B's cached LU set-up,
+    # by the tridiagonal solver when kl = ku = 1 and the band LU otherwise;
+    # the reference is the dense LU of the same matrix.  A zeroed column
+    # (exactly singular without a shift) and a NaN entry must be refused by both
+    rng = np.random.default_rng(seed)
+    ab = rng.normal(size=(kl + ku + 1, n)) + 1j * rng.normal(size=(kl + ku + 1, n))
+    i = np.arange(n) + np.arange(kl + ku + 1)[:, None] - ku   # row of each entry
+    ab[(i < 0) | (i >= n)] = 0.0
+    col = rng.integers(n)
+    if defect == "zero column":
+        ab[:, col] = 0.0
+    elif defect == "nan":
+        ab[ku, col] = np.nan
+    band = densela.Banded(ab, kl, ku)
+    A = _dense(band) + shift * np.eye(n)
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    try:
+        x = densela.lu_solve(A, b)
+    except SingularMatrixError:
+        x = None
+    try:
+        xb = densela.lu_solve(band, b, shift=shift)
+    except SingularMatrixError:
+        xb = None
+    if x is None or xb is None:
+        # the same pivots against the same max|A|: only a matrix within
+        # rounding of the threshold could be refused by one side alone
+        assert x is None and xb is None or np.linalg.cond(A) > 0.01 / densela.PIVOT_RTOL
+        if defect == "nan" or defect == "zero column" and shift == 0:
+            assert x is None and xb is None
+        return
+    assert defect == "none" or defect == "zero column" and shift != 0
+    if not np.isfinite(x).all():
+        # the pivot test is relative: a matrix whose every entry is
+        # subnormal (a zeroed 1x1 band plus a subnormal shift) passes it,
+        # and its solve overflows on both sides alike
+        assert np.abs(A).max() < np.finfo(float).tiny and not np.isfinite(xb).all()
+        return
+    # the bounds of test_banded_solve_matches_dense
+    assert _max(A @ xb - b) <= 1e-12 * np.abs(A).sum(axis=1).max() * _max(xb)
+    kappa = np.linalg.cond(A)
+    assert _max(xb - x) <= max(1e-12, 100 * kappa * np.finfo(float).eps) * _max(x)
+    # the dense path shifts the same way
+    assert np.array_equal(densela.lu_solve(_dense(band), b, shift=shift), x)
+
+
 @settings(max_examples=80, deadline=None)
 @given(p=ladders(min_L=2, min_gamma=0.05, uniform=True, bc=PBC),
        side=st.sampled_from(sorted(_SIDES)), u=st.floats(-1.0, 1.0),
@@ -346,7 +401,7 @@ def test_bloch_integrand_matches_dense(p, side, u, cell):
         got = None
     if got is None or any(x is None for x in refs):
         # the dense LU and the blocks test their pivots against different
-        # scales (max|A| of the matrix or of the stack), so they may disagree,
+        # scales (max|A| of the matrix or of the blocks), so they may disagree,
         # or both refuse, only at a node within about PIVOT_RTOL of singular
         assert max(np.linalg.cond(A) for A in shifts) > 0.01 / densela.PIVOT_RTOL
         return
@@ -417,21 +472,22 @@ def test_both_paths_refuse_the_near_lossless_mode(monkeypatch):
     seen = []
     banded_solve = densela.lu_solve
 
-    def recording(A, b):
-        seen.append(A)
-        return banded_solve(A, b)
+    def recording(A, b, shift=0.0):
+        seen.append((A, shift))
+        return banded_solve(A, b, shift=shift)
 
     monkeypatch.setattr(densela, "lu_solve", recording)
     with pytest.raises(SingularMatrixError):
         loss_profile_resolvent(WalkConfig(params=NEAR_LOSSLESS, x0=1))
-    refused = seen[-1]
+    refused, shift = seen[-1]
     assert isinstance(refused, densela.Banded)
     with pytest.raises(SingularMatrixError):
         steady_density(NEAR_LOSSLESS, 1)
     monkeypatch.undo()
     # the dense path refuses the node the banded path refused
     with pytest.raises(SingularMatrixError):
-        densela.lu_solve(_dense(refused), np.eye(NEAR_LOSSLESS.dim)[0])
+        densela.lu_solve(_dense(refused) + shift * np.eye(NEAR_LOSSLESS.dim),
+                         np.eye(NEAR_LOSSLESS.dim)[0])
 
 
 @settings(max_examples=40, deadline=None)
