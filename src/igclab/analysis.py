@@ -264,7 +264,7 @@ def self_intersections(params: LadderParams, k_samples: int = 1024) -> list:
 
 def _polish_crossing(p, gam, k1, e1, k2, e2):
     two_pi = 2.0 * np.pi
-    for _ in range(_MAX_NEWTON):
+    for it in range(_MAX_NEWTON):
         b1, b2 = bloch_bands(p, [k1, k2]).T
         e1 = b1[np.argmin(np.abs(b1 - e1))]
         e2 = b2[np.argmin(np.abs(b2 - e2))]
@@ -282,7 +282,9 @@ def _polish_crossing(p, gam, k1, e1, k2, e2):
             step *= 0.5 / np.abs(step).max()
         k1 = (k1 + step[0]) % two_pi
         k2 = (k2 + step[1]) % two_pi
-        if abs(g) < _REFINE_TOL and np.abs(step).max() < 1e-12:
+        # near a tangency (phi near 0 or pi) rounding in g can keep every step
+        # above 1e-12: the last iteration settles for the residual alone
+        if abs(g) < _REFINE_TOL and (np.abs(step).max() < 1e-12 or it == _MAX_NEWTON - 1):
             break
     else:
         return None
@@ -296,7 +298,7 @@ def _polish_crossing(p, gam, k1, e1, k2, e2):
     e2 = b2[np.argmin(np.abs(b2 - e2))]
     d1 = _band_derivative(p, gam, k1, e1)
     d2 = _band_derivative(p, gam, k2, e2)
-    if d1 is None or d2 is None:
+    if d1 is None or d2 is None or not abs(e1 - e2) < _REFINE_TOL:
         return None
     cross = abs((np.conj(d1) * d2).imag)
     if cross <= 1e-6 * abs(d1) * abs(d2):

@@ -251,6 +251,9 @@ def validate_config(cfg, default_seed=None):
         k = cfg["k_samples"] = _integer(cfg.get("k_samples", 1024), "k_samples")
         if k < analysis.MIN_K_SAMPLES:
             raise ConfigError(f"k_samples must be >= {analysis.MIN_K_SAMPLES}, got {k}")
+        for flag in ("compare_bc", "self_intersections"):   # "no" would read as true
+            if not isinstance(cfg.get(flag, False), bool):
+                raise ConfigError(f"{flag} must be true or false, got {cfg[flag]!r}")
         if cfg.get("self_intersections") and model.uniform_gamma is None:
             raise ConfigError("self_intersections needs a uniform loss profile")
     if "x0" in cfg:
@@ -297,13 +300,13 @@ def _ladder_spectrum(p):
 
     A uniform-loss ring is block-circulant, so its spectrum is the union of
     the L Bloch blocks' eigenvalues; every other ladder takes the dense
-    eigensolve.
+    eigensolve (`LadderOperator.eigenvalues`).
     """
     H = build_ladder(p)
     if p.bc == PBC and p.uniform_gamma is not None:
         w = eigendecompose(bloch_blocks(p, H)).eigenvalues
         return np.sort_complex(w.ravel()), "bloch_blocks"
-    return eigendecompose(H.matrix).eigenvalues, "dense"
+    return H.eigenvalues()
 
 
 def _cmd_spectrum(cfg, model, out, tag, plot, jobs):
@@ -446,7 +449,7 @@ def _cmd_liouville(cfg, model, out, tag, plot, jobs):
               [(w.real, w.imag, model.bc) for w in rep.eigenvalues])
     files = {str(csv): "damping-matrix eigenvalues"}
     diags = {"gap": rep.gap, "gapless": rep.gapless, "max_real": rep.max_real,
-             "note": rep.note}
+             "note": rep.note, "eigensolve": rep.eigensolve}
     if "x0" in cfg:
         dens, qd = liouville.steady_density(model, cfg["x0"])
         dcsv = out / f"{tag}steady_density.csv"

@@ -3,13 +3,13 @@
 Everything downstream funnels its linear solves and eigenproblems through
 this module.  The factorizations themselves are delegated to LAPACK
 (partial-pivot LU via scipy: dense, in band storage, or tridiagonal for a
-band with kl = ku = 1; Hessenberg + implicitly shifted QR via numpy's eig);
-what this module owns is the contract around them: singularity detection at a
-fixed pivot threshold, the same for dense and banded input and any diagonal
-shift, per-pair eigen residuals, and a condition flag that marks spectra
-whose eigenbasis cannot be trusted.  Skin-effect matrices under open
-boundaries are expected to trip that flag at moderate sizes; callers must not
-propagate with their eigenvectors.
+band with kl = ku = 1; Hessenberg + implicitly shifted QR via numpy's eig, in
+real arithmetic for a float64 matrix); what this module owns is the contract
+around them: singularity detection at a fixed pivot threshold, the same for
+dense and banded input and any diagonal shift, per-pair eigen residuals, and
+a condition flag that marks spectra whose eigenbasis cannot be trusted.
+Skin-effect matrices under open boundaries are expected to trip that flag at
+moderate sizes; callers must not propagate with their eigenvectors.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ PIVOT_RTOL = 1e-14
 
 #: relative eigenpair residual above which the condition flag is set
 RESIDUAL_RTOL = 1e-8
+
+_TINY = np.finfo(float).tiny
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -91,8 +93,9 @@ class Banded:
 
 def _check_pivots(pivot: float, scale: float):
     # pivot is the smallest |U_ii|; written so that a NaN pivot, a NaN scale
-    # (an overflowed elimination) or an infinite entry fails too
-    if not (0.0 < scale < np.inf and pivot >= PIVOT_RTOL * scale):
+    # (an overflowed elimination), an infinite entry and an all-subnormal
+    # matrix (it passes the relative test, and its solve overflows) fail too
+    if not (_TINY <= scale < np.inf and pivot >= PIVOT_RTOL * scale):
         raise SingularMatrixError(
             f"matrix is singular to working precision (min pivot "
             f"{pivot:.3e} vs scale {scale:.3e})")
@@ -130,7 +133,7 @@ def lu_solve(A: np.ndarray | Banded, b: np.ndarray, shift: complex = 0.0) -> np.
     (see `Banded._lu_setup`), so a sequence of shifts on one band pays for
     its LUs only.  The matrix counts as singular, and `SingularMatrixError`
     is raised, when a pivot of U falls below PIVOT_RTOL * max|A + shift I|;
-    a NaN or infinite entry is refused the same way.
+    a NaN or infinite entry, or a subnormal max|A + shift I|, the same way.
     """
     b = np.asarray(b, dtype=complex)
     if isinstance(A, Banded):
@@ -150,14 +153,17 @@ def lu_solve(A: np.ndarray | Banded, b: np.ndarray, shift: complex = 0.0) -> np.
 def eigendecompose(A: np.ndarray, want_vectors: bool = False) -> Spectrum:
     """Full complex spectrum of a square matrix, sorted by (Re, Im).
 
-    A stack of m square n x n blocks gives eigenvalues of shape (m, n), row i
-    holding block i's, each row sorted by (Re, Im); eigenvectors are refused
-    for a stack.  With `want_vectors`, right eigenvectors are returned
-    column-aligned with the eigenvalues and every pair gets a relative
-    residual.  The solver is treated as a black box; the residuals are the
-    ground truth.
+    A float64 matrix takes real LAPACK (`dgeev`: about a third of `zgeev`'s
+    work, conjugate pairs exact), any other input the complex solve; both
+    return complex arrays.  A stack of m square n x n blocks gives
+    eigenvalues of shape (m, n), row i holding block i's, each row sorted by
+    (Re, Im); eigenvectors are refused for a stack.  With `want_vectors`,
+    right eigenvectors are returned column-aligned with the eigenvalues and
+    every pair gets a relative residual.  The solver is treated as a black
+    box; the residuals are the ground truth.
     """
-    A = np.asarray(A, dtype=complex)
+    A = np.asarray(A)
+    A = A if A.dtype == np.float64 else A.astype(complex, copy=False)
     if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
         raise ValueError("eigendecompose needs a square matrix or a stack of square blocks")
     if A.size == 0:
@@ -165,10 +171,10 @@ def eigendecompose(A: np.ndarray, want_vectors: bool = False) -> Spectrum:
     if want_vectors and A.ndim == 3:
         raise ValueError("eigenvectors are not returned for a stack of blocks")
     if not want_vectors:
-        w = np.linalg.eigvals(A)
+        w = np.linalg.eigvals(A).astype(complex, copy=False)
         order = np.lexsort((w.imag, w.real))
         return Spectrum(eigenvalues=np.take_along_axis(w, order, axis=-1))
-    w, V = np.linalg.eig(A)
+    w, V = (a.astype(complex, copy=False) for a in np.linalg.eig(A))
     order = np.lexsort((w.imag, w.real))
     w, V = w[order], V[:, order]
     norm_a = np.linalg.norm(A)

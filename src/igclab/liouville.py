@@ -18,7 +18,8 @@ approach.
 
 Full propagation of C~ costs a dense exponential per time sample and is
 exposed only as a small-size reference routine to validate the gap's
-convergence-class claim; everything else works at the level of X's spectrum.
+convergence-class claim; everything else works at the level of X's spectrum
+(at cos(phi) = 0 a real eigensolve: see `LadderOperator.eigenvalues`).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ class LiouvilleReport:
     max_real: float
     note: str
     eigenvalues: np.ndarray = field(repr=False)   # the spectrum of X the gap is read from
+    eigensolve: str                               # "dense_real" or "dense"
 
 
 def build_damping(p: LadderParams) -> LadderOperator:
@@ -67,15 +69,15 @@ def build_damping(p: LadderParams) -> LadderOperator:
 
 def liouvillian_gap(X: LadderOperator) -> LiouvilleReport:
     """Relaxation gap of X and the convergence class it implies, with X's spectrum."""
-    spec = densela.eigendecompose(X.matrix)
-    max_real = float(spec.eigenvalues.real.max())
+    w, how = X.eigenvalues()
+    max_real = float(w.real.max())
     gap = -2.0 * max_real
     gapless = gap < GAPLESS_TOL
     note = ("vanishing gap: algebraic convergence towards the steady state"
             if gapless else
             f"finite gap {gap:.6g}: exponential convergence towards the steady state")
     return LiouvilleReport(gap=gap, gapless=gapless, max_real=max_real, note=note,
-                           eigenvalues=spec.eigenvalues)
+                           eigenvalues=w, eigensolve=how)
 
 
 def dark_mode_check(p: LadderParams, sol: IgcSolution) -> np.ndarray:

@@ -4,9 +4,10 @@ Two model families are covered:
 
 * the dissipative two-chain ladder (an A chain without loss, a B chain with a
   per-cell loss rate gamma_x, and A-B couplings of range n), built either in
-  real space under open or periodic boundaries or as a 2x2 Bloch matrix
-  (in closed form, or, for all momenta of a uniform ring at once, read off
-  the real-space band by `bloch_blocks`), and
+  real space under open or periodic boundaries (its spectrum taken in real
+  arithmetic at cos(phi) = 0) or as a 2x2 Bloch matrix (in closed form, or,
+  for all momenta of a uniform ring at once, read off the real-space band by
+  `bloch_blocks`), and
 * an arbitrary "dissipative graph" split into a lossless subsystem, a lossy
   subsystem, and the Hermitian coupling between them.
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densela import Banded, eigendecompose
+from . import densela
 
 OBC = "OBC"
 PBC = "PBC"
@@ -162,21 +163,47 @@ def band_order(p: LadderParams) -> np.ndarray:
 @dataclass(frozen=True)
 class LadderOperator:
     """An operator on the ladder's sites as `band` data, sites permuted by
-    `order` (`band_order`); its dense natural-order `matrix` is derived."""
+    `order` (`band_order`); its dense natural-order `matrix` and its
+    `eigenvalues` are derived."""
 
-    band: Banded
+    band: densela.Banded
     order: np.ndarray
+
+    def _dense(self, ab: np.ndarray) -> np.ndarray:
+        # the read-only natural-order matrix of band data `ab` shaped as `band`
+        b, o, n = self.band, self.order, self.order.size
+        A = np.zeros((n, n), dtype=ab.dtype)
+        for d in range(-b.kl, b.ku + 1):
+            i = np.arange(max(-d, 0), n - max(d, 0))
+            A[o[i], o[i + d]] = ab[b.ku - d, i + d]
+        A.setflags(write=False)
+        return A
 
     @property
     def matrix(self) -> np.ndarray:
         """The dense matrix in natural site order, read-only, rebuilt on each access."""
-        b, o, n = self.band, self.order, self.order.size
-        A = np.zeros((n, n), dtype=complex)
-        for d in range(-b.kl, b.ku + 1):
-            i = np.arange(max(-d, 0), n - max(d, 0))
-            A[o[i], o[i + d]] = b.ab[b.ku - d, i + d]
-        A.setflags(write=False)
-        return A
+        return self._dense(self.band.ab)
+
+    def eigenvalues(self) -> tuple:
+        """(eigenvalues of `matrix` sorted by (Re, Im), "dense_real" or "dense").
+
+        The sublattice gauge D = diag(1 on A, i on B) makes G = D^-1 M D = c R,
+        R real (c = i for H, 1 for X = i conj(H)) at cos(phi) = 0 or t_p = 0.  If
+        the part of G / c that R leaves out is at most eps max|G| (1.5e-17 at
+        phi = fl(pi/2): below zgeev's backward error), eig(M) = c eig(R) by real
+        LAPACK, else zgeev of `matrix`.  Read off the band, so `order % 2` is checked.
+        """
+        b, sub = self.band, self.order % 2
+        # band entry (r, j) is M[i, j], i = j + r - ku (zero outside M); the
+        # gauge scales it by i^d, d = sub_j - sub_i in {0, 1, -1}
+        i = np.clip(np.arange(sub.size) + np.arange(-b.ku, b.kl + 1)[:, None], 0, sub.size - 1)
+        g = b.ab * np.array([1.0, 1j, -1j])[sub - sub[i]]
+        tol = np.finfo(float).eps * np.abs(g).max(initial=0.0)
+        for c, kept, dropped in ((1.0, g.real, g.imag), (1j, g.imag, g.real)):
+            if np.abs(dropped).max(initial=0.0) <= tol:
+                w = c * densela.eigendecompose(self._dense(kept)).eigenvalues
+                return w[np.lexsort((w.imag, w.real))], "dense_real"
+        return densela.eigendecompose(self.matrix).eigenvalues, "dense"
 
     def loss_diagonal(self) -> np.ndarray:
         """Onsite loss rates of a Hamiltonian, natural order: -Im H_ii."""
@@ -214,7 +241,7 @@ def build_ladder(p: LadderParams) -> LadderOperator:
     ab[w, b] = -1j * np.asarray(p.gamma)
     offsets = w - np.flatnonzero(ab.any(axis=1))   # of the nonzero diagonals
     ku, kl = int(offsets.max(initial=0)), int(-offsets.min(initial=0))
-    return LadderOperator(Banded(ab[w - ku:w + kl + 1], kl, ku), order)
+    return LadderOperator(densela.Banded(ab[w - ku:w + kl + 1], kl, ku), order)
 
 
 def h_x(t, k):
@@ -393,7 +420,7 @@ def verify_dark_modes(Hm: np.ndarray, tol: float = 1e-8) -> DarkModeReport:
     A model with loss everywhere and no near-real eigenvalue passes vacuously.
     `Hm` is the dense matrix, e.g. `build_ladder(p).matrix` or `build_general(g)`.
     """
-    spec = eigendecompose(Hm, want_vectors=True)
+    spec = densela.eigendecompose(Hm, want_vectors=True)
     if spec.condition_flag:
         warnings.warn("eigenbasis is ill-conditioned; dark-mode residuals may "
                       "be pessimistic", RuntimeWarning, stacklevel=2)

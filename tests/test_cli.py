@@ -172,6 +172,8 @@ BAD_VALUES = {
         "spectrum", model={"bc": "PBC", "gamma": {"kind": "linear", "slope": 0.01,
                                                   "offset": 0.2}},
         self_intersections=True),
+    "compare_bc not a boolean": _probe("spectrum", compare_bc="no"),
+    "self_intersections not a boolean": _probe("spectrum", self_intersections="false"),
     "sweep not an object": dict(_probe("sweep"), sweep=5),
     "figure name a list": {"command": "figure", "figure": ["fig3a"]},
 }
@@ -416,6 +418,30 @@ def test_spectrum_takes_bloch_blocks_only_on_uniform_rings(tmp_path, monkeypatch
     rows, cols = linear_sum_assignment(np.abs(dense[:, None] - w[None, :]))
     assert np.abs(dense[rows] - w[cols]).max() < 1e-13
     assert diags["PBC"]["max_imag"] == w.imag.max()
+
+
+def test_spectrum_and_gap_name_their_eigensolve(tmp_path):
+    # at phi = pi/2 the sublattice gauge makes H (up to i) and X real: an open
+    # ladder's spectrum and every damping spectrum take the real eigensolve,
+    # whose spectra are exactly closed under E -> -conj(E) (H) and
+    # lambda -> conj(lambda) (X); at phi = 0.7 both take the complex one
+    random_loss = {"kind": "random", "low": 0.4, "high": 0.6, "seed": 3}
+    model = {"kind": "ladder", "L": 20, "t": [0.3, 0.5], "t_p": 0.5,
+             "phi": np.pi / 2, "gamma": random_loss, "bc": "OBC"}
+    for phi, how in ((np.pi / 2, "dense_real"), (0.7, "dense")):
+        m = dict(model, phi=phi)
+        _, diags = execute({"command": "spectrum", "model": m}, tmp_path / f"s{phi}")
+        assert diags["OBC"]["eigensolve"] == how
+        w = _spectrum_csv(tmp_path / f"s{phi}" / "spectrum.csv")["OBC"]
+        for bc in ("OBC", "PBC"):
+            out = tmp_path / f"l{phi}{bc}"
+            _, diags = execute({"command": "liouville", "model": dict(m, bc=bc)}, out)
+            assert diags["eigensolve"] == how
+            lam = _spectrum_csv(out / "liouville_spectrum.csv")[bc]
+            if how == "dense_real":
+                assert np.array_equal(np.sort_complex(np.conj(lam)), lam)
+        if how == "dense_real":
+            assert np.array_equal(np.sort_complex(-np.conj(w)), w)
 
 
 def test_fig5b_preset_end_to_end(tmp_path):

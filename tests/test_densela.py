@@ -127,6 +127,24 @@ def test_lu_solve_overflowing_elimination_raises():
             lu_solve(A, b)
 
 
+def test_lu_solve_refuses_a_subnormal_matrix():
+    # the pivot test is relative, so [[2.2e-311]] passes it and its solve
+    # overflows to NaN: a largest entry below the smallest normal number is
+    # refused on the dense and the band path, with or without a shift
+    tiny = np.finfo(float).tiny
+    b = np.ones(1)
+    for form in (np.array([[2.2e-311]]), Banded(np.array([[2.2e-311]]), 0, 0)):
+        with pytest.raises(SingularMatrixError):
+            lu_solve(form, b)
+    for form in (np.zeros((4, 4)), Banded(np.zeros((3, 4)), 1, 1),
+                 Banded(np.zeros((5, 4)), 2, 2)):
+        with pytest.raises(SingularMatrixError):
+            lu_solve(form, np.ones(4), shift=2.2e-311)
+    # the smallest normal scale still solves, to a finite x
+    for form in (np.array([[tiny]]), Banded(np.array([[tiny]]), 0, 0)):
+        assert lu_solve(form, b)[0] == pytest.approx(1.0 / tiny)
+
+
 def test_lu_solve_ill_conditioned_backward_stable():
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40)))
@@ -140,6 +158,39 @@ def test_lu_solve_ill_conditioned_backward_stable():
 def test_eigendecompose_symmetric_pair():
     spec = eigendecompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.allclose(spec.eigenvalues, [-1.0, 1.0])
+
+
+def test_eigendecompose_solves_a_real_matrix_in_real_arithmetic(monkeypatch):
+    rng = np.random.default_rng(9)
+    A = rng.normal(size=(24, 24))
+    seen = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda M: seen.append(M.dtype) or eigvals(M))
+    spec = eigendecompose(A)
+    Ac = A.astype(complex)
+    ref = eigendecompose(Ac).eigenvalues
+    assert seen == [np.float64, np.complex128]
+    w = spec.eigenvalues
+    # complex dtype, sorted by (Re, Im), and exactly closed under conjugation
+    assert w.dtype == complex and np.iscomplex(w).any()
+    assert np.array_equal(np.lexsort((w.imag, w.real)), np.arange(w.size))
+    assert np.array_equal(np.sort_complex(np.conj(w)), w)
+    # the complex solve pairs them only to rounding, so match nearest
+    dist = np.abs(w[:, None] - ref[None, :])
+    assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) < 1e-12 * np.linalg.norm(A, 2)
+    # a complex matrix is today's complex eigensolve, bit for bit
+    ref_w = eigvals(Ac)
+    assert np.array_equal(ref, ref_w[np.lexsort((ref_w.imag, ref_w.real))])
+    # all-real eigenvalues still come back complex
+    assert eigendecompose(A + A.T).eigenvalues.dtype == complex
+    # the vectors keep the residual and flag contract
+    vec = eigendecompose(A, want_vectors=True)
+    assert vec.right_vectors.dtype == complex
+    assert np.array_equal(vec.eigenvalues, w)
+    assert vec.residuals.max() < 1e-13 and not vec.condition_flag
+    r = np.linalg.norm(A @ vec.right_vectors - vec.right_vectors * w, axis=0)
+    assert np.allclose(r / (np.linalg.norm(vec.right_vectors, axis=0) * np.linalg.norm(A)),
+                       vec.residuals, rtol=1e-6, atol=1e-16)
 
 
 def test_eigendecompose_takes_a_stack_of_blocks():

@@ -77,10 +77,23 @@ def test_gap_gapped_and_obc():
 
 
 def test_gap_report_carries_the_spectrum_it_read():
-    X = build_damping(ladder(t0=0.6))
+    # at phi = pi/2 the gap is read from X's real-arithmetic spectrum (exactly
+    # closed under conjugation), and the report names that eigensolve; off
+    # that phase it reads the complex eigensolve of X's dense matrix
+    p = ladder(t0=0.6)
+    X = build_damping(p)
     rep = liouvillian_gap(X)
-    assert np.array_equal(rep.eigenvalues, eigendecompose(X.matrix).eigenvalues)
+    w, how = X.eigenvalues()
+    assert rep.eigensolve == how == "dense_real"
+    assert np.array_equal(rep.eigenvalues, w)
+    assert np.array_equal(np.sort_complex(np.conj(w)), w)
     assert rep.max_real == rep.eigenvalues.real.max()
+    # a ring's top eigenvalue is well conditioned: the complex solve agrees
+    assert abs(rep.max_real - eigendecompose(X.matrix).eigenvalues.real.max()) < 1e-14
+    Y = build_damping(p.replace(phi=0.7))
+    rep = liouvillian_gap(Y)
+    assert rep.eigensolve == "dense"
+    assert np.array_equal(rep.eigenvalues, eigendecompose(Y.matrix).eigenvalues)
 
 
 def test_dark_mode_residuals_commensurate(commensurate_params):
