@@ -33,7 +33,7 @@ from . import densela
 from .igc import IgcSolution
 from .model import PBC, LadderOperator, LadderParams, build_ladder, site_index
 from .quadrature import adaptive_quadrature
-from .walk import RESOLVENT_RTOL, resolvent_integrand
+from .walk import RESOLVENT_RTOL, conservation_budget, resolvent_integrand
 
 GAPLESS_TOL = 1e-6
 
@@ -107,21 +107,27 @@ def steady_density(p: LadderParams, x0: int, max_panels: int = 4000):
 
     evaluated with the walk's frequency-domain integrand at s = i, so the
     window, panels and solves are those of the escape profile, applied to X.
-    Returns (n, diagnostics).
+    Its integrand is the escape profile's, so sum n <= 1 too: a density whose
+    sum exceeds 1 by more than its `conservation_budget` is reported
+    unconverged.  Returns (n, diagnostics).
     """
     if not 1 <= x0 <= p.L:
         raise ValueError("x0 outside the chain")
     gam = np.asarray(p.gamma)
     if np.all(gam == 0.0):
         return np.zeros(p.L), {"note": "lossless model"}
-    f, edges, omega_max, _, info = resolvent_integrand(p, x0, build_damping(p), 1j)
+    f, edges, omega_max, tail_bound, info = resolvent_integrand(p, x0, build_damping(p), 1j)
     quad = adaptive_quadrature(f, edges, rtol=RESOLVENT_RTOL, atol_frac=1e-16,
                                max_panels=max_panels)
     dens = gam / np.pi * quad.value
+    err = gam / np.pi * quad.error
+    total = float(dens.sum())
+    budget = conservation_budget(tail_bound, err, quad.n_evaluations)
     diag = {"n_nodes": quad.n_evaluations, "n_panels": quad.n_panels,
             "n_solves": quad.n_evaluations, **info,
-            "converged": quad.converged, "omega_max": omega_max,
-            "quadrature_error": float((gam / np.pi * quad.error).max())}
+            "converged": bool(quad.converged and total <= 1.0 + budget),
+            "omega_max": omega_max, "quadrature_error": float(err.max()),
+            "conservation_defect": abs(1.0 - total), "conservation_budget": budget}
     return dens, diag
 
 

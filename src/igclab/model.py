@@ -4,10 +4,10 @@ Two model families are covered:
 
 * the dissipative two-chain ladder (an A chain without loss, a B chain with a
   per-cell loss rate gamma_x, and A-B couplings of range n), built either in
-  real space under open or periodic boundaries (its spectrum taken in real
-  arithmetic at cos(phi) = 0) or as a 2x2 Bloch matrix (in closed form, or,
-  for all momenta of a uniform ring at once, read off the real-space band by
-  `bloch_blocks`), and
+  real space under open or periodic boundaries (its spectrum and its walks
+  taken in real arithmetic at cos(phi) = 0) or as a 2x2 Bloch matrix (in
+  closed form, or, for all momenta of a uniform ring at once, read off the
+  real-space band by `bloch_blocks`), and
 * an arbitrary "dissipative graph" split into a lossless subsystem, a lossy
   subsystem, and the Hermitian coupling between them.
 
@@ -184,14 +184,15 @@ class LadderOperator:
         """The dense matrix in natural site order, read-only, rebuilt on each access."""
         return self._dense(self.band.ab)
 
-    def eigenvalues(self) -> tuple:
-        """(eigenvalues of `matrix` sorted by (Re, Im), "dense_real" or "dense").
+    def gauge_form(self):
+        """(c, R) with D^-1 M D = c R and R real band data shaped as `band.ab`, or None.
 
         The sublattice gauge D = diag(1 on A, i on B) makes G = D^-1 M D = c R,
-        R real (c = i for H, 1 for X = i conj(H)) at cos(phi) = 0 or t_p = 0.  If
-        the part of G / c that R leaves out is at most eps max|G| (1.5e-17 at
-        phi = fl(pi/2): below zgeev's backward error), eig(M) = c eig(R) by real
-        LAPACK, else zgeev of `matrix`.  Read off the band, so `order % 2` is checked.
+        R real (c = i for H, 1 for X = i conj(H)) at cos(phi) = 0 or t_p = 0.
+        The form is returned when the part of G / c that R leaves out is at
+        most eps max|G| (1.5e-17 at phi = fl(pi/2): below the backward error of
+        a complex eigensolve or matvec).  Read off the band, so `order % 2` is
+        checked.
         """
         b, sub = self.band, self.order % 2
         # band entry (r, j) is M[i, j], i = j + r - ku (zero outside M); the
@@ -201,9 +202,21 @@ class LadderOperator:
         tol = np.finfo(float).eps * np.abs(g).max(initial=0.0)
         for c, kept, dropped in ((1.0, g.real, g.imag), (1j, g.imag, g.real)):
             if np.abs(dropped).max(initial=0.0) <= tol:
-                w = c * densela.eigendecompose(self._dense(kept)).eigenvalues
-                return w[np.lexsort((w.imag, w.real))], "dense_real"
-        return densela.eigendecompose(self.matrix).eigenvalues, "dense"
+                return c, kept
+        return None
+
+    def eigenvalues(self) -> tuple:
+        """(eigenvalues of `matrix` sorted by (Re, Im), "dense_real" or "dense").
+
+        With a `gauge_form` (c, R), eig(M) = c eig(R) by real LAPACK, else
+        zgeev of `matrix`.
+        """
+        form = self.gauge_form()
+        if form is None:
+            return densela.eigendecompose(self.matrix).eigenvalues, "dense"
+        c, R = form
+        w = c * densela.eigendecompose(self._dense(R)).eigenvalues
+        return w[np.lexsort((w.imag, w.real))], "dense_real"
 
     def loss_diagonal(self) -> np.ndarray:
         """Onsite loss rates of a Hamiltonian, natural order: -Im H_ii."""

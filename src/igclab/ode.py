@@ -1,4 +1,4 @@
-"""Embedded adaptive Runge-Kutta integration for complex ODE systems.
+"""Embedded adaptive Runge-Kutta integration for real or complex ODE systems.
 
 A single Tsitouras 5(4) pair (Ch. Tsitouras, Comput. Math. Appl. 62 (2011)
 770-775) drives every time-domain propagation in the package.  It has the
@@ -19,7 +19,9 @@ rows of one table [y; k0..k6] (rider block after the rhs block), each stage
 state is one BLAS product of an h-scaled coefficient row with that table,
 and the stage states are kept for the rider's rates.  The rhs only has to
 return an array; it may return the same buffer on every call, because its
-value is copied into the table at once.
+value is copied into the table at once.  A float64 initial state keeps the
+table, the stage states and the coefficient rows in real arithmetic (the
+rhs must then return reals); any other is integrated in complex.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ _E = np.array([0.001780011052225777, 0.0008164344596567469, -0.00788087801026199
 
 # the coefficient rows of one step, to be scaled by h: stages 1..6 act on
 # [y; k0..k6] (unit weight on y), the error estimate on [k0..k6]
-_ROWS = np.zeros((7, 8), dtype=complex)
+_ROWS = np.zeros((7, 8))
 _ROWS[:6, 0] = 1.0
 _ROWS[:6, 1:] = _A[1:]
 _ROWS[6, 1:] = _E
@@ -113,7 +115,9 @@ def integrate(rhs, y0, t0, t_end, rtol=1e-8, atol=0.0, scale_fn=None,
     accepted at norm <= 1 and the next h follows the standard fifth-order
     rescaling with safety 0.9.
     """
-    y0 = np.asarray(y0, dtype=complex)
+    y0 = np.asarray(y0)
+    dtype = float if y0.dtype == np.float64 else complex
+    y0 = y0.astype(dtype, copy=False)
     rates, m = rider if rider is not None else (_no_rates, 0)
     size = y0.size
     n = size - m
@@ -122,11 +126,11 @@ def integrate(rhs, y0, t0, t_end, rtol=1e-8, atol=0.0, scale_fn=None,
         scale_fn = _default_scale(rtol, atol)
     result = OdeResult(t=t, y=y0, n_steps=0, n_rejected=0)
 
-    tab = np.zeros((8, size), dtype=complex)     # [y; k0..k6]
-    ys = np.zeros((6, size), dtype=complex)      # stage states 1..6; ys[5] is y_new
-    coef = _ROWS.copy()
+    tab = np.zeros((8, size), dtype=dtype)       # [y; k0..k6]
+    ys = np.zeros((6, size), dtype=dtype)        # stage states 1..6; ys[5] is y_new
+    coef = _ROWS.astype(dtype)
     rows, hcoef = _ROWS[:, 1:], coef[:, 1:]      # hcoef = h * rows at every step
-    err = np.empty(size, dtype=complex)
+    err = np.empty(size, dtype=dtype)
     w = np.empty(size)                           # |err| / scale
     y, y_new = tab[0], ys[5]
     rhs_tab, rhs_ys = tab[:, :n], ys[:, :n]
@@ -163,7 +167,7 @@ def integrate(rhs, y0, t0, t_end, rtol=1e-8, atol=0.0, scale_fn=None,
         sc = scale_fn(y, y_new)
         np.abs(err, out=w)
         w /= sc
-        enorm = w.max()
+        enorm = np.maximum.reduce(w)
         if enorm <= 1.0:
             t = t_end if end_hit else t + h
             y[...] = y_new

@@ -7,10 +7,15 @@ compute the escape profile P_x and serve as mutual cross-checks:
 * the time engine integrates the Schroedinger equation with the adaptive
   Runge-Kutta pair of `ode` and accumulates 2 gamma_x |psi_x^B|^2 as its
   rider integral, so the quadrature rides at the integrator's own order.
-  The state is kept in `band_order`, so -i H psi is one BLAS `zgbmv` on
-  the band `build_ladder` writes (half-bandwidth 2n+1 under OBC, 4n+1
-  under folded PBC, no corner blocks), at O(n L) per stage instead of the
-  dense O(L^2), and
+  The state is kept in `band_order`, so -i H psi is one BLAS band matvec
+  (`gbmv`) on the band `build_ladder` writes (half-bandwidth 2n+1 under
+  OBC, 4n+1 under folded PBC, no corner blocks), at O(n L) per stage
+  instead of the dense O(L^2).  Where H has a real gauge form
+  D^-1 H D = i R (cos(phi) = 0 or t_p = 0; see `LadderOperator.gauge_form`)
+  the engine integrates phi = D^-1 psi, d phi/dt = R phi, in real
+  arithmetic with `dgbmv`: the release state is real on an A site, and
+  |psi| = |phi| entrywise, so the rider, the error scale and the stop test
+  read phi as they would psi; every other ladder takes `zgbmv`, and
 * the resolvent engine evaluates the frequency-domain formula
   P_x = (gamma_x / pi) * integral |<x,B| (omega - H)^{-1} |x0,A>|^2 d omega
   by adaptive Gauss-Kronrod panels, one shifted band solve per node: the
@@ -37,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import zgbmv
+from scipy.linalg import get_blas_funcs
 
 from . import densela
 from .model import (PBC, LadderOperator, LadderParams, bloch_bands, bloch_blocks,
@@ -96,24 +101,27 @@ def _initial_state(p: LadderParams, x0: int) -> np.ndarray:
     return psi0
 
 
-def _band_rhs(op: LadderOperator):
-    """The walk's rhs in `op.order`: -i H psi, one BLAS `zgbmv` on the band.
+def _band_rhs(ab: np.ndarray, kl: int, ku: int, alpha):
+    """The walk's rhs alpha A psi, A the band `ab` (kl, ku): one BLAS `gbmv`.
 
-    Every call writes into, and returns, the same buffer.
+    The time engine passes (H, -1j) on psi or, in the real gauge, (R, 1.0)
+    on phi; `ab`'s dtype picks `zgbmv` or `dgbmv`.  Every call writes into,
+    and returns, the same buffer.
     """
-    kl, ku, n = op.band.kl, op.band.ku, op.order.size
-    ab = np.asfortranarray(op.band.ab)
+    n = ab.shape[1]
+    ab = np.asfortranarray(ab)
+    gbmv = get_blas_funcs("gbmv", (ab,))
     # scipy's wrapper wants at least kl + ku + 1 rows, more than a short ring
     # with long couplings has; the extra rows read the zeros band storage
     # keeps outside the matrix, so they write zeros past psi
     m = max(n, kl + ku + 1)
-    full = np.zeros(m, dtype=complex)
+    full = np.zeros(m, dtype=ab.dtype)
     out = full[:n]
 
     def rhs(_, psi):
         # positional: (m, n, kl, ku, alpha, a, x, incx, offx, beta, y, incy,
         # offy, trans, overwrite_y); keywords cost f2py a third of the call
-        zgbmv(m, n, kl, ku, -1j, ab, psi, 1, 0, 0j, full, 1, 0, 0, 1)
+        gbmv(m, n, kl, ku, alpha, ab, psi, 1, 0, 0.0, full, 1, 0, 0, 1)
         return out
 
     return rhs
@@ -154,7 +162,7 @@ def _walk_scale(n, size, rtol):
         np.abs(y_old, out=ao)
         np.abs(y_new, out=an)
         np.maximum(ao, an, out=sc)
-        np.add(sc_psi, max(sc_psi.max(), 1e-300), out=sc_psi)
+        np.add(sc_psi, max(np.maximum.reduce(sc_psi), 1e-300), out=sc_psi)
         np.add(sc_acc, 1.0, out=sc_acc)
         np.multiply(sc, rtol, out=sc)
         return sc
@@ -167,7 +175,9 @@ def loss_profile_time(cfg: WalkConfig) -> LossProfile:
 
     The walker is propagated until the norm floor or the time ceiling.  The
     state is integrated in `band_order`, where H is the band of
-    `build_ladder` (see `_band_rhs`).  The escaped probabilities are the
+    `build_ladder` (see `_band_rhs`), or as phi = D^-1 psi in real arithmetic
+    where H has a real gauge form (module header; `arithmetic` in the
+    diagnostics reads "real" or "complex").  The escaped probabilities are the
     integrator's rider (see `_loss_rates`), one accumulator per cell after
     psi in the state the error scale and the stop test see.  After each
     accepted step the psi entries whose magnitude is below the smallest
@@ -184,9 +194,17 @@ def loss_profile_time(cfg: WalkConfig) -> LossProfile:
     """
     p = cfg.params
     op = build_ladder(p)
-    order = op.order
+    order, b = op.order, op.band
     n = order.size
-    y0 = np.concatenate([_initial_state(p, cfg.x0)[order], np.zeros(p.L, complex)])
+    form = op.gauge_form()
+    real = form is not None and form[0] == 1j
+    psi0 = _initial_state(p, cfg.x0)[order]
+    if real:
+        # the release site is an A site, where D = 1: phi0 = psi0
+        rhs, psi0 = _band_rhs(form[1], b.kl, b.ku, 1.0), psi0.real
+    else:
+        rhs = _band_rhs(b.ab, b.kl, b.ku, -1j)
+    y0 = np.concatenate([psi0, np.zeros(p.L)])
     scale, mag = _walk_scale(n, y0.size, cfg.step_tol)
     mag_psi, underflow = mag[:n], np.zeros(n, dtype=bool)
 
@@ -196,7 +214,7 @@ def loss_profile_time(cfg: WalkConfig) -> LossProfile:
         np.copyto(psi, 0.0, where=underflow)
         return float(np.vdot(psi, psi).real) < cfg.norm_floor
 
-    res = integrate(_band_rhs(op), y0, 0.0, cfg.t_max, scale_fn=scale,
+    res = integrate(rhs, y0, 0.0, cfg.t_max, scale_fn=scale,
                     stop_fn=stop, rider=(_loss_rates(op, np.asarray(p.gamma)), p.L))
     norm_end = float(np.vdot(res.y[:n], res.y[:n]).real)
     escaped = np.empty(p.L)
@@ -204,7 +222,8 @@ def loss_profile_time(cfg: WalkConfig) -> LossProfile:
     P = np.maximum(escaped, 0.0)
     total = float(P.sum())
     diag = {"n_steps": res.n_steps, "n_rejected": res.n_rejected,
-            "n_rhs": res.n_rhs, "rk_pair": PAIR, "residual_norm": norm_end,
+            "n_rhs": res.n_rhs, "rk_pair": PAIR,
+            "arithmetic": "real" if real else "complex", "residual_norm": norm_end,
             "t_end": res.t, "tail_bound": norm_end,
             "conservation_defect": abs(1.0 - total - norm_end), "engine": TIME}
     # stopped early: the norm floor was reached before the time ceiling
@@ -307,6 +326,20 @@ def resolvent_integrand(p: LadderParams, x0: int, op: LadderOperator, s: complex
     return f, edges, omega_max, tail_bound, info
 
 
+def conservation_budget(tail_bound: float, cell_errors: np.ndarray, n_nodes: int) -> float:
+    """How far above 1 a resolvent integral's total mass may honestly read.
+
+    No ladder lets more than the released unit of probability escape (nor
+    feeds more density than that), so sum P > 1 + budget means the
+    quadrature missed or misjudged a feature its error estimate did not see.
+    The budget is the truncation `tail_bound`, plus the quadrature's error
+    estimates summed over the cells, plus a rounding allowance of n_nodes
+    eps: each cell's value is a sum of nonnegative Kronrod terms over at
+    most n_nodes nodes, which rounds by at most that much of the total.
+    """
+    return float(tail_bound + np.sum(cell_errors) + n_nodes * np.finfo(float).eps)
+
+
 def loss_profile_resolvent(cfg: WalkConfig, max_panels: int = 4000) -> LossProfile:
     """Escape profile from the frequency-domain resolvent formula.
 
@@ -316,7 +349,10 @@ def loss_profile_resolvent(cfg: WalkConfig, max_panels: int = 4000) -> LossProfi
     Without any loss the integrand would not decay at all, so that limit
     short-circuits to an exactly zero profile.  Otherwise every released
     walker escapes, so `conservation_defect` |1 - sum P| measures the
-    truncation and quadrature error together.
+    truncation and quadrature error together (a dark mode keeps sum P below
+    1).  A profile whose sum P exceeds 1 by more than its
+    `conservation_budget` is flagged incomplete, even where the quadrature
+    reports convergence.
     """
     p = cfg.params
     gam = np.asarray(p.gamma)
@@ -329,7 +365,9 @@ def loss_profile_resolvent(cfg: WalkConfig, max_panels: int = 4000) -> LossProfi
     quad = adaptive_quadrature(f, edges, rtol=RESOLVENT_RTOL, atol_frac=1e-16,
                                max_panels=max_panels)
     P = gam / np.pi * quad.value
+    err = gam / np.pi * quad.error
     total = float(P.sum())
+    budget = conservation_budget(tail_bound, err, quad.n_evaluations)
     diag = {
         "engine": RESOLVENT,
         "n_nodes": quad.n_evaluations,
@@ -338,9 +376,12 @@ def loss_profile_resolvent(cfg: WalkConfig, max_panels: int = 4000) -> LossProfi
         **info,
         "omega_max": omega_max,
         "tail_bound": tail_bound,
-        "quadrature_error": float((gam / np.pi * quad.error).max()),
+        "quadrature_error": float(err.max()),
         "conservation_defect": abs(1.0 - total),
+        "conservation_budget": budget,
         "converged": quad.converged,
     }
+    # `not <=` so that a NaN total fails closed too
     return LossProfile(P=P, engine=RESOLVENT, total=total,
-                       incomplete=not quad.converged, diagnostics=diag)
+                       incomplete=not (quad.converged and total <= 1.0 + budget),
+                       diagnostics=diag)

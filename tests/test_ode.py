@@ -115,3 +115,23 @@ def test_rhs_may_return_one_buffer_and_results_are_copies():
     # the state handed back is not, and is not later overwritten through, a
     # work buffer
     assert not any(np.shares_memory(res.y, b) for b in seen + [buf])
+
+
+def test_real_state_integrates_in_real_arithmetic():
+    # a float64 y0 keeps the table, stages and result real; the same real
+    # system run from a complex y0 takes the same steps and lands on the
+    # same state to rounding level, rider included
+    rng = np.random.default_rng(11)
+    A = rng.normal(size=(6, 6)) - 2.5 * np.eye(6)
+    y0 = np.concatenate([rng.normal(size=6), np.zeros(2)])
+
+    def rates(ys, out):
+        np.square(np.abs(ys[:, :2]), out=out)
+
+    real, cplx = (integrate(lambda t, y: A @ y, y0.astype(dtype), 0.0, 5.0, rtol=1e-10,
+                            atol=1e-13, rider=(rates, 2))
+                  for dtype in (np.float64, complex))
+    assert real.y.dtype == np.float64 and cplx.y.dtype == complex
+    assert (real.n_steps, real.n_rejected) == (cplx.n_steps, cplx.n_rejected)
+    assert real.n_steps > 100 and real.t == cplx.t == 5.0
+    assert np.linalg.norm(real.y - cplx.y) <= 1e-13 * np.linalg.norm(cplx.y)

@@ -422,6 +422,7 @@ def test_bloch_integrand_matches_dense(p, side, u, cell):
                         gamma=np.linspace(0.1, 0.9, 9), bc=OBC), seed=2)
 @example(p=LadderParams(L=5, t=[0.3, 0.2, 0.1], t_p=0.5, phi=0.3,
                         gamma=[0.1, 0.5, 0.2, 0.7, 0.3], bc=PBC), seed=3)
+@example(p=LadderParams(L=2, t=[0.0], t_p=1.0, phi=0.0, gamma=0.0, bc=PBC), seed=0)
 def test_banded_rhs_is_the_dense_one(p, seed):
     # the TIME engine's rhs is -i H psi on psi in band order, and its rider
     # rates are 2 gamma_x |psi_x^B|^2, one per cell in the order the cells'
@@ -433,7 +434,8 @@ def test_banded_rhs_is_the_dense_one(p, seed):
     cells = order[0::2] // 2
     H = build_ladder(p)
     gam = np.asarray(p.gamma)
-    out = _band_rhs(H)(0.0, psi[order])
+    b = H.band
+    out = _band_rhs(b.ab, b.kl, b.ku, -1j)(0.0, psi[order])
     ref = -1j * (H.matrix @ psi)
     # zgbmv sums each row over the band only: same terms, another order
     tol = 1e-14 * max(1.0, np.abs(H.matrix).sum(axis=1).max()) * _max(psi)
@@ -443,6 +445,44 @@ def test_banded_rhs_is_the_dense_one(p, seed):
     for got, state in zip(rates, (psi, ref)):
         assert np.allclose(got, 2.0 * gam[cells] * np.abs(state[1::2][cells]) ** 2,
                            rtol=1e-15, atol=0)
+    # off the gauge phases a hop keeps both parts under the gauge: no real
+    # form (a two-cell ring's two hops on one entry add up to a real t_p cos)
+    if abs(p.t_p) > 1e-3 and not (p.L == 2 and p.bc == PBC):
+        assert build_ladder(p.replace(phi=0.7)).gauge_form() is None
+    for q in [p.replace(phi=v) for v in (np.pi / 2, -np.pi / 2, 1.5 * np.pi)] + \
+            [p.replace(t_p=0.0)]:
+        _check_real_gauge_rhs(q, rng)
+
+
+def _check_real_gauge_rhs(p, rng):
+    # with D = diag(1 on A, i on B), D^-1 H D = i R and the walk integrates
+    # phi = D^-1 psi by d phi/dt = R phi: D R D^-1 is -i H up to the dropped
+    # part, at most eps max|H|, and the real rhs on phi is the complex one on
+    # psi = D phi.  A two-cell ring's hops can add up to a lone real
+    # 6e-17 t_p, which leaves no form or (without couplings and loss) the
+    # form with c = 1; the zero matrix is real with c = 1
+    H = build_ladder(p)
+    M, b = H.matrix, H.band
+    form = H.gauge_form()
+    if not M.any():
+        assert form[0] == 1.0
+        return
+    if p.L == 2 and p.bc == PBC and (form is None or form[0] != 1j):
+        return
+    c, R = form
+    assert c == 1j and R.dtype == np.float64 and R.shape == b.ab.shape
+    d = np.where(np.arange(p.dim) % 2 == 0, 1.0, 1j)
+    R_dense = LadderOperator(densela.Banded(R, b.kl, b.ku), H.order).matrix
+    assert _max(d[:, None] * R_dense * d.conj() + 1j * M) <= np.finfo(float).eps * _max(M)
+    phi = rng.normal(size=p.dim)
+    psi = d * phi
+    order = H.order
+    got = _band_rhs(R, b.kl, b.ku, 1.0)(0.0, phi[order])
+    assert got.dtype == np.float64
+    ref = _band_rhs(b.ab, b.kl, b.ku, -1j)(0.0, psi[order])
+    tol = 1e-14 * max(1.0, np.abs(M).sum(axis=1).max()) * _max(psi)
+    assert _max(d[order] * got - ref) <= tol
+    assert _max(d * got[np.argsort(order)] + 1j * (M @ psi)) <= tol
 
 
 @pytest.mark.parametrize("bc", [OBC, PBC])

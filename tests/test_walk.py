@@ -3,7 +3,7 @@ import pytest
 
 from igclab import (
     OBC, LadderParams, PBC, RESOLVENT, TIME, WalkConfig, build_ladder, linear_gamma,
-    loss_profile_resolvent, loss_profile_time,
+    loss_profile_resolvent, loss_profile_time, steady_density,
 )
 from igclab.ode import integrate
 
@@ -105,6 +105,26 @@ def test_engines_agree_nonuniform_gamma():
     assert (np.abs(pr.P[mask] - pt.P[mask]) / pt.P[mask]).max() < 1e-4
 
 
+def test_mass_above_one_is_flagged_on_both_resolvent_paths():
+    # couplings of 7.8e-13 leave a peak no panel resolves, and the Kronrod
+    # error estimate misses it: both quadratures report convergence on a
+    # total mass near 5e5 (escape profile) and 2.6e5 (steady density), which
+    # no ladder allows, so the conservation budget flags both
+    p = LadderParams(L=6, t=[7.8378295179568e-13], t_p=-0.6468296463572445,
+                     phi=5.811447501331059, gamma=0.43628553631671313, bc=PBC)
+    prof = loss_profile_resolvent(WalkConfig(params=p, x0=5))
+    dens, diag = steady_density(p, 5)
+    assert prof.incomplete and not diag["converged"]
+    for total, d in ((prof.total, prof.diagnostics), (dens.sum(), diag)):
+        assert total > 1.0 + d["conservation_budget"]
+        assert d["conservation_defect"] == abs(1.0 - total)
+        assert 1e-8 <= d["conservation_budget"] < 1e-6
+    # a resolved profile stays within its budget
+    ok = loss_profile_resolvent(WalkConfig(params=p.replace(t=[0.6, 0.5]), x0=5))
+    assert not ok.incomplete
+    assert ok.diagnostics["conservation_defect"] <= ok.diagnostics["conservation_budget"]
+
+
 def test_boundary_equivalence_before_and_after_arrival():
     # the open and the periodic ladder differ only by the hops across the
     # ends; released at x0 = 45 of 60, the packet needs a while to reach them
@@ -161,11 +181,20 @@ def _dense_walk(cfg):
     # the folded PBC order with a loss profile that tells every cell apart
     (LadderParams(L=10, t=[0.3, 0.5], t_p=0.5, phi=0.7,
                   gamma=np.linspace(0.2, 0.6, 10), bc=PBC), 3),
-], ids=["obc", "pbc", "t2", "pbc_nonuniform"])
+    # the real gauge on a uniform ring, at the other gauge phase, and at
+    # t_p = 0, where the gauge form holds at any phi
+    (LadderParams(L=24, t=[0.6, 0.5], t_p=0.5, phi=np.pi / 2, gamma=0.5, bc=PBC), 12),
+    (LadderParams(L=24, t=[0.3, 0.5], t_p=0.5, phi=-np.pi / 2,
+                  gamma=linear_gamma(24, 0.01, 0.3)), 16),
+    (LadderParams(L=16, t=[0.6, 0.5], t_p=0.0, phi=0.7, gamma=0.5), 8),
+], ids=["obc", "pbc", "t2", "pbc_nonuniform", "pbc_gauge", "obc_minus_pi_2", "t_p_0"])
 def test_banded_walk_steps_like_the_dense_one(p, x0):
     cfg = WalkConfig(params=p, x0=x0, norm_floor=1e-12)
     prof = loss_profile_time(cfg)
     ref = _dense_walk(cfg)
+    # cos(phi) = 0 or t_p = 0: the walk runs on phi = D^-1 psi in real arithmetic
+    gauge = p.t_p == 0.0 or abs(np.cos(p.phi)) < 1e-15
+    assert prof.diagnostics["arithmetic"] == ("real" if gauge else "complex")
     assert ref.stopped_early and not prof.incomplete
     # the rider sees the stage states the accumulator block saw, and its
     # error estimate enters the step control the same way
