@@ -141,7 +141,11 @@ def integrate(rhs, y0, t0, t_end, rtol=1e-8, atol=0.0, scale_fn=None,
     e_row, k_tab = coef[6, 1:], tab[1:]
 
     y[...] = y0
-    rhs_tab[1] = rhs(t, y[:n])
+    k0 = rhs(t, y[:n])
+    if dtype is float and np.iscomplexobj(k0):
+        # storing it in the real table would drop its imaginary part
+        raise TypeError("a float64 y0 needs an rhs that returns reals")
+    rhs_tab[1] = k0
     n_rhs = 1
     rates(rhs_tab[:1], tab[1:2, n:].real)
     # initial step heuristic (conservative power-of-tolerance scaling)

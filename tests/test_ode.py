@@ -135,3 +135,6 @@ def test_real_state_integrates_in_real_arithmetic():
     assert (real.n_steps, real.n_rejected) == (cplx.n_steps, cplx.n_rejected)
     assert real.n_steps > 100 and real.t == cplx.t == 5.0
     assert np.linalg.norm(real.y - cplx.y) <= 1e-13 * np.linalg.norm(cplx.y)
+    # a complex rhs on a real state is refused, not truncated to its real part
+    with pytest.raises(TypeError, match="returns reals"):
+        integrate(lambda t, y: -1j * y, np.array([1.0]), 0.0, 1.0)
