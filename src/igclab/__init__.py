@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .model import (
     OBC, PBC, LadderParams, GeneralModel, LadderOperator, build_ladder, build_bloch,
-    build_general, bloch_bands, bloch_blocks, ladder_to_general, verify_dark_modes,
+    build_general, bloch_bands, bloch_blocks, ladder_to_general,
     linear_gamma, random_gamma, site_index,
 )
 from .densela import Spectrum, SingularMatrixError, lu_solve, eigendecompose
@@ -26,7 +26,7 @@ from .analysis import (
 )
 from .liouville import (
     LiouvilleReport, build_damping, liouvillian_gap,
-    dark_mode_check, steady_density, propagate_correlation,
+    steady_density, propagate_correlation,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

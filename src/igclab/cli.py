@@ -558,6 +558,7 @@ PRESETS = {
     "fig5a": {
         "description": "burst ratios against the second-neighbor coupling",
         "runs": [{"command": "sweep", "model": _ladder(0.3, t2=0.0), "x0": 150,
+                  "engine": walk.RESOLVENT,
                   "sweep": {"vary": "t2",
                             "values": [round(0.05 * i, 2) for i in range(13)]}}],
     },
@@ -585,9 +586,8 @@ PRESETS = {
     "fig6b": {
         "description": "burst ratios against the hopping phase",
         "runs": [{"command": "sweep", "model": _ladder(0.3), "x0": 150,
-                  "sweep": {"vary": "phi",
-                            "values": [round(_PI / 2 * i / 12, 10)
-                                       for i in range(13)]}}],
+                  "engine": walk.RESOLVENT,
+                  "sweep": {"vary": "phi", "values": [_PI / 2 * i / 12 for i in range(13)]}}],
     },
     "fig7a": {
         "description": "PBC spectra with the linearly growing loss profile",

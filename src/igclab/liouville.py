@@ -30,10 +30,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import densela
-from .igc import IgcSolution
-from .model import PBC, LadderOperator, LadderParams, build_ladder, site_index
+from .model import LadderOperator, LadderParams, build_ladder, site_index
 from .quadrature import adaptive_quadrature
-from .walk import RESOLVENT_RTOL, conservation_budget, resolvent_integrand
+from .walk import RESOLVENT_RTOL, resolvent_integrand, resolvent_result
 
 GAPLESS_TOL = 1e-6
 
@@ -80,26 +79,6 @@ def liouvillian_gap(X: LadderOperator) -> LiouvilleReport:
                            eigenvalues=w, eigensolve=how)
 
 
-def dark_mode_check(p: LadderParams, sol: IgcSolution) -> np.ndarray:
-    """Residuals of the analytically constructed gapless modes of X.
-
-    Each surviving plane wave of the lattice at momentum k maps through the
-    conjugation in X = i conj(H) to a mode with amplitudes e^{-i k x} on the
-    A slots and zero on the B slots, at eigenvalue i E.  The residuals are
-    independent of the loss profile; that is the whole point of the check.
-    """
-    if p.bc != PBC:
-        raise ValueError("gapless-mode construction needs periodic boundaries")
-    X, L = build_damping(p).matrix, p.L
-    res = []
-    for pt in sol.points:
-        v = np.zeros(2 * L, dtype=complex)
-        v[0::2] = np.exp(-1j * pt.k * np.arange(1, L + 1)) / np.sqrt(L)
-        r = np.linalg.norm(X @ v - 1j * pt.energy * v)
-        res.append(float(r))
-    return np.array(res)
-
-
 def steady_density(p: LadderParams, x0: int, max_panels: int = 4000):
     """B-site density fed by a source at (x0, A), from the resolvent of X.
 
@@ -107,9 +86,10 @@ def steady_density(p: LadderParams, x0: int, max_panels: int = 4000):
 
     evaluated with the walk's frequency-domain integrand at s = i, so the
     window, panels and solves are those of the escape profile, applied to X.
-    Its integrand is the escape profile's, so sum n <= 1 too: a density whose
-    sum exceeds 1 by more than its `conservation_budget` is reported
-    unconverged.  Returns (n, diagnostics).
+    Its integrand is the escape profile's, so sum n <= 1 too, and
+    `resolvent_result` reads the quadrature as it reads the profile's: a
+    density it does not pass is reported unconverged.  Returns
+    (n, diagnostics).
     """
     if not 1 <= x0 <= p.L:
         raise ValueError("x0 outside the chain")
@@ -119,15 +99,8 @@ def steady_density(p: LadderParams, x0: int, max_panels: int = 4000):
     f, edges, omega_max, tail_bound, info = resolvent_integrand(p, x0, build_damping(p), 1j)
     quad = adaptive_quadrature(f, edges, rtol=RESOLVENT_RTOL, atol_frac=1e-16,
                                max_panels=max_panels)
-    dens = gam / np.pi * quad.value
-    err = gam / np.pi * quad.error
-    total = float(dens.sum())
-    budget = conservation_budget(tail_bound, err, quad.n_evaluations)
-    diag = {"n_nodes": quad.n_evaluations, "n_panels": quad.n_panels,
-            "n_solves": quad.n_evaluations, **info,
-            "converged": bool(quad.converged and total <= 1.0 + budget),
-            "omega_max": omega_max, "quadrature_error": float(err.max()),
-            "conservation_defect": abs(1.0 - total), "conservation_budget": budget}
+    dens, ok, diag = resolvent_result(quad, gam, omega_max, tail_bound, info)
+    diag["converged"] = ok
     return dens, diag
 
 

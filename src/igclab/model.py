@@ -28,7 +28,6 @@ Conventions, fixed once and relied on by every downstream module:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -408,60 +407,3 @@ def ladder_to_general(p: LadderParams) -> GeneralModel:
     return GeneralModel(A=H[0::2, 0::2],
                         B_herm=H[1::2, 1::2] + 1j * np.diag(p.gamma),
                         C=H[1::2, 0::2], gamma=p.gamma)
-
-
-@dataclass
-class DarkModeReport:
-    """Outcome of checking near-real eigenmodes for dark-mode structure."""
-
-    energies: list
-    lossy_weights: list
-    subsystem_residuals: list
-    coupling_residuals: list
-    passed: bool
-    vacuous: bool
-    condition_flag: bool
-
-
-def verify_dark_modes(Hm: np.ndarray, tol: float = 1e-8) -> DarkModeReport:
-    """Check that every near-real eigenmode lives on the lossless sites only.
-
-    An eigenpair with |Im E| < tol is tested for (i) weight on lossy sites,
-    (ii) the residual of the lossless-subsystem eigenproblem, and (iii) the
-    residual of the coupling condition.  The report passes when both residuals
-    stay below tol for every such pair (weights are reported alongside).
-    A model with loss everywhere and no near-real eigenvalue passes vacuously.
-    `Hm` is the dense matrix, e.g. `build_ladder(p).matrix` or `build_general(g)`.
-    """
-    spec = densela.eigendecompose(Hm, want_vectors=True)
-    if spec.condition_flag:
-        warnings.warn("eigenbasis is ill-conditioned; dark-mode residuals may "
-                      "be pessimistic", RuntimeWarning, stacklevel=2)
-    rates = -np.imag(np.diagonal(Hm))
-    lossy = rates > 0.0
-    lossless = ~lossy
-    H0 = 0.5 * (Hm + Hm.conj().T)
-    H_sub = H0[np.ix_(lossless, lossless)]
-    H_coup = H0.copy()
-    H_coup[np.ix_(lossless, lossless)] = 0.0
-    H_coup[np.ix_(lossy, lossy)] = 0.0
-    energies, weights, res_sub, res_coup = [], [], [], []
-    for j, E in enumerate(spec.eigenvalues):
-        if abs(E.imag) >= tol:
-            continue
-        v = spec.right_vectors[:, j]
-        nrm = np.linalg.norm(v)
-        energies.append(E)
-        weights.append(float(np.linalg.norm(v[lossy]) ** 2 / nrm**2))
-        res_sub.append(float(np.linalg.norm(H_sub @ v[lossless] - E * v[lossless]) / nrm))
-        res_coup.append(float(np.linalg.norm(H_coup @ v) / nrm))
-    passed = all(r < tol for r in res_sub) and all(r < tol for r in res_coup)
-    return DarkModeReport(
-        energies=energies,
-        lossy_weights=weights,
-        subsystem_residuals=res_sub,
-        coupling_residuals=res_coup,
-        passed=passed,
-        vacuous=(len(energies) == 0),
-        condition_flag=spec.condition_flag,
-    )

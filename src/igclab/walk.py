@@ -26,7 +26,8 @@ compute the escape profile P_x and serve as mutual cross-checks:
   cells; every other ladder solves its own band (natural site order under
   OBC, folded cells under PBC, so the half-bandwidth is 2n+1 or 4n+1
   whatever L is).  The same integrand, with the damping matrix
-  X = i conj(H) in place of H, gives the steady density in `liouville`.
+  X = i conj(H) in place of H, gives the steady density in `liouville`, and
+  `resolvent_result` reads both quadratures into values and a flag.
 
 The two engines share only the operator build: the time engine's matvec and
 the resolvent engine's solves are separate code, so that their agreement
@@ -326,18 +327,42 @@ def resolvent_integrand(p: LadderParams, x0: int, op: LadderOperator, s: complex
     return f, edges, omega_max, tail_bound, info
 
 
-def conservation_budget(tail_bound: float, cell_errors: np.ndarray, n_nodes: int) -> float:
-    """How far above 1 a resolvent integral's total mass may honestly read.
+def resolvent_result(quad, gam: np.ndarray, omega_max: float, tail_bound: float,
+                     info: dict):
+    """Values, flag and diagnostics of a finished resolvent quadrature.
 
-    No ladder lets more than the released unit of probability escape (nor
-    feeds more density than that), so sum P > 1 + budget means the
-    quadrature missed or misjudged a feature its error estimate did not see.
-    The budget is the truncation `tail_bound`, plus the quadrature's error
-    estimates summed over the cells, plus a rounding allowance of n_nodes
-    eps: each cell's value is a sum of nonnegative Kronrod terms over at
-    most n_nodes nodes, which rounds by at most that much of the total.
+    `quad` integrates `resolvent_integrand`'s integrand (window `omega_max`,
+    truncation `tail_bound`, solver `info`); each cell's value is gamma_x/pi
+    times its integral.  No ladder lets more than the released unit of
+    probability escape (nor feeds more density than that), so a total above
+    1 + `conservation_budget` means the quadrature missed or misjudged a
+    feature its error estimate did not see.  The budget is the tail bound,
+    plus the quadrature's error estimates summed over the cells, plus a
+    rounding allowance of n_nodes eps: each cell's value is a sum of
+    nonnegative Kronrod terms over at most n_nodes nodes, which rounds by at
+    most that much of the total.  The flag is true when the quadrature
+    converged and the total stays within the budget; `converged` in the
+    diagnostics is the quadrature's own verdict.  Returns (values, flag,
+    diagnostics).
     """
-    return float(tail_bound + np.sum(cell_errors) + n_nodes * np.finfo(float).eps)
+    values = gam / np.pi * quad.value
+    err = gam / np.pi * quad.error
+    total = float(values.sum())
+    budget = float(tail_bound + np.sum(err) + quad.n_evaluations * np.finfo(float).eps)
+    diag = {
+        "n_nodes": quad.n_evaluations,
+        "n_panels": quad.n_panels,
+        "n_solves": quad.n_evaluations,     # one solve call per node
+        **info,
+        "omega_max": omega_max,
+        "tail_bound": tail_bound,
+        "quadrature_error": float(err.max()),
+        "conservation_defect": abs(1.0 - total),
+        "conservation_budget": budget,
+        "converged": quad.converged,
+    }
+    # `<=` so that a NaN total fails closed too
+    return values, quad.converged and total <= 1.0 + budget, diag
 
 
 def loss_profile_resolvent(cfg: WalkConfig, max_panels: int = 4000) -> LossProfile:
@@ -350,9 +375,9 @@ def loss_profile_resolvent(cfg: WalkConfig, max_panels: int = 4000) -> LossProfi
     short-circuits to an exactly zero profile.  Otherwise every released
     walker escapes, so `conservation_defect` |1 - sum P| measures the
     truncation and quadrature error together (a dark mode keeps sum P below
-    1).  A profile whose sum P exceeds 1 by more than its
-    `conservation_budget` is flagged incomplete, even where the quadrature
-    reports convergence.
+    1).  A profile that `resolvent_result` does not pass (sum P above 1 by
+    more than its `conservation_budget`, or an unconverged quadrature) is
+    flagged incomplete.
     """
     p = cfg.params
     gam = np.asarray(p.gamma)
@@ -364,24 +389,6 @@ def loss_profile_resolvent(cfg: WalkConfig, max_panels: int = 4000) -> LossProfi
         p, cfg.x0, build_ladder(p), 1.0)
     quad = adaptive_quadrature(f, edges, rtol=RESOLVENT_RTOL, atol_frac=1e-16,
                                max_panels=max_panels)
-    P = gam / np.pi * quad.value
-    err = gam / np.pi * quad.error
-    total = float(P.sum())
-    budget = conservation_budget(tail_bound, err, quad.n_evaluations)
-    diag = {
-        "engine": RESOLVENT,
-        "n_nodes": quad.n_evaluations,
-        "n_panels": quad.n_panels,
-        "n_solves": quad.n_evaluations,     # one solve call per node
-        **info,
-        "omega_max": omega_max,
-        "tail_bound": tail_bound,
-        "quadrature_error": float(err.max()),
-        "conservation_defect": abs(1.0 - total),
-        "conservation_budget": budget,
-        "converged": quad.converged,
-    }
-    # `not <=` so that a NaN total fails closed too
-    return LossProfile(P=P, engine=RESOLVENT, total=total,
-                       incomplete=not (quad.converged and total <= 1.0 + budget),
-                       diagnostics=diag)
+    P, ok, diag = resolvent_result(quad, gam, omega_max, tail_bound, info)
+    return LossProfile(P=P, engine=RESOLVENT, total=float(P.sum()), incomplete=not ok,
+                       diagnostics={"engine": RESOLVENT, **diag})

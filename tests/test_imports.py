@@ -1,5 +1,7 @@
 """No module of the package imports a name it never uses, defines a
-private name nothing reads, or carries a dataclass field nothing reads.
+private name nothing reads, defines a public function or class that no
+package module reads (bar a short list of test references), or carries a
+dataclass field nothing reads.
 
 No linter runs on this repository, so these are the checks that catch an
 import, a private helper or a result field left behind when the code that
@@ -80,6 +82,49 @@ def test_the_check_sees_an_unused_private_name():
 def test_no_unused_private_name():
     sources = {p.name: p.read_text() for p in PACKAGE}
     assert len(sources) > 1 and unused_private_names(sources) == []
+
+
+def unread_public_names(sources):
+    """(module, line, name) of every module-level public def or class of
+    `sources` (name -> text) that no module reads outside its own definition."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = node.name
+                if not own.startswith("_"):
+                    defined.append((module, node.lineno, own))
+            here = {sub.id for sub in ast.walk(node)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            here |= {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+            read |= here - {own}
+    return sorted(d for d in defined if d[2] not in read)
+
+
+def test_the_check_sees_an_unread_public_name():
+    sources = {"a": "import b\nprint(b.k)\ndef f():\n    return f()\nclass C: pass\n"
+                    "def g(): pass\ndef _h(): pass\n",
+               "b": "import a\nprint(a.C)\nfrom a import g\ndef k():\n    return k()\n"}
+    assert unread_public_names(sources) == [("a", 3, "f"), ("a", 6, "g")]
+
+
+#: public names that only tests call, each an independent reference the
+#: package's own path is checked against
+TEST_REFERENCES = {
+    "build_bloch": "closed-form Bloch matrix; `bloch_blocks` reads the band",
+    "ladder_to_general": "a ladder in split form, so `build_general` meets `build_ladder`",
+    "igc_energies_closed_form": "closed-form IGC energies against `solve_connection` (C1, C7)",
+    "propagate_correlation": "dense correlation propagation behind the gap's class (C8)",
+}
+
+
+def test_every_public_name_is_read_by_the_package():
+    sources = {p.name: p.read_text() for p in MODULES}
+    tests = " ".join(p.read_text() for p in (ROOT / "tests").glob("test_*.py"))
+    unread = {name for _, _, name in unread_public_names(sources)}
+    assert unread == set(TEST_REFERENCES)
+    assert all(name in tests for name in TEST_REFERENCES)
 
 
 def unread_fields(package, readers):

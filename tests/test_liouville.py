@@ -3,8 +3,8 @@ import pytest
 
 from igclab import (
     LadderParams, OBC, PBC, WalkConfig, build_damping, build_ladder,
-    dark_mode_check, eigendecompose, liouvillian_gap, loss_profile_resolvent,
-    propagate_correlation, random_gamma, solve_connection, steady_density,
+    eigendecompose, liouvillian_gap, loss_profile_resolvent,
+    propagate_correlation, random_gamma, steady_density,
 )
 from igclab.analysis import EXP, fit_bulk
 
@@ -94,28 +94,6 @@ def test_gap_report_carries_the_spectrum_it_read():
     rep = liouvillian_gap(Y)
     assert rep.eigensolve == "dense"
     assert np.array_equal(rep.eigenvalues, eigendecompose(Y.matrix).eigenvalues)
-
-
-def test_dark_mode_residuals_commensurate(commensurate_params):
-    sol = solve_connection(commensurate_params().t, 0.5, np.pi / 2)
-    assert len(sol.points) == 2
-    for gamma in (0.5, random_gamma(200, seed=6), random_gamma(200, seed=7)):
-        res = dark_mode_check(commensurate_params(gamma=gamma), sol)
-        assert res.max() < 1e-8
-
-
-def test_dark_mode_check_needs_pbc(commensurate_params):
-    sol = solve_connection(commensurate_params().t, 0.5, np.pi / 2)
-    with pytest.raises(ValueError, match="periodic"):
-        dark_mode_check(commensurate_params(bc=OBC), sol)
-
-
-def test_dark_mode_check_vacuous_when_gapped():
-    p = ladder(t0=0.6, gamma=0.5)
-    sol = solve_connection(p.t, p.t_p, p.phi)
-    assert sol.gapped
-    res = dark_mode_check(p, sol)
-    assert res.size == 0
 
 
 def test_steady_density_dimer():

@@ -4,7 +4,7 @@ import pytest
 from igclab import (
     OBC, PBC, GeneralModel, LadderParams, bloch_blocks, build_bloch, build_general,
     build_ladder, eigendecompose, ladder_to_general, linear_gamma,
-    random_gamma, site_index, verify_dark_modes,
+    random_gamma, site_index,
 )
 from igclab.model import bloch_bands, h_x, h_y
 
@@ -178,31 +178,6 @@ def test_random_six_site_model_is_dissipative():
     g = GeneralModel(A=A, B_herm=np.zeros((1, 1)), C=C, gamma=[1.0])
     w = eigendecompose(build_general(g)).eigenvalues
     assert w.imag.max() <= 1e-12
-
-
-def test_dark_modes_commensurate_ring(commensurate_params):
-    p = commensurate_params(gamma=random_gamma(200, seed=2))
-    rep = verify_dark_modes(build_ladder(p).matrix, tol=1e-8)
-    assert not rep.vacuous
-    assert len(rep.energies) == 2
-    assert rep.passed
-    for residuals in (rep.subsystem_residuals, rep.coupling_residuals):
-        assert len(residuals) == 2 and max(residuals) < 1e-8
-    assert max(rep.lossy_weights) < 1e-10
-    E = 0.5 * np.sin(3 * np.pi / 5)
-    assert sorted(round(e.real, 8) for e in rep.energies) == \
-        sorted([round(-E, 8), round(E, 8)])
-
-
-def test_dark_modes_obc_vacuous(fig3_params):
-    # open boundaries: skin localization excludes extended surviving modes,
-    # so nothing comes within 1e-6 of the real axis
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rep = verify_dark_modes(build_ladder(fig3_params(bc=OBC)).matrix, tol=1e-6)
-    assert rep.vacuous
-    assert rep.passed
 
 
 def test_built_matrix_is_readonly():
