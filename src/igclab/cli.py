@@ -398,13 +398,23 @@ def _cmd_walk(cfg, model, out, tag, plot, jobs):
     return files, diags
 
 
+#: each sweep row's diagnostics in `run.json`, by engine: no timings, so that
+#: a rerun, or a run with more jobs, writes the same rows
+_ROW_KEYS = {walk.TIME: ("conservation_defect", "n_steps"),
+             walk.RESOLVENT: ("conservation_defect", "n_solves", "conservation_budget",
+                              "converged", "folded")}
+
+
 def _sweep_row(args):
-    """One sweep row; module-level so worker pools can pickle it."""
+    """One sweep row and its diagnostics; module-level so worker pools can
+    pickle it."""
     engine, threshold, value, wc = args
     prof, = _profiles(engine, wc)
     m = analysis.burst_metrics(prof.P, wc.x0, threshold)
+    diag = {"incomplete": prof.incomplete,
+            **{key: prof.diagnostics[key] for key in _ROW_KEYS[engine]}}
     return (float(value), m.ratio_left, m.ratio_right,
-            m.p_edge_left, m.p_edge_right, m.burst_type, prof.incomplete)
+            m.p_edge_left, m.p_edge_right, m.burst_type, prof.incomplete), diag
 
 
 def _cmd_sweep(cfg, model, out, tag, plot, jobs):
@@ -412,16 +422,18 @@ def _cmd_sweep(cfg, model, out, tag, plot, jobs):
     tasks = [(cfg["engine"], cfg["threshold"], v, wc) for v, wc in cfg["walks"]]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_row, tasks))
+            rows = list(pool.map(_sweep_row, tasks))
     else:
-        results = [_sweep_row(t) for t in tasks]
+        rows = [_sweep_row(t) for t in tasks]
+    results = [r for r, _ in rows]
     csv = out / f"{tag}sweep.csv"
     write_csv(csv, [vary, "ratio_left", "ratio_right", "p_edge_left",
                     "p_edge_right", "burst_type", "incomplete"],
               [(v, rl, rr, pl_, pr, bt, int(inc))
                for v, rl, rr, pl_, pr, bt, inc in results])
     files = {str(csv): f"burst metrics against {vary}"}
-    diags = {"n_rows": len(results), "n_incomplete": sum(r[6] for r in results)}
+    diags = {"n_rows": len(results), "n_incomplete": sum(r[6] for r in results),
+             "rows": [{vary: v, **d} for (v, _), (_, d) in zip(cfg["walks"], rows)]}
     if vary == "x0":
         fits = analysis.x0_slopes([r[0] for r in results], [r[1] for r in results],
                                   [r[3] for r in results])

@@ -88,7 +88,8 @@ def steady_density(p: LadderParams, x0: int, max_panels: int = 4000):
     window, panels and solves are those of the escape profile, applied to X.
     Its integrand is the escape profile's, so sum n <= 1 too, and
     `resolvent_result` reads the quadrature as it reads the profile's: a
-    density it does not pass is reported unconverged.  Returns
+    density it does not pass is reported unconverged.  `max_panels` counts
+    panels of the full window, as the profile's does.  Returns
     (n, diagnostics).
     """
     if not 1 <= x0 <= p.L:
@@ -98,7 +99,7 @@ def steady_density(p: LadderParams, x0: int, max_panels: int = 4000):
         return np.zeros(p.L), {"note": "lossless model"}
     f, edges, omega_max, tail_bound, info = resolvent_integrand(p, x0, build_damping(p), 1j)
     quad = adaptive_quadrature(f, edges, rtol=RESOLVENT_RTOL, atol_frac=1e-16,
-                               max_panels=max_panels)
+                               max_panels=max_panels // (2 if info["folded"] else 1))
     dens, ok, diag = resolvent_result(quad, gam, omega_max, tail_bound, info)
     diag["converged"] = ok
     return dens, diag

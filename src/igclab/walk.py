@@ -27,7 +27,12 @@ compute the escape profile P_x and serve as mutual cross-checks:
   OBC, folded cells under PBC, so the half-bandwidth is 2n+1 or 4n+1
   whatever L is).  The same integrand, with the damping matrix
   X = i conj(H) in place of H, gives the steady density in `liouville`, and
-  `resolvent_result` reads both quadratures into values and a flag.
+  `resolvent_result` reads both quadratures into values and a flag.  Where
+  the operator has a real gauge form (c, R) with c/s = +-i (H at s = 1,
+  X at s = i, both at cos(phi) = 0 or t_p = 0) the integrand is even in
+  omega, so the integral is folded onto omega >= 0: half the solves, the
+  values and error estimates doubled, and each folded panel counted twice
+  against the caller's panel budget.
 
 The two engines share only the operator build: the time engine's matvec and
 the resolvent engine's solves are separate code, so that their agreement
@@ -252,14 +257,19 @@ def _band_edge_seeds(p: LadderParams, width: float) -> list:
     return sorted(v for v in seeds if abs(v) < width)
 
 
-def _resolvent_edges(p: LadderParams, h_inf: float, omega_max: float) -> np.ndarray:
+def _resolvent_edges(p: LadderParams, h_inf: float, omega_max: float,
+                     folded: bool) -> np.ndarray:
     # band window split finely enough that no peak hides between nodes, plus
-    # geometrically growing tail panels out to the truncation frequency
+    # geometrically growing tail panels out to the truncation frequency; a
+    # folded integral keeps the edges above 0 and starts at exactly 0
     width = h_inf + 1.0
     tail = geometric_edges(width, omega_max)
-    cand = sorted(set(np.linspace(-width, width, 49))
-                  | set(_band_edge_seeds(p, width))
-                  | set(tail) | set(-e for e in tail))
+    cand = (set(np.linspace(-width, width, 49))
+            | set(_band_edge_seeds(p, width))
+            | set(tail) | set(-e for e in tail))
+    if folded:
+        cand = {0.0} | {e for e in cand if e > 0}
+    cand = sorted(cand)
     edges = [cand[0]]
     for e in cand[1:]:
         if e - edges[-1] > 1e-9 * max(1.0, abs(e)):
@@ -279,10 +289,21 @@ def resolvent_integrand(p: LadderParams, x0: int, op: LadderOperator, s: complex
     band `neg` built once: on a periodic ring with uniform loss, the L 2x2
     blocks -B_j, B = `bloch_blocks(p, op)`, as one tridiagonal band whose
     B components an inverse FFT over k takes to the cells; on any other
-    ladder, -M in the sites' `band_order`.  Returns (integrand, edges,
-    Omega, tail_bound, info), info naming the `solver` ("bloch_blocks" or
-    "banded") and, for the banded one, its `bandwidth` [kl, ku].  A lossless model (every
-    gamma_x = 0) has no such window and raises ValueError.
+    ladder, -M in the sites' `band_order`.
+
+    With a `gauge_form` (c, R) of `op` and c/s purely imaginary (c = i for
+    H at s = 1, c = 1 for X at s = i), D^-1 (s omega - M) D = s (omega -+ i R)
+    with R real, so the response at -omega is minus the conjugate of the one
+    at omega and |D| = 1 entrywise: the integrand is even.  Its edges are
+    then the window's non-negative half, from an edge at exactly 0, and
+    `folded` is true; `resolvent_result` doubles the integral, and the
+    callers give the quadrature half their panel budget.  Every other
+    ladder keeps [-Omega, Omega] as it was.
+
+    Returns (integrand, edges, Omega, tail_bound, info), info naming the
+    `solver` ("bloch_blocks" or "banded"), for the banded one its
+    `bandwidth` [kl, ku], and whether the integral is `folded`.  A lossless
+    model (every gamma_x = 0) has no such window and raises ValueError.
     """
     gam = np.asarray(p.gamma)
     if not gam.any():
@@ -291,7 +312,10 @@ def resolvent_integrand(p: LadderParams, x0: int, op: LadderOperator, s: complex
     # the row sums of M are the column sums of its transpose
     m_inf = float(np.abs(op.band.T.ab).sum(axis=0).max())
     omega_max = m_inf + 2.0 * gam.max() / (np.pi * TAIL_BOUND)
-    edges = _resolvent_edges(p, m_inf, omega_max)
+    # an even integrand (docstring) where c/s = +-i
+    form = op.gauge_form()
+    folded = form is not None and (form[0] / s).real == 0.0
+    edges = _resolvent_edges(p, m_inf, omega_max, folded)
     ring = p.bc == PBC and p.uniform_gamma is not None
     if ring:
         # s*omega - M is block diagonal in momentum: its L 2x2 blocks
@@ -305,13 +329,13 @@ def resolvent_integrand(p: LadderParams, x0: int, op: LadderOperator, s: complex
         ab[1] = blocks.diagonal(0, 1, 2).ravel()
         neg, rhs = densela.Banded(ab, 1, 1), np.tile([1.0, 0.0], p.L)
         cells = (np.arange(p.L) - (x0 - 1)) % p.L
-        info = {"solver": "bloch_blocks"}
+        info = {"solver": "bloch_blocks", "folded": folded}
     else:
         # s*omega - M in the sites' band order, read at each cell's B site
         neg = densela.Banded(-op.band.ab, op.band.kl, op.band.ku)
         rhs = _initial_state(p, x0)[op.order]
         cells = np.argsort(op.order)[np.arange(p.L) * 2 + 1]
-        info = {"solver": "banded", "bandwidth": [neg.kl, neg.ku]}
+        info = {"solver": "banded", "bandwidth": [neg.kl, neg.ku], "folded": folded}
 
     def f(omegas):
         g = np.empty((omegas.size, rhs.size), dtype=complex)
@@ -333,8 +357,12 @@ def resolvent_result(quad, gam: np.ndarray, omega_max: float, tail_bound: float,
 
     `quad` integrates `resolvent_integrand`'s integrand (window `omega_max`,
     truncation `tail_bound`, solver `info`); each cell's value is gamma_x/pi
-    times its integral.  No ladder lets more than the released unit of
-    probability escape (nor feeds more density than that), so a total above
+    times its integral.  A `folded` integral covered omega >= 0 only, so its
+    values and error estimates are doubled (exact in binary); the caller
+    gave it half the full window's `max_panels`, each folded panel standing
+    for two, so the fold grants no larger budget and changes no flag.  No
+    ladder lets more than the released unit of probability escape (nor
+    feeds more density than that), so a total above
     1 + `conservation_budget` means the quadrature missed or misjudged a
     feature its error estimate did not see.  The budget is the tail bound,
     plus the quadrature's error estimates summed over the cells, plus a
@@ -347,6 +375,8 @@ def resolvent_result(quad, gam: np.ndarray, omega_max: float, tail_bound: float,
     """
     values = gam / np.pi * quad.value
     err = gam / np.pi * quad.error
+    if info["folded"]:
+        values, err = 2.0 * values, 2.0 * err
     total = float(values.sum())
     budget = float(tail_bound + np.sum(err) + quad.n_evaluations * np.finfo(float).eps)
     diag = {
@@ -377,7 +407,8 @@ def loss_profile_resolvent(cfg: WalkConfig, max_panels: int = 4000) -> LossProfi
     truncation and quadrature error together (a dark mode keeps sum P below
     1).  A profile that `resolvent_result` does not pass (sum P above 1 by
     more than its `conservation_budget`, or an unconverged quadrature) is
-    flagged incomplete.
+    flagged incomplete.  `max_panels` is the full window's budget: a folded
+    integral (`resolvent_integrand`) spends it two panels at a time.
     """
     p = cfg.params
     gam = np.asarray(p.gamma)
@@ -388,7 +419,7 @@ def loss_profile_resolvent(cfg: WalkConfig, max_panels: int = 4000) -> LossProfi
     f, edges, omega_max, tail_bound, info = resolvent_integrand(
         p, cfg.x0, build_ladder(p), 1.0)
     quad = adaptive_quadrature(f, edges, rtol=RESOLVENT_RTOL, atol_frac=1e-16,
-                               max_panels=max_panels)
+                               max_panels=max_panels // (2 if info["folded"] else 1))
     P, ok, diag = resolvent_result(quad, gam, omega_max, tail_bound, info)
     return LossProfile(P=P, engine=RESOLVENT, total=float(P.sum()), incomplete=not ok,
                        diagnostics={"engine": RESOLVENT, **diag})

@@ -245,6 +245,28 @@ def test_sweep_counts_its_incomplete_rows(tmp_path):
     flags = [row.split(",")[-1] for row in
              (out / "sweep.csv").read_text().splitlines()[1:]]
     assert flags == ["1", "1", "1"]
+    # each row's TIME diagnostics: its flag, its defect and its steps
+    assert [sorted(r) for r in diags["rows"]] == \
+        [["conservation_defect", "incomplete", "n_steps", "x0"]] * 3
+    assert [r["x0"] for r in diags["rows"]] == [4, 6, 9]
+    assert all(r["incomplete"] and r["n_steps"] > 0 for r in diags["rows"])
+
+
+def test_resolvent_sweep_rows_report_their_quadrature(tmp_path):
+    # the row at fl(pi/2) folds its integral onto omega >= 0, the row at 1.2
+    # keeps the full window; both converge within their budgets
+    cfg = dict(small_sweep([1.2, np.pi / 2]), x0=6, engine="RESOLVENT")
+    cfg["sweep"]["vary"] = "phi"
+    status, out = run_cli(tmp_path, cfg)
+    assert status == 0
+    rows = json.loads((out / "run.json").read_text())["diagnostics"]["rows"]
+    assert [sorted(r) for r in rows] == [sorted(
+        ["phi", "incomplete", "conservation_defect", "n_solves", "conservation_budget",
+         "converged", "folded"])] * 2
+    assert [(r["phi"], r["folded"]) for r in rows] == [(1.2, False), (np.pi / 2, True)]
+    for r in rows:
+        assert r["converged"] and not r["incomplete"] and r["n_solves"] > 0
+        assert r["conservation_defect"] <= r["conservation_budget"]
 
 
 def test_numerical_failure_leaves_a_run_record(tmp_path, capsys):
@@ -282,6 +304,9 @@ def test_sweep_workers_write_what_one_process_writes(tmp_path):
     status, pooled = run_cli(tmp_path / "pooled", cfg, "--jobs", "2")
     assert status == 0
     assert (pooled / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
+    rows = [json.loads((out / "run.json").read_text())["diagnostics"]["rows"]
+            for out in (serial, pooled)]
+    assert rows[0] == rows[1] and len(rows[0]) == 4
 
 
 def test_every_preset_validates():

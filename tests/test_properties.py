@@ -389,7 +389,8 @@ def test_bloch_integrand_matches_dense(p, side, u, cell):
     b = np.zeros(p.dim, complex)
     b[2 * (x0 - 1)] = 1.0
     f, *_, info = resolvent_integrand(p, x0, op, s)
-    assert info == {"solver": "bloch_blocks"}
+    form = op.gauge_form()
+    assert info == {"solver": "bloch_blocks", "folded": form is not None and form[0] != s}
     # a second node checks that each node keeps its own row through the FFT
     nodes = np.array([w, w + 0.5])
     shifts = [s * v * np.eye(p.dim) - M for v in nodes]
@@ -551,12 +552,14 @@ def test_band_width_does_not_grow_with_L(p):
     if n >= 1 and 0.5 * p.t[n] != 0.0:
         assert kl == bound
     # the banded resolvent solves on that band; a uniform ring takes its
-    # Bloch blocks and reports no bandwidth
+    # Bloch blocks and reports no bandwidth; both fold where H = D (i R) D^-1
     info = resolvent_integrand(p, 1, H, 1.0)[4]
+    form = H.gauge_form()
+    folded = form is not None and form[0] == 1j
     if p.bc == PBC and p.uniform_gamma is not None:
-        assert info == {"solver": "bloch_blocks"}
+        assert info == {"solver": "bloch_blocks", "folded": folded}
     else:
-        assert info == {"solver": "banded", "bandwidth": [kl, ku]}
+        assert info == {"solver": "banded", "bandwidth": [kl, ku], "folded": folded}
 
 
 @settings(max_examples=25, deadline=None)
@@ -686,3 +689,61 @@ def test_an_imaginary_part_above_one_rounding_unit_is_kept(bc):
     # rounding unit of the largest entry (gamma = 0.25)
     ring = LadderParams(L=2, t=[0.0], t_p=1.0, phi=np.pi / 2, gamma=[0.0, 0.25], bc=PBC)
     assert build_ladder(ring).eigenvalues()[1] == "dense"
+
+
+# --- the folded resolvent integral at cos(phi) = 0 -----------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(p=ladders(min_gamma=0.05), where=st.sampled_from(["phi", "t_p", "off"]),
+       phase=st.sampled_from(_GAUGE_PHASES), side=st.sampled_from(sorted(_SIDES)),
+       u=st.floats(0.0, 1.0), cell=st.integers(0, 23))
+@example(p=LadderParams(L=12, t=[0.3, 0.5], t_p=0.5, phi=0.0, gamma=0.5, bc=PBC),
+         where="phi", phase=np.pi / 2, side="X", u=0.1, cell=4)
+@example(p=LadderParams(L=9, t=[0.3, 0.5, 0.2], t_p=0.5, phi=0.0,
+                        gamma=np.linspace(0.1, 0.9, 9), bc=OBC),
+         where="off", phase=np.pi / 2, side="H", u=0.3, cell=6)
+def test_fold_is_taken_on_the_gauge(p, where, phase, side, u, cell):
+    # with a gauge form (c, R) and c/s = +-i, D^-1 (s omega - M) D =
+    # s (omega -+ i R) with R real: the response at -omega is minus the
+    # conjugate of the one at omega, entry by entry, so the integrand is even
+    # and the integral runs over [0, Omega] only.  Off the gauge (phi = 0.7
+    # with a hop) the window stays [-Omega, Omega].
+    #
+    # The bound: each node's computed response lies within
+    # delta = 100 kappa eps ||x||_2 of the exact one (the bound of
+    # test_bloch_integrand_matches_dense), and the gauge form drops at most
+    # eps max|M|, which moves the exact response at -omega by less than
+    # delta again; so the two squared moduli differ by at most
+    # 3 delta (2 max|x_B| + 3 delta)
+    q = {"phi": p.replace(phi=phase), "t_p": p.replace(t_p=0.0),
+         "off": p.replace(phi=0.7)}[where]
+    s = _SIDES[side]
+    M, op = _operator(q, side)
+    x0 = 1 + cell % q.L
+    f, edges, omega_max, _, info = resolvent_integrand(q, x0, op, s)
+    form = op.gauge_form()
+    assert info["folded"] == (form is not None and form[0] != s)
+    if where != "off":
+        # a two-cell ring's hops may add up to a lone real part (see
+        # test_an_imaginary_part_above_one_rounding_unit_is_kept)
+        assert info["folded"] or q.L == 2 and q.bc == PBC
+    elif abs(q.t_p) > 1e-3 and not (q.L == 2 and q.bc == PBC):
+        assert not info["folded"]
+    assert edges[-1] == omega_max
+    if not info["folded"]:
+        assert edges[0] == -omega_max
+        return
+    assert edges[0] == 0.0
+    w = u * (np.abs(M).sum(axis=1).max() + 1.0)
+    b = np.zeros(q.dim, complex)
+    b[2 * (x0 - 1)] = 1.0
+    A = s * w * np.eye(q.dim) - M
+    try:
+        x = densela.lu_solve(A, b)
+        got = f(np.array([w, -w]))
+    except SingularMatrixError:
+        # only a node within about PIVOT_RTOL of singular is refused
+        assert np.linalg.cond(A) > 0.01 / densela.PIVOT_RTOL
+        return
+    delta = 100 * np.linalg.cond(A) * np.finfo(float).eps * np.linalg.norm(x)
+    assert _max(got[0] - got[1]) <= 3 * delta * (2 * _max(x[1::2]) + 3 * delta)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from igclab import (
-    OBC, LadderParams, PBC, RESOLVENT, TIME, WalkConfig, build_ladder, linear_gamma,
-    loss_profile_resolvent, loss_profile_time, steady_density,
+    OBC, LadderParams, PBC, RESOLVENT, TIME, WalkConfig, build_damping, build_ladder,
+    linear_gamma, loss_profile_resolvent, loss_profile_time, random_gamma, steady_density,
 )
 from igclab.ode import integrate
+from igclab.quadrature import adaptive_quadrature
+from igclab.walk import RESOLVENT_RTOL, resolvent_integrand, resolvent_result
 
 
 def dimer(gamma=0.5, t0=0.3):
@@ -217,3 +219,60 @@ def test_time_engine_accuracy_on_the_t2_ladder():
     assert not pt.incomplete and not pr.incomplete
     mask = pt.P > 1e-12
     assert (np.abs(pr.P[mask] - pt.P[mask]) / pt.P[mask]).max() < 1.2e-7
+
+
+def _c3_corner(t0, loss, L=100):
+    gamma = 0.5 if loss == "uniform" else linear_gamma(L, 0.01, 0.20)
+    return LadderParams(L=L, t=[t0, 0.5], t_p=0.5, phi=np.pi / 2, gamma=gamma, bc=OBC)
+
+
+def _full_window(p, x0, op, s, max_panels):
+    """The folded integrand integrated over the mirrored window [-Omega, Omega]
+    at the engines' goal, read as an unfolded integral: (values, flag, diag)."""
+    f, edges, omega_max, tail_bound, info = resolvent_integrand(p, x0, op, s)
+    assert info["folded"] and edges[0] == 0.0
+    full = np.concatenate([-edges[:0:-1], edges])
+    quad = adaptive_quadrature(f, full, rtol=RESOLVENT_RTOL, atol_frac=1e-16,
+                               max_panels=max_panels)
+    return resolvent_result(quad, np.asarray(p.gamma), omega_max, tail_bound,
+                            dict(info, folded=False))
+
+
+@pytest.mark.parametrize("p, x0, side", [
+    *[(_c3_corner(t0, loss), 75, "H") for t0 in (0.3, 0.6) for loss in ("uniform", "linear")],
+    # a uniform ring solves its Bloch blocks
+    (LadderParams(L=60, t=[0.6, 0.5], t_p=0.5, phi=np.pi / 2, gamma=0.5, bc=PBC), 30, "H"),
+    # a steady density: the damping matrix's integral
+    (LadderParams(L=60, t=[0.3, 0.5], t_p=0.5, phi=np.pi / 2,
+                  gamma=random_gamma(60, 0.4, 0.6, seed=3), bc=OBC), 45, "X"),
+], ids=["0.3-uniform", "0.3-linear", "0.6-uniform", "0.6-linear", "ring", "density"])
+def test_folded_integral_matches_the_full_window(p, x0, side):
+    # the reference has the full panel budget of 4000 that the folded
+    # integral spends two at a time
+    if side == "H":
+        prof = loss_profile_resolvent(WalkConfig(params=p, x0=x0))
+        values, flag, diag = prof.P, not prof.incomplete, prof.diagnostics
+        ref, ref_flag, ref_diag = _full_window(p, x0, build_ladder(p), 1.0, 4000)
+    else:
+        values, diag = steady_density(p, x0)
+        flag = diag["converged"]
+        ref, ref_flag, ref_diag = _full_window(p, x0, build_damping(p), 1j, 4000)
+    assert diag["folded"]
+    mask = ref > 1e-12
+    assert (np.abs(values[mask] - ref[mask]) / ref[mask]).max() <= 1e-12
+    assert flag == ref_flag
+    assert diag["n_nodes"] <= ref_diag["n_nodes"] // 2 + 15
+
+
+def test_a_folded_panel_counts_twice_against_the_budget():
+    # the C3 corner converges on 43 folded panels (86 over the full window):
+    # a budget of 80 allows 40 folded panels, and both integrals stop short
+    p = _c3_corner(0.3, "uniform")
+    prof = loss_profile_resolvent(WalkConfig(params=p, x0=75), max_panels=80)
+    d = prof.diagnostics
+    assert d["folded"] and d["n_panels"] == 40
+    assert prof.incomplete and not d["converged"]
+    _, ref_flag, ref_diag = _full_window(p, 75, build_ladder(p), 1.0, 80)
+    assert ref_diag["n_panels"] == 80 and not ref_flag
+    assert loss_profile_resolvent(WalkConfig(params=p, x0=75), max_panels=86).diagnostics[
+        "converged"]
