@@ -256,6 +256,8 @@ def validate_config(cfg, default_seed=None):
                 raise ConfigError(f"{flag} must be true or false, got {cfg[flag]!r}")
         if cfg.get("self_intersections") and model.uniform_gamma is None:
             raise ConfigError("self_intersections needs a uniform loss profile")
+    if command == "igc" and sum(model.t) <= 0:
+        raise ConfigError("igc needs sum(t) = F(0) > 0; rescale or flip the couplings")
     if "x0" in cfg:
         cfg["x0"] = _check_x0(cfg["x0"], model.L, "x0")
     if command in ("walk", "burst", "sweep"):

@@ -7,7 +7,8 @@ absence means the spectrum stays a finite distance below it.  Since
 F(k) = P(cos k) with P the matching Chebyshev combination of the couplings,
 all root finding happens on the degree-n polynomial P over u = cos k in
 [-1, 1], which keeps every root real by construction and needs no filtering
-of off-circle candidates.
+of off-circle candidates.  The real roots of P' cut [-1, 1] into pieces on
+which P is monotone, so each root is bracketed exactly, with no scan grid.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from .model import h_y
 IGC = "IGC"
 GAPPED = "GAPPED"
 
-#: scan resolution over u = cos k
-_SCAN_STEP = 1e-3
 #: target residual for accepted roots, |F(k)| below this
 _ROOT_TOL = 1e-12
 
@@ -62,73 +61,42 @@ class IgcSolution:
         object.__setattr__(self, "energies", tuple(p.energy for p in self.points))
 
 
-def _bisect(coef, lo, hi, flo):
-    # plain bisection on the sign of P; the bracket comes from the scan
-    fhi = C.chebval(hi, coef)
+def _polish(coef, lo, hi, flo, fhi):
+    """The one root of P between lo and hi, where P(lo) and P(hi) differ in sign.
+
+    Illinois regula falsi: every step keeps the bracket, and an end that
+    survives two steps in a row has its value halved so that it moves too.
+    """
+    side = 0
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
+        mid = lo + (hi - lo) * flo / (flo - fhi)
         fm = C.chebval(mid, coef)
-        if abs(fm) < _ROOT_TOL or (hi - lo) < 1e-16:
+        if abs(fm) < _ROOT_TOL or not lo < mid < hi:
             return mid
         if (fm < 0) == (flo < 0):
             lo, flo = mid, fm
+            if side < 0:
+                fhi *= 0.5
+            side = -1
         else:
             hi, fhi = mid, fm
-    return 0.5 * (lo + hi)
-
-
-def _scan(coef):
-    """The scan grid over u in [-1, 1] and P on it."""
-    grid = np.arange(-1.0, 1.0 + _SCAN_STEP, _SCAN_STEP)
-    grid[-1] = 1.0
-    return grid, C.chebval(grid, coef)
-
-
-def _sign_roots(coef, near_zero):
-    """Roots of P on the scan: the on-grid ones (|P| <= near_zero) in grid
-    order, then the bisected sign changes, in grid order."""
-    grid, vals = _scan(coef)
-    roots = []
-    small = np.abs(vals) <= near_zero
-    for i in np.flatnonzero(small):
-        _add_root(roots, grid[i])
-    # a bracket with a small end is already captured as an on-grid root
-    bracket = ~small[:-1] & ~small[1:] & (vals[:-1] * vals[1:] < 0)
-    for i in np.flatnonzero(bracket):
-        _add_root(roots, _bisect(coef, grid[i], grid[i + 1], vals[i]))
-    return roots
-
-
-def _critical_points(coef):
-    """Interior roots of P' in (-1, 1) by the same scan-and-bisect route."""
-    dcoef = C.chebder(coef)
-    if len(dcoef) == 0 or np.all(dcoef == 0.0):
-        return []
-    grid, vals = _scan(dcoef)
-    sign = np.sign(vals)
-    on_grid = sign == 0
-    bracket = sign[:-1] * sign[1:] < 0
-    # in grid order: an on-grid root, or the bisected root of a sign change
-    crit = [grid[i] if on_grid[i] else _bisect(dcoef, grid[i], grid[i + 1], vals[i])
-            for i in np.flatnonzero(on_grid[:-1] | bracket)]
-    if on_grid[-1]:
-        crit.append(grid[-1])
-    return crit
-
-
-def _add_root(roots, u, tol=1e-9):
-    if not any(abs(u - r) < tol for r in roots):
-        roots.append(float(u))
+            if side > 0:
+                flo *= 0.5
+            side = 1
+    return mid
 
 
 def solve_connection(t, t_p: float, phi: float) -> IgcSolution:
     """All real momenta in [0, 2pi) where the coupling condition holds.
 
-    Sign changes of P(u) on a fixed-resolution scan are polished by bisection;
-    a secondary pass over the critical points of P catches tangential roots,
-    which are reported once each and flagged marginal.  Roots at u = +/-1 map
-    to the single momenta k = 0 or pi, where F is even in k and therefore
-    tangential as well.  Energies follow the chain-A dispersion
+    P is monotone between consecutive real roots of P' (the eigenvalues of
+    its colleague matrix), so these critical points and u = +/-1 split
+    [-1, 1] into pieces that each hold at most one root.  A piece whose
+    ends differ in sign holds a simple root, polished inside it; a critical
+    point where P vanishes is a multiple root, reported once and flagged
+    marginal when F keeps its sign across it (a tangency).  Roots at u = +/-1
+    map to the single momenta k = 0 or pi, where F is even in k and
+    therefore tangential as well.  Energies follow the chain-A dispersion
     t_p cos(k - phi).
     """
     coef = np.asarray(t, dtype=float)
@@ -139,25 +107,31 @@ def solve_connection(t, t_p: float, phi: float) -> IgcSolution:
     scale = max(1.0, np.abs(coef).sum())
     near_zero = 1e-12 * scale
 
-    sign_roots = _sign_roots(coef, near_zero)
-    crit = _critical_points(coef)
-    tangent_roots = []
-    for u in crit:
-        if abs(C.chebval(u, coef)) <= near_zero:
-            known = any(abs(u - r) < 1e-9 for r in sign_roots)
-            if not known:
-                _add_root(tangent_roots, u)
+    crit = C.chebroots(C.chebder(coef))
+    crit = crit[(crit.imag == 0) & (np.abs(crit.real) < 1.0)].real
+    cand = np.concatenate(([-1.0], crit, [1.0]))
+    cvals = C.chebval(cand, coef)
+    small = np.abs(cvals) <= near_zero
+    roots = [(u, True) for u, zero in ((-1.0, small[0]), (1.0, small[-1])) if zero]
+    # P is monotone between neighbouring candidates: two non-small ones of
+    # opposite sign bracket a simple root; the small ones between two non-small
+    # ones (a double root of P' may give two) are one multiple root, and small
+    # ones next to a small end belong to that end's root
+    big = np.flatnonzero(~small)
+    for i, j in zip(big[:-1], big[1:]):
+        cross = (cvals[i] < 0) != (cvals[j] < 0)
+        if j > i + 1:
+            roots.append((cand[i + 1], not cross))
+        elif cross:
+            roots.append((_polish(coef, cand[i], cand[j], cvals[i], cvals[j]), False))
 
     # global minimum of F over k, i.e. of P over [-1, 1]
-    cand = np.array([-1.0, 1.0] + crit)
-    cvals = C.chebval(cand, coef)
     jmin = int(np.argmin(cvals))
     f_min = float(cvals[jmin])
-    k_min = float(np.arccos(np.clip(cand[jmin], -1.0, 1.0)))
+    k_min = float(np.arccos(cand[jmin]))
 
     points = []
-    for u, marg in [(u, False) for u in sign_roots] + \
-                   [(u, True) for u in tangent_roots]:
+    for u, marg in roots:
         u = float(np.clip(u, -1.0, 1.0))
         kk = float(np.arccos(u))
         if u in (-1.0, 1.0):

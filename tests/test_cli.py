@@ -160,6 +160,7 @@ BAD_VALUES = {
                                   k_samples=1024.9),
     "k_samples too few": _probe("spectrum", self_intersections=True, k_samples=100),
     "igc on a general model": {"command": "igc", "model": _GENERAL},
+    "igc with sum(t) <= 0": _probe("igc", model={"t": [-0.3, 0.1]}),
     "liouville on a general model": {"command": "liouville", "model": _GENERAL},
     "general gamma a bool": {"command": "spectrum", "model": dict(_GENERAL, gamma=[True])},
     "general entry a bool": {"command": "spectrum",

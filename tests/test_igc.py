@@ -6,7 +6,6 @@ from igclab import (
     GAPPED, IGC, LadderParams, build_ladder, eigendecompose,
     igc_energies_closed_form, linear_gamma, random_gamma, solve_connection,
 )
-from igclab.igc import _add_root, _bisect, _critical_points, _sign_roots
 from igclab.model import h_x
 
 
@@ -60,6 +59,28 @@ def test_interior_tangency_reported_once_per_momentum():
     k = np.arccos(-0.625)
     assert ks == pytest.approx([k, 2 * np.pi - k], abs=1e-6)
     assert abs(sol.f_min) < 1e-10
+    assert all(p.marginal for p in sol.points)
+
+
+def test_triple_root_reported_once_per_momentum():
+    # P = (u - 0.3)^3 changes sign at u = 0.3; the double root of P' there may
+    # come out of the eigensolve as two close critical points
+    sol = solve_connection(C.poly2cheb([-0.027, 0.27, -0.9, 1.0]), 0.5, np.pi / 2)
+    k = np.arccos(0.3)
+    assert [p.k for p in sol.points] == pytest.approx([k, 2 * np.pi - k], abs=1e-6)
+    assert not any(p.marginal for p in sol.points)
+
+
+@pytest.mark.parametrize("t", [
+    [0.5100600611, -0.2006, 0.5],                 # roots u = 0.10013 and 0.10047
+    C.poly2cheb([0.2503 * 0.2509, -0.5012, 1.0]),  # roots u = 0.2503 and 0.2509
+])
+def test_roots_closer_than_any_grid_are_all_found(t):
+    sol = solve_connection(t, 0.5, np.pi / 2)
+    assert len(sol.points) == 4 and not sol.gapped
+    assert sol.classification == IGC
+    for p in sol.points:
+        assert abs(h_x(t, p.k)) < 1e-10 and not p.marginal
 
 
 def test_roots_satisfy_residual_and_unit_circle():
@@ -157,52 +178,6 @@ def test_classify():
         assert classify([t0, t1, t2]) == IGC
 
 
-def _loop_scans(coef, near_zero):
-    """The scans as plain loops over the grid: (roots of P, roots of P')."""
-    grid = np.arange(-1.0, 1.0 + 1e-3, 1e-3)
-    grid[-1] = 1.0
-    vals = C.chebval(grid, coef)
-    roots = []
-    for i, u in enumerate(grid):
-        if abs(vals[i]) <= near_zero:
-            _add_root(roots, u)
-    for i in range(len(grid) - 1):
-        flo, fhi = vals[i], vals[i + 1]
-        if abs(flo) > near_zero and abs(fhi) > near_zero and flo * fhi < 0:
-            _add_root(roots, _bisect(coef, grid[i], grid[i + 1], flo))
-    dcoef = C.chebder(coef)
-    crit = []
-    if len(dcoef) and np.any(dcoef != 0.0):
-        dvals = C.chebval(grid, dcoef)
-        sign = np.sign(dvals)
-        for i in range(len(grid) - 1):
-            if sign[i] == 0:
-                crit.append(grid[i])
-            elif sign[i] * sign[i + 1] < 0:
-                crit.append(_bisect(dcoef, grid[i], grid[i + 1], dvals[i]))
-        if sign[-1] == 0:
-            crit.append(grid[-1])
-    return roots, crit
-
-
-def test_vectorised_scans_visit_what_the_loops_visit():
-    # P' = 4u - 4 vanishes on the last grid point; P = u (u + 0.3003) is
-    # small on the grid point nearest 0 and changes sign before it;
-    # (u - 0.3)^2 touches zero between grid points; P' = (u - g)(u + 0.5003)
-    # is exactly zero on the grid point g = grid[1211], after a sign change
-    grid = np.arange(-1.0, 1.0 + 1e-3, 1e-3)
-    on_grid = C.chebint(C.chebmul([-grid[1211], 1.0], [0.5003, 1.0]))
-    assert C.chebval(grid[1211], C.chebder(on_grid)) == 0.0
-    cases = [np.array([0.0, -4.0, 1.0]), C.poly2cheb([0.0, 0.3003, 1.0]),
-             C.poly2cheb([0.09, -0.6, 1.0]), on_grid]
-    rng = np.random.default_rng(5)
-    cases += [rng.uniform(-1, 1, rng.integers(1, 6)) for _ in range(200)]
-    for coef in cases:
-        near_zero = 1e-12 * max(1.0, np.abs(coef).sum())
-        assert (_sign_roots(coef, near_zero), _critical_points(coef)) == \
-            _loop_scans(coef, near_zero)
-
-
 def test_count_bound_and_residuals_randomized():
     rng = np.random.default_rng(42)
     for _ in range(200):
@@ -215,6 +190,7 @@ def test_count_bound_and_residuals_randomized():
         for p in sol.points:
             assert abs(h_x(t, p.k)) < 1e-10
         assert sol.gapped == (len(sol.points) == 0)
+        assert sol.gapped == (sol.classification == GAPPED)
 
 
 def test_quartic_cross_check_second_neighbor():
