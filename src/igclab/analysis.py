@@ -174,22 +174,9 @@ def x0_slopes(x0s, ratios, p_edges):
 MIN_K_SAMPLES = 512
 #: segment pairs tested at once, which bounds the block temporaries
 _BLOCK_PAIRS = 1 << 14
-#: a crossing's Newton polish: |E(k1) - E(k2)| goal and iteration cap
+#: a crossing's Newton polish: |Q(k1) - Q(k2)| goal and iteration cap
 _REFINE_TOL = 1e-10
 _MAX_NEWTON = 40
-
-
-def _band_derivative(p, gam, k, energy):
-    # implicit derivative through s^2 = hx^2 + (hy + i gam/2)^2 on the branch
-    # pinned by the energy itself (s = E + i gam/2)
-    s = energy + 0.5j * gam
-    if abs(s) < 1e-12:
-        return None
-    hx = complex(h_x(p.t, k))
-    hy = complex(h_y(p.t_p, p.phi, k))
-    dhx = sum(-m * tm * np.sin(m * k) for m, tm in enumerate(p.t))
-    dhy = -p.t_p * np.sin(k - p.phi)
-    return (hx * dhx + (hy + 0.5j * gam) * dhy) / s
 
 
 @dataclass
@@ -199,20 +186,30 @@ class SelfIntersection:
     energy: complex
 
 
+def _symbol(p, gam, k):
+    # Q = hx^2 + hy^2 + i gam hy = E^2 + i gam E, and its k-derivative
+    hx, hy = h_x(p.t, k), h_y(p.t_p, p.phi, k)
+    dhx = sum(-m * tm * np.sin(m * k) for m, tm in enumerate(p.t))
+    dhy = -p.t_p * np.sin(k - p.phi)
+    return hx**2 + hy * (hy + 1j * gam), 2.0 * hx * dhx + (2.0 * hy + 1j * gam) * dhy
+
+
 def self_intersections(params: LadderParams, k_samples: int = 1024) -> list:
     """Transversal self-crossings of the momentum-space spectral curve.
 
-    Both branches are sampled on a k grid and continued: the square root
-    changes sign wherever it would otherwise jump, so the samples close as
-    two loops of N points, or as one loop of 2N points when the branches
-    swap over one period.  Every pair of non-adjacent segments of these
-    polylines is tested for an exact crossing (open parameter intervals,
-    |sin angle| <= 1e-6 counts as parallel), and each hit is polished once
-    with a two-variable Newton iteration on E(k1) - E(k2) = 0, seeded by the
-    interpolated (k, E), and accepted only if the two tangent directions are
-    genuinely transversal.  The tangency test is what discards the mirrored
-    k <-> -k coincidences of the time-reversal-symmetric case, where the
-    curve retraces itself instead of crossing.
+    Both bands solve E^2 + i gam E = Q(k), Q = h_x^2 + h_y^2 + i gam h_y, so
+    E(k1) = E(k2) on some pair of branches exactly when Q(k1) = Q(k2), and
+    the single-valued Q closes as one loop of N samples.  Every pair of
+    non-adjacent segments of that polyline is tested for an exact crossing
+    (open parameter intervals, |sin angle| <= 1e-6 counts as parallel); each
+    hit is polished by a two-variable Newton iteration on Q(k1) - Q(k2) = 0,
+    seeded by the interpolated k, and kept only if Q'(k1), Q'(k2) are
+    transversal (the square root is conformal: E's tangents cross at the same
+    angle), |k1 - k2| >= 1e-3, E is not the exceptional point -i gam / 2, and
+    no kept crossing lies within one grid step of it in both momenta.  The
+    tangency test discards the mirrored k <-> -k coincidences of the
+    time-reversal-symmetric case, where the curve retraces itself.  Each
+    crossing is reported at both its energies, E and -i gam - E.
     """
     if k_samples < MIN_K_SAMPLES:
         raise ValueError(f"need k_samples >= {MIN_K_SAMPLES}")
@@ -220,87 +217,60 @@ def self_intersections(params: LadderParams, k_samples: int = 1024) -> list:
     if gam is None:
         raise ValueError("momentum-space form needs a uniform loss profile")
     ks = np.linspace(0.0, 2.0 * np.pi, k_samples, endpoint=False)
-    up, down = bloch_bands(params, ks)
-    s = up - down                       # twice the square root
-    nxt = np.roll(s, -1)
-    flips = np.abs(nxt - s) > np.abs(nxt + s)      # flag j: step k_j -> k_j+1
-    swapped = np.concatenate([[False], np.logical_xor.accumulate(flips[:-1])])
-    first, second = np.where(swapped, down, up), np.where(swapped, up, down)
-    one_loop = bool(swapped[-1] ^ flips[-1])
-    loops = [np.concatenate([first, second])] if one_loop else [first, second]
-    m = loops[0].size
-    start = np.concatenate(loops)
-    seg = np.concatenate([np.roll(lp, -1) for lp in loops]) - start
-    seg_k = np.tile(ks, 2)              # segment i runs over [k_i, k_i + dk]
+    start = _symbol(params, gam, ks)[0]
+    seg = np.roll(start, -1) - start
     dk = 2.0 * np.pi / k_samples
-    n_seg = start.size
-    rows = max(1, _BLOCK_PAIRS // n_seg)
-    found = []
-    for i0 in range(0, n_seg, rows):
-        i = np.arange(i0, min(i0 + rows, n_seg))[:, None]
-        j = np.arange(i0 + 1, n_seg)[None, :]
+    rows = max(1, _BLOCK_PAIRS // k_samples)
+    pairs = []
+    for i0 in range(0, k_samples, rows):
+        i = np.arange(i0, min(i0 + rows, k_samples))[:, None]
+        j = np.arange(i0 + 1, k_samples)[None, :]
         r, v, w = seg[i], seg[j], start[j] - start[i]
         cross = (np.conj(r) * v).imag
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (np.conj(w) * v).imag / cross
             u = (np.conj(w) * r).imag / cross
         gap = j - i
-        adjacent = (i // m == j // m) & ((gap == 1) | (gap == m - 1))
-        hit = ((gap > 0) & ~adjacent
+        hit = ((gap > 1) & (gap < k_samples - 1)
                & (np.abs(cross) > 1e-6 * np.abs(r) * np.abs(v))
                & (t > 0) & (t < 1) & (u > 0) & (u < 1))
         for a, b in zip(*np.nonzero(hit)):
-            i1, i2 = i0 + a, i0 + 1 + b
-            E = start[i1] + t[a, b] * seg[i1]
-            polished = _polish_crossing(params, gam, seg_k[i1] + t[a, b] * dk, E,
-                                        seg_k[i2] + u[a, b] * dk, E)
-            if polished is not None:
-                k1, k2, E = polished
-                found.append(SelfIntersection(k1=min(k1, k2), k2=max(k1, k2),
-                                              energy=E))
-    found.sort(key=lambda s: (s.energy.real, s.k1))
-    return found
+            k = _polish_crossing(params, gam, ks[i0 + a] + t[a, b] * dk,
+                                 ks[i0 + 1 + b] + u[a, b] * dk)
+            # a near-tangent crossing can cut the polyline more than once
+            if k is not None and not any(
+                    max(_circ(k[0], c), _circ(k[1], d)) < dk
+                    or max(_circ(k[0], d), _circ(k[1], c)) < dk for c, d in pairs):
+                pairs.append(k)
+    return sorted((SelfIntersection(k1=k1, k2=k2, energy=complex(E))
+                   for k1, k2 in pairs for E in bloch_bands(params, [k1])[:, 0]),
+                  key=lambda s: (s.energy.real, s.k1))
 
 
-def _polish_crossing(p, gam, k1, e1, k2, e2):
-    two_pi = 2.0 * np.pi
+def _circ(a, b):
+    return np.pi - abs(np.pi - abs(a - b) % (2.0 * np.pi))
+
+
+def _polish_crossing(p, gam, k1, k2):
     for it in range(_MAX_NEWTON):
-        b1, b2 = bloch_bands(p, [k1, k2]).T
-        e1 = b1[np.argmin(np.abs(b1 - e1))]
-        e2 = b2[np.argmin(np.abs(b2 - e2))]
-        g = e1 - e2
-        d1 = _band_derivative(p, gam, k1, e1)
-        d2 = _band_derivative(p, gam, k2, e2)
-        if d1 is None or d2 is None:
-            return None
+        (q1, q2), (d1, d2) = _symbol(p, gam, np.array([k1, k2]))
+        g = q1 - q2
         J = np.array([[d1.real, -d2.real], [d1.imag, -d2.imag]])
-        det = np.linalg.det(J)
-        if abs(det) < 1e-14 * (abs(d1) * abs(d2) + 1e-300):
+        if abs(np.linalg.det(J)) < 1e-14 * (abs(d1) * abs(d2) + 1e-300):
             return None
         step = np.linalg.solve(J, -np.array([g.real, g.imag]))
-        if np.abs(step).max() > 0.5:
-            step *= 0.5 / np.abs(step).max()
-        k1 = (k1 + step[0]) % two_pi
-        k2 = (k2 + step[1]) % two_pi
+        step /= max(1.0, 2.0 * np.abs(step).max())      # at most 0.5 per step
+        k1, k2 = (k1 + step[0]) % (2.0 * np.pi), (k2 + step[1]) % (2.0 * np.pi)
         # near a tangency (phi near 0 or pi) rounding in g can keep every step
         # above 1e-12: the last iteration settles for the residual alone
         if abs(g) < _REFINE_TOL and (np.abs(step).max() < 1e-12 or it == _MAX_NEWTON - 1):
             break
     else:
         return None
-    dk = abs(k1 - k2)
-    dk = min(dk, two_pi - dk)
-    if dk < 1e-3:
+    # the final iterate: residual, exceptional point, tangent or retraced curve
+    (q1, q2), (d1, d2) = _symbol(p, gam, np.array([k1, k2]))
+    if (_circ(k1, k2) < 1e-3 or not abs(q1 - q2) < _REFINE_TOL
+            or abs(q1 - 0.25 * gam**2) < 1e-24
+            or abs((np.conj(d1) * d2).imag) <= 1e-6 * abs(d1) * abs(d2)):
         return None
-    # the energy of the final iterate, not of the one before the last step
-    b1, b2 = bloch_bands(p, [k1, k2]).T
-    e1 = b1[np.argmin(np.abs(b1 - e1))]
-    e2 = b2[np.argmin(np.abs(b2 - e2))]
-    d1 = _band_derivative(p, gam, k1, e1)
-    d2 = _band_derivative(p, gam, k2, e2)
-    if d1 is None or d2 is None or not abs(e1 - e2) < _REFINE_TOL:
-        return None
-    cross = abs((np.conj(d1) * d2).imag)
-    if cross <= 1e-6 * abs(d1) * abs(d2):
-        return None  # tangential or retraced, not a transversal crossing
-    return float(k1), float(k2), complex(0.5 * (e1 + e2))
+    return float(min(k1, k2)), float(max(k1, k2))

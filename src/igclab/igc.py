@@ -23,7 +23,7 @@ from .model import h_y
 IGC = "IGC"
 GAPPED = "GAPPED"
 
-#: target residual for accepted roots, |F(k)| below this
+#: target residual for accepted roots, |F(k)| below this times sum |t|
 _ROOT_TOL = 1e-12
 
 
@@ -61,7 +61,7 @@ class IgcSolution:
         object.__setattr__(self, "energies", tuple(p.energy for p in self.points))
 
 
-def _polish(coef, lo, hi, flo, fhi):
+def _polish(coef, lo, hi, flo, fhi, tol):
     """The one root of P between lo and hi, where P(lo) and P(hi) differ in sign.
 
     Illinois regula falsi: every step keeps the bracket, and an end that
@@ -71,7 +71,7 @@ def _polish(coef, lo, hi, flo, fhi):
     for _ in range(200):
         mid = lo + (hi - lo) * flo / (flo - fhi)
         fm = C.chebval(mid, coef)
-        if abs(fm) < _ROOT_TOL or not lo < mid < hi:
+        if abs(fm) < tol or not lo < mid < hi:
             return mid
         if (fm < 0) == (flo < 0):
             lo, flo = mid, fm
@@ -104,8 +104,7 @@ def solve_connection(t, t_p: float, phi: float) -> IgcSolution:
         raise ValueError("couplings must be finite")
     if coef.sum() <= 0:
         raise ValueError("needs sum(t) = F(0) > 0; rescale or flip the couplings")
-    scale = max(1.0, np.abs(coef).sum())
-    near_zero = 1e-12 * scale
+    near_zero = _ROOT_TOL * np.abs(coef).sum()
 
     crit = C.chebroots(C.chebder(coef))
     crit = crit[(crit.imag == 0) & (np.abs(crit.real) < 1.0)].real
@@ -123,7 +122,8 @@ def solve_connection(t, t_p: float, phi: float) -> IgcSolution:
         if j > i + 1:
             roots.append((cand[i + 1], not cross))
         elif cross:
-            roots.append((_polish(coef, cand[i], cand[j], cvals[i], cvals[j]), False))
+            roots.append((_polish(coef, cand[i], cand[j], cvals[i], cvals[j],
+                                  near_zero), False))
 
     # global minimum of F over k, i.e. of P over [-1, 1]
     jmin = int(np.argmin(cvals))

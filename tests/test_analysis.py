@@ -156,13 +156,18 @@ def test_self_intersections_present_only_past_transition():
 
 
 def test_self_intersections_stable_under_grid_refinement():
-    coarse = self_intersections(bipolar_params(0.5), 512)
-    fine = self_intersections(bipolar_params(0.5), 2048)
-    assert len(coarse) == len(fine)
-    ec = sorted((round(h.energy.real, 6), round(h.energy.imag, 6)) for h in coarse)
-    ef = sorted((round(h.energy.real, 6), round(h.energy.imag, 6)) for h in fine)
-    for a, b in zip(ec, ef):
-        assert abs(a[0] - b[0]) < 1e-6 and abs(a[1] - b[1]) < 1e-6
+    # the second ring is near-tangent: at 512 samples its polyline cuts
+    # itself three times around its one crossing, which must count once
+    near_tangent = LadderParams(L=20, t=[0.575, 0.5, 0.236], t_p=0.5,
+                                phi=0.0044, gamma=0.5, bc="PBC")
+    for params in (bipolar_params(0.5), near_tangent):
+        coarse = self_intersections(params, 512)
+        fine = self_intersections(params, 2048)
+        assert len(coarse) == len(fine)
+        ec = sorted((round(h.energy.real, 6), round(h.energy.imag, 6)) for h in coarse)
+        ef = sorted((round(h.energy.real, 6), round(h.energy.imag, 6)) for h in fine)
+        for a, b in zip(ec, ef):
+            assert abs(a[0] - b[0]) < 1e-6 and abs(a[1] - b[1]) < 1e-6
 
 
 def test_time_reversal_symmetric_case_reports_nothing():

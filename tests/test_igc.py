@@ -83,6 +83,17 @@ def test_roots_closer_than_any_grid_are_all_found(t):
         assert abs(h_x(t, p.k)) < 1e-10 and not p.marginal
 
 
+def test_zero_threshold_is_relative_to_tiny_couplings():
+    # F = 3e-13 + 5e-13 cos k has two simple roots at cos k = -0.6; an
+    # absolute 1e-12 threshold would read P = +/-2e-13 at k = 0, pi as roots
+    t = [3e-13, 5e-13]
+    sol = solve_connection(t, 0.5, np.pi / 2)
+    assert len(sol.points) == 2 and sol.classification == IGC
+    for p in sol.points:
+        assert np.cos(p.k) == pytest.approx(-0.6, abs=1e-12)
+        assert not p.marginal
+
+
 def test_roots_satisfy_residual_and_unit_circle():
     sol = solve_connection([0.3, 0.5, 0.1], 0.5, 1.234)
     for p in sol.points:

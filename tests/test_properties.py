@@ -567,9 +567,12 @@ def test_band_width_does_not_grow_with_L(p):
        phi=st.sampled_from([0.0, np.pi]) | st.floats(0.0, np.pi))
 @example(t0=0.0, t2=0.5, phi=1.3)
 @example(t0=0.5, t2=0.25, phi=1e-5)
+@example(t0=0.575, t2=0.236, phi=0.0044)
 def test_self_intersections_are_band_crossings(t0, t2, phi):
     # the second example crosses at an angle of 5e-4 degrees (phi near 0),
-    # where rounding keeps the Newton polish from settling below its step goal
+    # where rounding keeps the Newton polish from settling below its step goal;
+    # the third is so near a tangency that the 512-point polyline cuts itself
+    # three times around one crossing
     gamma = 0.5
     p = LadderParams(L=20, t=[t0, 0.5, t2], t_p=0.5, phi=phi, gamma=gamma, bc=PBC)
     hits = self_intersections(p, 512)
@@ -585,6 +588,9 @@ def test_self_intersections_are_band_crossings(t0, t2, phi):
     energies = np.array([h.energy for h in hits])
     for e in energies:
         assert np.abs(energies - (-1j * gamma - e)).min() < 1e-9
+    # each crossing is reported once
+    gaps = np.abs(energies[:, None] - energies[None, :]) + np.eye(len(hits))
+    assert gaps.size == 0 or gaps.min() >= 1e-9
 
 
 # --- the real eigensolve at cos(phi) = 0 against the complex dense one -------
