@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .model import (
     OBC, PBC, LadderParams, GeneralModel, LadderOperator, build_ladder, build_bloch,
-    build_general, bloch_bands, bloch_blocks, ladder_to_general,
+    build_general, bloch_bands, ladder_to_general,
     linear_gamma, random_gamma, site_index,
 )
 from .densela import Spectrum, SingularMatrixError, lu_solve, eigendecompose

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import __version__, analysis, igc, liouville, walk
 from .densela import eigendecompose
-from .model import (OBC, PBC, LadderParams, GeneralModel, bloch_blocks,
-                    build_general, build_ladder, linear_gamma, random_gamma)
+from .model import (OBC, PBC, LadderParams, GeneralModel, build_general,
+                    build_ladder, linear_gamma, random_gamma)
 from .svgplot import SvgPlot
 
 _MODEL_KEYS = {"command", "model", "seed"}
@@ -265,8 +265,10 @@ def validate_config(cfg, default_seed=None):
         if cfg["engine"] not in (walk.TIME, walk.RESOLVENT, "BOTH"):
             raise ConfigError("engine must be TIME, RESOLVENT, or BOTH")
         if command != "walk":
-            cfg["threshold"] = _number(cfg.get("threshold", analysis.BURST_THRESHOLD),
-                                       "threshold")
+            th = cfg["threshold"] = _number(cfg.get("threshold", analysis.BURST_THRESHOLD),
+                                            "threshold")
+            if th < 1:      # every burst ratio is >= 1: all sides would burst
+                raise ConfigError(f"threshold must be >= 1, got {th}")
         cfg["walks"] = _plan_walks(cfg, model)
     return cfg, model, echo
 
@@ -297,27 +299,13 @@ def _profiles(engine, wc):
 
 # --- command implementations -------------------------------------------------
 
-def _ladder_spectrum(p):
-    """(eigenvalues sorted by (Re, Im), eigensolve used) of a ladder.
-
-    A uniform-loss ring is block-circulant, so its spectrum is the union of
-    the L Bloch blocks' eigenvalues; every other ladder takes the dense
-    eigensolve (`LadderOperator.eigenvalues`).
-    """
-    H = build_ladder(p)
-    if p.bc == PBC and p.uniform_gamma is not None:
-        w = eigendecompose(bloch_blocks(p, H)).eigenvalues
-        return np.sort_complex(w.ravel()), "bloch_blocks"
-    return H.eigenvalues()
-
-
 def _cmd_spectrum(cfg, model, out, tag, plot, jobs):
     rows, diags = [], {}
     if isinstance(model, GeneralModel):
         variants = [("general", eigendecompose(build_general(model)).eigenvalues, "dense")]
     else:
         bcs = (OBC, PBC) if cfg.get("compare_bc") else (model.bc,)
-        variants = [(bc, *_ladder_spectrum(model.replace(bc=bc))) for bc in bcs]
+        variants = [(bc, *build_ladder(model.replace(bc=bc)).eigenvalues()) for bc in bcs]
     for label, w, how in variants:
         rows += [(e.real, e.imag, label) for e in w]
         diags[label] = {"dim": w.size, "max_imag": float(w.imag.max()),

@@ -19,7 +19,7 @@ approach.
 Full propagation of C~ costs a dense exponential per time sample and is
 exposed only as a small-size reference routine to validate the gap's
 convergence-class claim; everything else works at the level of X's spectrum
-(at cos(phi) = 0 a real eigensolve: see `LadderOperator.eigenvalues`).
+(`LadderOperator.eigenvalues`: a ring's Bloch blocks, else a dense solve).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import scipy.linalg as sla
 from . import densela
 from .model import LadderOperator, LadderParams, build_ladder, site_index
 from .quadrature import adaptive_quadrature
-from .walk import RESOLVENT_RTOL, resolvent_integrand, resolvent_result
+from .walk import LOSSLESS_DIAGNOSTICS, RESOLVENT_RTOL, resolvent_integrand, resolvent_result
 
 GAPLESS_TOL = 1e-6
 
@@ -44,7 +44,7 @@ class LiouvilleReport:
     max_real: float
     note: str
     eigenvalues: np.ndarray = field(repr=False)   # the spectrum of X the gap is read from
-    eigensolve: str                               # "dense_real" or "dense"
+    eigensolve: str                               # "bloch_blocks", "dense_real" or "dense"
 
 
 def build_damping(p: LadderParams) -> LadderOperator:
@@ -63,7 +63,7 @@ def build_damping(p: LadderParams) -> LadderOperator:
     via_h0[b.ku] -= m[H.order]
     if np.abs(via_h0 - X.ab).max() > 1e-14 * max(1.0, np.abs(b.ab).max()):
         raise AssertionError("X != i conj(H); damping-matrix identity broken")
-    return LadderOperator(X, H.order)
+    return LadderOperator(X, H.order, H.ring)
 
 
 def liouvillian_gap(X: LadderOperator) -> LiouvilleReport:
@@ -96,7 +96,7 @@ def steady_density(p: LadderParams, x0: int, max_panels: int = 4000):
         raise ValueError("x0 outside the chain")
     gam = np.asarray(p.gamma)
     if np.all(gam == 0.0):
-        return np.zeros(p.L), {"note": "lossless model"}
+        return np.zeros(p.L), dict(LOSSLESS_DIAGNOSTICS)
     f, edges, omega_max, tail_bound, info = resolvent_integrand(p, x0, build_damping(p), 1j)
     quad = adaptive_quadrature(f, edges, rtol=RESOLVENT_RTOL, atol_frac=1e-16,
                                max_panels=max_panels // (2 if info["folded"] else 1))

@@ -7,7 +7,7 @@ Two model families are covered:
   real space under open or periodic boundaries (its spectrum and its walks
   taken in real arithmetic at cos(phi) = 0) or as a 2x2 Bloch matrix (in
   closed form, or, for all momenta of a uniform ring at once, read off the
-  real-space band by `bloch_blocks`), and
+  real-space band by `LadderOperator.blocks`), and
 * an arbitrary "dissipative graph" split into a lossless subsystem, a lossy
   subsystem, and the Hermitian coupling between them.
 
@@ -162,11 +162,13 @@ def band_order(p: LadderParams) -> np.ndarray:
 @dataclass(frozen=True)
 class LadderOperator:
     """An operator on the ladder's sites as `band` data, sites permuted by
-    `order` (`band_order`); its dense natural-order `matrix` and its
-    `eigenvalues` are derived."""
+    `order` (`band_order`), and whether the ladder is a periodic `ring` with
+    uniform loss; its dense natural-order `matrix`, a ring's Bloch `blocks`
+    and its `eigenvalues` are derived."""
 
     band: densela.Banded
     order: np.ndarray
+    ring: bool
 
     def _dense(self, ab: np.ndarray) -> np.ndarray:
         # the read-only natural-order matrix of band data `ab` shaped as `band`
@@ -204,12 +206,41 @@ class LadderOperator:
                 return c, kept
         return None
 
-    def eigenvalues(self) -> tuple:
-        """(eigenvalues of `matrix` sorted by (Re, Im), "dense_real" or "dense").
+    def blocks(self) -> np.ndarray:
+        """The 2x2 Bloch matrices of a uniform-loss ring, read off its band.
 
-        With a `gauge_form` (c, R), eig(M) = c eig(R) by real LAPACK, else
-        zgeev of `matrix`.
+        A uniform ring is invariant under a shift by one cell, so the two
+        columns of cell 0's sites hold every hop: entry ((d, a), (0, s)) is
+        h_as(d), the hop from sublattice s to sublattice a over d cells.
+        Scattered by d and Fourier transformed over the cells,
+        sum_d h(d) e^{-i k d}, they give block j = the Bloch matrix at
+        k = 2 pi j / L, shape (L, 2, 2); the operator's spectrum is the union
+        of the blocks' eigenvalues.
         """
+        if not self.ring:
+            raise ValueError("Bloch blocks need a periodic ring with uniform loss")
+        b, order = self.band, self.order
+        cols = np.argsort(order)[:2]                        # band columns of (0, A), (0, B)
+        rows = cols + np.arange(-b.ku, b.kl + 1)[:, None]   # A[i, j] = ab[ku + i - j, j]
+        inside = (rows >= 0) & (rows < order.size)
+        site = order[rows[inside]]
+        s = np.broadcast_to(np.arange(2), rows.shape)[inside]
+        # one band entry per (d, a, s): hops that wrap onto one entry (L = 2)
+        # were already summed when the band was assembled
+        hops = np.zeros((order.size // 2, 2, 2), dtype=complex)
+        hops[site // 2, site % 2, s] = b.ab[:, cols][inside]
+        return np.fft.fft(hops, axis=0)
+
+    def eigenvalues(self) -> tuple:
+        """(eigenvalues of `matrix` sorted by (Re, Im), the eigensolve used).
+
+        A ring's are its `blocks`' ("bloch_blocks").  Otherwise, with a
+        `gauge_form` (c, R), eig(M) = c eig(R) by real LAPACK ("dense_real"),
+        else zgeev of `matrix` ("dense").
+        """
+        if self.ring:
+            w = densela.eigendecompose(self.blocks()).eigenvalues
+            return np.sort_complex(w.ravel()), "bloch_blocks"
         form = self.gauge_form()
         if form is None:
             return densela.eigendecompose(self.matrix).eigenvalues, "dense"
@@ -231,6 +262,7 @@ def build_ladder(p: LadderParams) -> LadderOperator:
     hops that would cross the boundary are present only under PBC, where they
     wrap modulo L.  The anti-Hermitian content is exactly the diagonal
     -i*gamma_x on the B sites.  The band is as narrow as the nonzero hops allow.
+    Whether the ladder is a uniform-loss `ring` is decided here, once.
     """
     L, order = p.L, band_order(p)
     pos = np.argsort(order)
@@ -253,7 +285,8 @@ def build_ladder(p: LadderParams) -> LadderOperator:
     ab[w, b] = -1j * np.asarray(p.gamma)
     offsets = w - np.flatnonzero(ab.any(axis=1))   # of the nonzero diagonals
     ku, kl = int(offsets.max(initial=0)), int(-offsets.min(initial=0))
-    return LadderOperator(densela.Banded(ab[w - ku:w + kl + 1], kl, ku), order)
+    return LadderOperator(densela.Banded(ab[w - ku:w + kl + 1], kl, ku), order,
+                          p.bc == PBC and p.uniform_gamma is not None)
 
 
 def h_x(t, k):
@@ -298,34 +331,6 @@ def bloch_bands(p: LadderParams, ks) -> np.ndarray:
     hy = h_y(p.t_p, p.phi, ks)
     s = np.sqrt(hx**2 + (hy + 0.5j * g) ** 2)
     return np.array([-0.5j * g + s, -0.5j * g - s])
-
-
-def bloch_blocks(p: LadderParams, H: LadderOperator) -> np.ndarray:
-    """The 2x2 Bloch matrices of a uniform-loss ring, read off its assembled band.
-
-    `H` is `build_ladder(p)`.  A uniform ring is invariant under a shift by
-    one cell, so the two columns of cell 0's sites hold every hop: entry
-    ((d, a), (0, s)) is h_as(d), the hop from sublattice s to sublattice a
-    over d cells.  Scattered by d and Fourier transformed over the cells,
-    sum_d h(d) e^{-i k d}, they give block j = the Bloch matrix at
-    k = 2 pi j / L, shape (L, 2, 2); H's spectrum is the union of the
-    blocks' eigenvalues.
-    """
-    if p.bc != PBC or p.uniform_gamma is None:
-        raise ValueError("Bloch blocks need a periodic ring with uniform loss")
-    b, order = H.band, H.order
-    if order.size != p.dim:
-        raise ValueError(f"operator has {order.size} sites, the ring {p.dim}")
-    cols = np.argsort(order)[:2]                        # band columns of (0, A), (0, B)
-    rows = cols + np.arange(-b.ku, b.kl + 1)[:, None]   # A[i, j] = ab[ku + i - j, j]
-    inside = (rows >= 0) & (rows < order.size)
-    site = order[rows[inside]]
-    s = np.broadcast_to(np.arange(2), rows.shape)[inside]
-    # one band entry per (d, a, s): hops that wrap onto one entry (L = 2)
-    # were already summed when the band was assembled
-    hops = np.zeros((p.L, 2, 2), dtype=complex)
-    hops[site // 2, site % 2, s] = b.ab[:, cols][inside]
-    return np.fft.fft(hops, axis=0)
 
 
 @dataclass(frozen=True)

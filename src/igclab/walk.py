@@ -21,9 +21,9 @@ compute the escape profile P_x and serve as mutual cross-checks:
   by adaptive Gauss-Kronrod panels, one shifted band solve per node: the
   band -M is laid out once per integral and each node solves it shifted by
   s*omega.  A periodic ring with uniform loss is block diagonal in
-  momentum, so its band is the L 2x2 Bloch blocks (`bloch_blocks`) as one
-  tridiagonal matrix, and an inverse FFT takes the response back to the
-  cells; every other ladder solves its own band (natural site order under
+  momentum, so its band is the L 2x2 Bloch blocks (`LadderOperator.blocks`)
+  as one tridiagonal matrix, and an inverse FFT takes the response back to
+  the cells; every other ladder solves its own band (natural site order under
   OBC, folded cells under PBC, so the half-bandwidth is 2n+1 or 4n+1
   whatever L is).  The same integrand, with the damping matrix
   X = i conj(H) in place of H, gives the steady density in `liouville`, and
@@ -51,8 +51,7 @@ import numpy as np
 from scipy.linalg import get_blas_funcs
 
 from . import densela
-from .model import (PBC, LadderOperator, LadderParams, bloch_bands, bloch_blocks,
-                    build_ladder, site_index)
+from .model import LadderOperator, LadderParams, bloch_bands, build_ladder, site_index
 from .ode import PAIR, integrate
 from .quadrature import adaptive_quadrature, geometric_edges
 
@@ -286,8 +285,8 @@ def resolvent_integrand(p: LadderParams, x0: int, op: LadderOperator, s: complex
     [-Omega, Omega] is fixed by the crude operator-norm tail bound
     (gamma_max/pi) * 2 / (Omega - ||M||_inf) < TAIL_BOUND.  The integrand
     makes one `densela.lu_solve(neg, rhs, shift=s*omega)` call per node on a
-    band `neg` built once: on a periodic ring with uniform loss, the L 2x2
-    blocks -B_j, B = `bloch_blocks(p, op)`, as one tridiagonal band whose
+    band `neg` built once: on a periodic ring with uniform loss (`op.ring`),
+    the L 2x2 blocks -B_j, B = `op.blocks()`, as one tridiagonal band whose
     B components an inverse FFT over k takes to the cells; on any other
     ladder, -M in the sites' `band_order`.
 
@@ -316,14 +315,13 @@ def resolvent_integrand(p: LadderParams, x0: int, op: LadderOperator, s: complex
     form = op.gauge_form()
     folded = form is not None and (form[0] / s).real == 0.0
     edges = _resolvent_edges(p, m_inf, omega_max, folded)
-    ring = p.bc == PBC and p.uniform_gamma is not None
-    if ring:
+    if op.ring:
         # s*omega - M is block diagonal in momentum: its L 2x2 blocks
         # s*omega - B_j are one tridiagonal band of order 2L (cells' (A, B)
         # pairs in turn, zero couplings between blocks), solved against the A
         # component of each; a panel's B components go to cell space in one
         # inverse FFT, where cell x reads the transform at (x - x0) mod L
-        blocks = -bloch_blocks(p, op)
+        blocks = -op.blocks()
         ab = np.zeros((3, 2 * p.L), dtype=complex)
         ab[0, 1::2], ab[2, 0::2] = blocks[:, 0, 1], blocks[:, 1, 0]
         ab[1] = blocks.diagonal(0, 1, 2).ravel()
@@ -343,12 +341,20 @@ def resolvent_integrand(p: LadderParams, x0: int, op: LadderOperator, s: complex
             g[i] = densela.lu_solve(neg, rhs, shift=s * w)
         # the Kronrod sums round differently on C- and F-ordered values, so
         # each path keeps its layout: switching it moves P in the last bits
-        if ring:
+        if op.ring:
             return np.abs(np.fft.ifft(g[:, 1::2], axis=1)[:, cells]) ** 2
         return np.abs(g.take(cells, axis=1)) ** 2
 
     tail_bound = float(gam.max() / np.pi * 2.0 / (omega_max - m_inf))
     return f, edges, omega_max, tail_bound, info
+
+
+#: `resolvent_result`'s keys where every gamma_x = 0: no window, no solve, and
+#: a total of 0 reads a conservation defect of 1 within a budget of 0
+LOSSLESS_DIAGNOSTICS = {"note": "lossless model, nothing escapes", "n_nodes": 0,
+                        "n_panels": 0, "n_solves": 0, "solver": None, "folded": False,
+                        "omega_max": None, "tail_bound": 0.0, "quadrature_error": 0.0,
+                        "conservation_defect": 1.0, "conservation_budget": 0.0, "converged": True}
 
 
 def resolvent_result(quad, gam: np.ndarray, omega_max: float, tail_bound: float,
@@ -401,11 +407,11 @@ def loss_profile_resolvent(cfg: WalkConfig, max_panels: int = 4000) -> LossProfi
     The integrand and its window come from `resolvent_integrand` with s = 1;
     the actual truncation error is far smaller than the reported tail bound
     because off-diagonal resolvent elements decay faster than 1/omega.
-    Without any loss the integrand would not decay at all, so that limit
-    short-circuits to an exactly zero profile.  Otherwise every released
-    walker escapes, so `conservation_defect` |1 - sum P| measures the
-    truncation and quadrature error together (a dark mode keeps sum P below
-    1).  A profile that `resolvent_result` does not pass (sum P above 1 by
+    Without any loss the integrand would not decay, so that limit is an
+    exactly zero profile (`LOSSLESS_DIAGNOSTICS`).  Otherwise every released
+    walker escapes, so `conservation_defect` |1 - sum P| measures truncation
+    and quadrature error together (a dark mode keeps sum P below 1).
+    A profile that `resolvent_result` does not pass (sum P above 1 by
     more than its `conservation_budget`, or an unconverged quadrature) is
     flagged incomplete.  `max_panels` is the full window's budget: a folded
     integral (`resolvent_integrand`) spends it two panels at a time.
@@ -414,8 +420,7 @@ def loss_profile_resolvent(cfg: WalkConfig, max_panels: int = 4000) -> LossProfi
     gam = np.asarray(p.gamma)
     if np.all(gam == 0.0):
         return LossProfile(P=np.zeros(p.L), engine=RESOLVENT, total=0.0,
-                           diagnostics={"note": "lossless model, nothing escapes",
-                                        "engine": RESOLVENT})
+                           diagnostics={"engine": RESOLVENT, **LOSSLESS_DIAGNOSTICS})
     f, edges, omega_max, tail_bound, info = resolvent_integrand(
         p, cfg.x0, build_ladder(p), 1.0)
     quad = adaptive_quadrature(f, edges, rtol=RESOLVENT_RTOL, atol_frac=1e-16,

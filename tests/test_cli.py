@@ -147,6 +147,7 @@ BAD_VALUES = {
                               sweep={"vary": "t2", "values": [0.1]}),
     "threshold a string": _probe("burst", threshold="abc"),
     "threshold not a number": _probe("burst", threshold=float("nan")),
+    "threshold below one": _probe("burst", threshold=0.5),
     "L not whole": _probe(model={"L": 12.7}),
     "L a string": _probe(model={"L": "12"}),
     "gamma a bool": _probe(model={"gamma": True}),
@@ -468,6 +469,45 @@ def test_spectrum_and_gap_name_their_eigensolve(tmp_path):
                 assert np.array_equal(np.sort_complex(np.conj(lam)), lam)
         if how == "dense_real":
             assert np.array_equal(np.sort_complex(-np.conj(w)), w)
+
+
+def test_a_uniform_ring_gap_reads_the_bloch_blocks(tmp_path):
+    # X = i conj(H) of a uniform ring is block-circulant as H is, so the
+    # liouville command reads its spectrum off X's Bloch blocks, on and off
+    # the gauge phase: i conj of the spectrum command's as a multiset, and the
+    # gap of X's dense eigensolve (the ring's top eigenvalue is well
+    # conditioned)
+    model = {"kind": "ladder", "L": 20, "t": [0.3, 0.5], "t_p": 0.5,
+             "phi": 0.7, "gamma": 0.5, "bc": "PBC"}
+    for phi in (0.7, np.pi / 2):
+        m = dict(model, phi=phi)
+        _, diags = execute({"command": "spectrum", "model": m}, tmp_path / f"s{phi}")
+        assert diags["PBC"]["eigensolve"] == "bloch_blocks"
+        w = 1j * np.conj(_spectrum_csv(tmp_path / f"s{phi}" / "spectrum.csv")["PBC"])
+        _, diags = execute({"command": "liouville", "model": m}, tmp_path / f"l{phi}")
+        assert diags["eigensolve"] == "bloch_blocks"
+        lam = _spectrum_csv(tmp_path / f"l{phi}" / "liouville_spectrum.csv")["PBC"]
+        H = build_ladder(validate_config({"command": "spectrum", "model": m})[1])
+        scale = np.abs(H.matrix).sum(axis=1).max()
+        rows, cols = linear_sum_assignment(np.abs(lam[:, None] - w[None, :]))
+        assert lam.size == w.size == 40
+        assert np.abs(lam[rows] - w[cols]).max() <= 1e-14 * scale
+        dense = eigendecompose(1j * np.conj(H.matrix)).eigenvalues
+        assert abs(diags["gap"] + 2 * dense.real.max()) <= 1e-14
+
+
+def test_a_lossless_resolvent_sweep_writes_its_rows(tmp_path):
+    # nothing escapes a lossless ladder: the resolvent short-circuit carries
+    # every diagnostic a sweep row reads, no solves and a conservation
+    # defect |1 - sum P| of 1
+    cfg = dict(small_sweep([4, 6]), engine="RESOLVENT")
+    cfg["model"]["gamma"] = 0.0
+    status, out = run_cli(tmp_path, cfg)
+    assert status == 0
+    assert len((out / "sweep.csv").read_text().strip().splitlines()) == 3
+    rows = json.loads((out / "run.json").read_text())["diagnostics"]["rows"]
+    assert [(r["x0"], r["n_solves"], r["conservation_defect"], r["converged"])
+            for r in rows] == [(4, 0, 1.0, True), (6, 0, 1.0, True)]
 
 
 def test_fig5b_preset_end_to_end(tmp_path):

@@ -112,7 +112,7 @@ def test_the_check_sees_an_unread_public_name():
 #: public names that only tests call, each an independent reference the
 #: package's own path is checked against
 TEST_REFERENCES = {
-    "build_bloch": "closed-form Bloch matrix; `bloch_blocks` reads the band",
+    "build_bloch": "closed-form Bloch matrix; `LadderOperator.blocks` reads the band",
     "ladder_to_general": "a ladder in split form, so `build_general` meets `build_ladder`",
     "igc_energies_closed_form": "closed-form IGC energies against `solve_connection` (C1, C7)",
     "propagate_correlation": "dense correlation propagation behind the gap's class (C8)",

@@ -128,6 +128,10 @@ def test_steady_density_lossless_zeros():
     p = ladder(gamma=np.zeros(30))
     dens, diag = steady_density(p, 10)
     assert np.all(dens == 0.0)
+    # with every key a converged density carries, read as it reads them
+    lossy, full = steady_density(ladder(), 10)
+    assert set(full) - {"bandwidth"} <= set(diag)
+    assert (diag["n_solves"], diag["conservation_defect"], diag["converged"]) == (0, 1.0, True)
 
 
 def test_propagation_size_guard():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from igclab import (
-    OBC, PBC, GeneralModel, LadderParams, bloch_blocks, build_bloch, build_general,
+    OBC, PBC, GeneralModel, LadderParams, build_bloch, build_general,
     build_ladder, eigendecompose, ladder_to_general, linear_gamma,
     random_gamma, site_index,
 )
@@ -69,9 +69,7 @@ def test_bloch_blocks_refuse_what_has_no_bloch_form():
     ring = LadderParams(L=8, t=[0.3, 0.5], t_p=0.5, phi=0.3, gamma=0.5, bc=PBC)
     for p in (ring.replace(bc=OBC), ring.replace(gamma=linear_gamma(8, 0.01, 0.2))):
         with pytest.raises(ValueError, match="uniform loss"):
-            bloch_blocks(p, build_ladder(p))
-    with pytest.raises(ValueError, match="sites"):
-        bloch_blocks(ring, build_ladder(ring.replace(L=10)))
+            build_ladder(p).blocks()
 
 
 def test_bloch_eigenvalues_at_connection_root():

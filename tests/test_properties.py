@@ -27,7 +27,7 @@ from scipy.optimize import linear_sum_assignment
 
 from igclab import (
     OBC, PBC, LadderParams, SingularMatrixError, WalkConfig, bloch_bands,
-    bloch_blocks, build_bloch, build_damping, build_general, build_ladder,
+    build_bloch, build_damping, build_general, build_ladder,
     densela, eigendecompose,
     ladder_to_general, linear_gamma, loss_profile_resolvent, random_gamma,
     self_intersections, steady_density,
@@ -147,13 +147,14 @@ def test_bloch_blocks_are_the_ring(p):
     # k_j = 2 pi j / L (so a dropped wrap, a flipped transform sign or a
     # transposed read of the band shows at phi other than 0 and pi); its
     # eigenvalues are the two bands at k_j, and all L blocks together have
-    # the dense ring's spectrum.  The examples are the shortest rings at
+    # the dense ring's spectrum, which is what the ring's `eigenvalues` reads,
+    # sorted by (Re, Im).  The examples are the shortest rings at
     # n = 0, 1, 2 (on L = 2 the +1 and -1 hops share an entry) and a ring
     # with every block at an exceptional point, where eigenvalues agree to
     # ~sqrt(eps) ||H|| only (see test_pbc_spectrum_is_the_bloch_bands).
     H = build_ladder(p)
     ks = 2 * np.pi * np.arange(p.L) / p.L
-    blocks = bloch_blocks(p, H)
+    blocks = H.blocks()
     scale = max(1.0, np.abs(H.matrix).sum(axis=1).max())
     closed_form = np.array([build_bloch(p, k) for k in ks])
     assert np.abs(blocks - closed_form).max() <= 1e-14 * scale
@@ -165,6 +166,9 @@ def test_bloch_blocks_are_the_ring(p):
     dense = eigendecompose(H.matrix).eigenvalues
     rows, cols = linear_sum_assignment(np.abs(dense[:, None] - w.ravel()[None, :]))
     assert np.abs(dense[rows] - w.ravel()[cols]).max() < tol
+    got, how = H.eigenvalues()
+    assert how == "bloch_blocks"
+    assert np.array_equal(got, np.sort_complex(w.ravel()))
 
 
 @settings(max_examples=60, deadline=None)
@@ -473,7 +477,7 @@ def _check_real_gauge_rhs(p, rng):
     c, R = form
     assert c == 1j and R.dtype == np.float64 and R.shape == b.ab.shape
     d = np.where(np.arange(p.dim) % 2 == 0, 1.0, 1j)
-    R_dense = LadderOperator(densela.Banded(R, b.kl, b.ku), H.order).matrix
+    R_dense = LadderOperator(densela.Banded(R, b.kl, b.ku), H.order, ring=False).matrix
     assert _max(d[:, None] * R_dense * d.conj() + 1j * M) <= np.finfo(float).eps * _max(M)
     phi = rng.normal(size=p.dim)
     psi = d * phi
@@ -635,7 +639,8 @@ def test_real_eigensolve_at_cos_phi_zero(p, side):
     # third example is a ring of dimers at an exceptional point (t_0 = gamma/2,
     # t_p = 0), the fourth the zero matrix.
     M, op = _operator(p, side)
-    w, how = op.eigenvalues()
+    # `ring=False`: a uniform ring's own spectrum comes from its Bloch blocks
+    w, how = LadderOperator(op.band, op.order, ring=False).eigenvalues()
     assert how == "dense_real"
     assert np.array_equal(np.lexsort((w.imag, w.real)), np.arange(w.size))
     mirror = -np.conj(w) if side == "H" else np.conj(w)
@@ -676,7 +681,8 @@ def test_an_imaginary_part_above_one_rounding_unit_is_kept(bc):
     # A-A hop leaves the real eigensolve, twice that size sends the operator
     # to the complex one.  The hop joins cells 1 and 2 (sites 0 and 2), which
     # the gauge leaves as they are; the dropped part is the real one for H and
-    # the imaginary one for X
+    # the imaginary one for X.  The uniform ring takes the dense path
+    # (`ring=False`), not its Bloch blocks
     p = LadderParams(L=8, t=[0.3, 0.5], t_p=0.5, phi=np.pi / 2, gamma=0.5, bc=bc)
     eps = np.finfo(float).eps
     for op, unit in ((build_ladder(p), 1.0), (build_damping(p), 1j)):
@@ -686,10 +692,11 @@ def test_an_imaginary_part_above_one_rounding_unit_is_kept(bc):
         for size, how in ((0.5, "dense_real"), (2.0, "dense")):
             ab = b.ab.copy()
             ab[entry] += size * eps * np.abs(b.ab).max() * unit
-            moved = LadderOperator(densela.Banded(ab, b.kl, b.ku), op.order)
+            moved = LadderOperator(densela.Banded(ab, b.kl, b.ku), op.order, ring=False)
             assert moved.eigenvalues()[1] == how
     # a phase 1e-14 off pi/2 leaves a real part above the threshold
-    assert build_ladder(p.replace(phi=np.pi / 2 + 1e-14)).eigenvalues()[1] == "dense"
+    H = build_ladder(p.replace(phi=np.pi / 2 + 1e-14))
+    assert LadderOperator(H.band, H.order, ring=False).eigenvalues()[1] == "dense"
     # on a two-cell ring the +1 and -1 hops add up to t_p cos(fl(pi/2)) =
     # 6.1e-17, a real part with no imaginary part beside it, above one
     # rounding unit of the largest entry (gamma = 0.25)
