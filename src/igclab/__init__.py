@@ -9,14 +9,11 @@ analysis, and the damping-matrix (Liouvillian) side of the same physics.
 __version__ = "0.1.0"
 
 from .model import (
-    OBC, PBC, LadderParams, GeneralModel, LadderOperator, build_ladder, build_bloch,
-    build_general, bloch_bands, ladder_to_general,
-    linear_gamma, random_gamma, site_index,
+    OBC, PBC, LadderParams, GeneralModel, LadderOperator, build_ladder,
+    build_general, bloch_bands, linear_gamma, random_gamma, site_index,
 )
 from .densela import Spectrum, SingularMatrixError, lu_solve, eigendecompose
-from .igc import (
-    IGC, GAPPED, IgcPoint, IgcSolution, solve_connection, igc_energies_closed_form,
-)
+from .igc import IGC, GAPPED, IgcPoint, IgcSolution, solve_connection
 from .walk import (
     TIME, RESOLVENT, WalkConfig, LossProfile, loss_profile_time, loss_profile_resolvent,
 )
@@ -24,9 +21,6 @@ from .analysis import (
     POWER, EXP, NONE, LEFT, RIGHT, BIPOLAR, FitResult, BurstMetrics,
     fit_bulk, burst_metrics, self_intersections,
 )
-from .liouville import (
-    LiouvilleReport, build_damping, liouvillian_gap,
-    steady_density, propagate_correlation,
-)
+from .liouville import LiouvilleReport, build_damping, liouvillian_gap, steady_density
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 import traceback
@@ -356,7 +357,7 @@ def _burst(P, x0, threshold):
                 "kind": fit.kind, "exponent": fit.exponent,
                 "r_squared": fit.r_squared, "window": list(fit.window),
                 "power_r2": fit.power_r2, "exp_r2": fit.exp_r2,
-                "n_points": fit.n_points}
+                "n_points": fit.n_points, "n_excluded": fit.n_excluded}
         except analysis.WindowError as exc:
             entry[f"fit_{side.lower()}"] = {"error": str(exc)}
     return entry
@@ -410,8 +411,10 @@ def _sweep_row(args):
 def _cmd_sweep(cfg, model, out, tag, plot, jobs):
     vary = cfg["sweep"]["vary"]
     tasks = [(cfg["engine"], cfg["threshold"], v, wc) for v, wc in cfg["walks"]]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork pool starts all its workers at once: never more than rows or CPUs
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, tasks))
     else:
         rows = [_sweep_row(t) for t in tasks]
@@ -673,7 +676,8 @@ def main(argv=None) -> int:
     ap.add_argument("--config", help="path to a JSON experiment config")
     ap.add_argument("--out", default="igclab_out", help="output directory")
     ap.add_argument("--plot", action="store_true", help="also write SVG plots")
-    ap.add_argument("--jobs", type=int, default=1, help="sweep worker count")
+    ap.add_argument("--jobs", type=int, default=1,
+                    help="sweep worker count, at least 1 (capped at rows and CPUs)")
     ap.add_argument("--seed", type=int, default=None,
                     help="seed for random loss profiles without one")
     ap.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -688,6 +692,10 @@ def main(argv=None) -> int:
         return 0
     if not args.config:
         print(_error_record(2, "config", "--config is required"), file=sys.stderr)
+        return 2
+    if args.jobs < 1:
+        print(_error_record(2, "config", f"--jobs must be >= 1, got {args.jobs}"),
+              file=sys.stderr)
         return 2
     try:
         with open(args.config, "r", encoding="utf-8") as fh:

@@ -13,7 +13,7 @@ which P is monotone, so each root is bracketed exactly, with no scan grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
@@ -55,10 +55,6 @@ class IgcSolution:
     k_min: float
     gapped: bool
     classification: str
-    energies: tuple = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "energies", tuple(p.energy for p in self.points))
 
 
 def _polish(coef, lo, hi, flo, fhi, tol):
@@ -149,16 +145,3 @@ def solve_connection(t, t_p: float, phi: float) -> IgcSolution:
     return IgcSolution(points=tuple(points), f_min=f_min, k_min=k_min,
                        gapped=(len(points) == 0),
                        classification=IGC if f_min <= near_zero else GAPPED)
-
-
-def igc_energies_closed_form(t0: float, t1: float, t_p: float, phi: float):
-    """Energies of the two nearest-coupling roots, (t_p/t1)(-t0 cos phi +/- sqrt(t1^2 - t0^2) sin phi).
-
-    Empty when |t0| > t1 (no real root of t0 + t1 cos k).
-    """
-    if abs(t0) > t1:
-        return []
-    root = np.sqrt(t1**2 - t0**2)
-    return [float(t_p / t1 * (-t0 * np.cos(phi) + s * root * np.sin(phi)))
-            for s in (+1.0, -1.0)]
-

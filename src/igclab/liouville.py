@@ -16,10 +16,9 @@ vanishes exactly when the lattice spectrum touches the real axis.  A finite
 gap means exponential approach to the steady state, a vanishing one algebraic
 approach.
 
-Full propagation of C~ costs a dense exponential per time sample and is
-exposed only as a small-size reference routine to validate the gap's
-convergence-class claim; everything else works at the level of X's spectrum
-(`LadderOperator.eigenvalues`: a ring's Bloch blocks, else a dense solve).
+Everything here works at the level of X's spectrum
+(`LadderOperator.eigenvalues`: a ring's Bloch blocks, else a dense solve) or
+of its resolvent, never by propagating C~ in time.
 """
 
 from __future__ import annotations
@@ -27,10 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import densela
-from .model import LadderOperator, LadderParams, build_ladder, site_index
+from .model import LadderOperator, LadderParams, build_ladder
 from .quadrature import adaptive_quadrature
 from .walk import LOSSLESS_DIAGNOSTICS, RESOLVENT_RTOL, resolvent_integrand, resolvent_result
 
@@ -103,32 +101,3 @@ def steady_density(p: LadderParams, x0: int, max_panels: int = 4000):
     dens, ok, diag = resolvent_result(quad, gam, omega_max, tail_bound, info)
     diag["converged"] = ok
     return dens, diag
-
-
-@dataclass
-class CorrelationTrace:
-    times: np.ndarray
-    distances: np.ndarray         # Frobenius distance to the empty steady state
-
-
-def propagate_correlation(p: LadderParams, x0: int, times) -> CorrelationTrace:
-    """Reference propagation C~(t) = e^{Xt} C~(0) e^{X^dagger t}, small sizes only.
-
-    The initial condition is a single particle on (x0, A).  Dense matrix
-    exponentials make this cubic per sample, hence the size guard; the routine
-    exists to confirm the convergence class implied by the gap, not to scale.
-    """
-    if p.L > 40:
-        raise ValueError("reference propagation is limited to L <= 40")
-    X = build_damping(p).matrix
-    e0 = np.zeros(p.dim, dtype=complex)
-    e0[site_index(x0, "A")] = 1.0
-    c0 = np.outer(e0, e0.conj())
-    times = np.asarray(sorted(float(t) for t in times))
-    if times.size == 0 or times[0] < 0:
-        raise ValueError("need non-negative sample times")
-    dists = np.empty(times.size)
-    for i, t in enumerate(times):
-        prop = sla.expm(X * t)
-        dists[i] = np.linalg.norm(prop @ c0 @ prop.conj().T)
-    return CorrelationTrace(times=times, distances=dists)

@@ -3,11 +3,10 @@
 Two model families are covered:
 
 * the dissipative two-chain ladder (an A chain without loss, a B chain with a
-  per-cell loss rate gamma_x, and A-B couplings of range n), built either in
-  real space under open or periodic boundaries (its spectrum and its walks
-  taken in real arithmetic at cos(phi) = 0) or as a 2x2 Bloch matrix (in
-  closed form, or, for all momenta of a uniform ring at once, read off the
-  real-space band by `LadderOperator.blocks`), and
+  per-cell loss rate gamma_x, and A-B couplings of range n), built in real
+  space under open or periodic boundaries (its spectrum and its walks taken
+  in real arithmetic at cos(phi) = 0; a uniform ring's 2x2 Bloch matrices,
+  all momenta at once, are read off the band by `LadderOperator.blocks`), and
 * an arbitrary "dissipative graph" split into a lossless subsystem, a lossy
   subsystem, and the Hermitian coupling between them.
 
@@ -300,23 +299,6 @@ def h_y(t_p, phi, k):
     return t_p * np.cos(np.asarray(k, dtype=float) - phi)
 
 
-def build_bloch(p: LadderParams, k: float) -> np.ndarray:
-    """Momentum-space 2x2 matrix of the ladder at momentum k, read-only.
-
-    Requires a uniform loss profile; a site-dependent gamma_x breaks the
-    discrete translational symmetry and has no Bloch form.
-    """
-    g = p.uniform_gamma
-    if g is None:
-        raise ValueError("Bloch form undefined: loss profile is not uniform")
-    hx = float(h_x(p.t, k))
-    hy = float(h_y(p.t_p, p.phi, k))
-    m = np.array([[hy, hx],
-                  [hx, -hy - 1j * g]], dtype=complex)
-    m.setflags(write=False)
-    return m
-
-
 def bloch_bands(p: LadderParams, ks) -> np.ndarray:
     """Closed-form eigenvalues of the Bloch matrix on a momentum grid.
 
@@ -396,19 +378,3 @@ def build_general(g: GeneralModel) -> np.ndarray:
     H[:nh, nh:] = g.C.conj().T
     H.setflags(write=False)
     return H
-
-
-def ladder_to_general(p: LadderParams) -> GeneralModel:
-    """Re-express a ladder (all gamma_x > 0) in the general split form.
-
-    The blocks are the sublattice slices of `build_ladder`'s matrix (A sites
-    on the even rows, B sites on the odd ones); B_herm drops the loss
-    diagonal, which `build_general` adds back from gamma.
-    """
-    if min(p.gamma) <= 0:
-        raise ValueError("the split form puts every B site in the lossy block; "
-                         "all gamma_x must be > 0")
-    H = build_ladder(p).matrix
-    return GeneralModel(A=H[0::2, 0::2],
-                        B_herm=H[1::2, 1::2] + 1j * np.diag(p.gamma),
-                        C=H[1::2, 0::2], gamma=p.gamma)

@@ -33,6 +33,7 @@ import igclab as il
 from igclab import OBC, PBC
 from igclab.cli import execute, main as cli_main
 from igclab.model import h_x, h_y
+from references import build_bloch, igc_energies_closed_form, propagate_correlation
 
 
 def _report(tag, ok, detail=""):
@@ -131,10 +132,10 @@ def test_c1_connection_solver_and_closed_form():
     """Exactly two roots with energies +/-0.4, against the closed form."""
     t_start = time.perf_counter()
     sol = il.solve_connection([0.3, 0.5], 0.5, np.pi / 2)
-    closed = il.igc_energies_closed_form(0.3, 0.5, 0.5, np.pi / 2)
+    closed = igc_energies_closed_form(0.3, 0.5, 0.5, np.pi / 2)
     elapsed = time.perf_counter() - t_start
     ok = (len(sol.points) == 2
-          and sorted(sol.energies) == pytest.approx([-0.4, 0.4], abs=1e-10)
+          and sorted(pt.energy for pt in sol.points) == pytest.approx([-0.4, 0.4], abs=1e-10)
           and sorted(closed) == pytest.approx([-0.4, 0.4], abs=1e-12)
           and elapsed < 5.0)
     assert _report("C1", ok, f"2 roots, energies +/-0.4, {elapsed:.2f}s")
@@ -169,7 +170,7 @@ def test_c1_finite_ring_real_eigenvalues_as_stated():
     at_root, near_real = [], []
     for target in (0.4, -0.4):
         root = min(grid.roots, key=lambda r: abs(r.energy - target))
-        wb = il.eigendecompose(il.build_bloch(p, root.k)).eigenvalues
+        wb = il.eigendecompose(build_bloch(p, root.k)).eigenvalues
         at_root.append(np.abs(wb - target).min())
         bj = il.bloch_bands(p, [root.k_j]).ravel()
         nearest = w[np.abs(w - target).argmin()]
@@ -191,7 +192,7 @@ def test_c1_commensurate_ring_counterpart():
     dist = max(np.abs(w - COMMENSURATE_E).min(),
                np.abs(w + COMMENSURATE_E).min())
     ok = (len(sol.points) == 2
-          and sorted(sol.energies) == pytest.approx(
+          and sorted(pt.energy for pt in sol.points) == pytest.approx(
               [-COMMENSURATE_E, COMMENSURATE_E], abs=1e-10)
           and dist < 1e-8)
     assert _report("C1c", ok, f"commensurate eigenvalue distance {dist:.2e}")
@@ -406,10 +407,10 @@ def test_c7_peierls_symmetry_and_energies():
     for phi in (0.0, np.pi / 6, np.pi / 3, np.pi / 2):
         p = fig3(phi=phi, bc=PBC)
         sol = il.solve_connection(p.t, p.t_p, p.phi)
-        closed = sorted(il.igc_energies_closed_form(0.3, 0.5, 0.5, phi))
-        assert sorted(sol.energies) == pytest.approx(closed, abs=1e-10)
+        closed = sorted(igc_energies_closed_form(0.3, 0.5, 0.5, phi))
+        assert sorted(pt.energy for pt in sol.points) == pytest.approx(closed, abs=1e-10)
         for pt in sol.points:
-            w = il.eigendecompose(il.build_bloch(p, pt.k)).eigenvalues
+            w = il.eigendecompose(build_bloch(p, pt.k)).eigenvalues
             worst = max(worst, np.abs(w - pt.energy).min())
     ok = ok_sym and worst < 1e-8
     assert _report("C7", ok, f"asymmetry {asym:.2e}; worst band distance {worst:.2e}")
@@ -597,7 +598,7 @@ def test_c8_correlation_decay_slope():
     rep = il.liouvillian_gap(il.build_damping(p))
     horizon = np.log(1e10) / rep.gap
     times = np.linspace(0.5 * horizon, 1.4 * horizon, 12)
-    tr = il.propagate_correlation(p, 10, times)
+    tr = propagate_correlation(p, 10, times)
     slope = np.polyfit(tr.times, np.log(tr.distances), 1)[0]
     ok = rep.gap > 1e-3 and abs(slope / -rep.gap - 1.0) < 0.05
     assert _report("C8h", ok, f"slope {slope:.5f} vs -gap {-rep.gap:.5f}")

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.optimize import linear_sum_assignment
 
 from igclab import (
     LadderParams, WalkConfig, bloch_bands, build_ladder, cli, eigendecompose,
-    linear_gamma, loss_profile_time,
+    fit_bulk, linear_gamma, loss_profile_time,
 )
 from igclab.cli import (
     ConfigError, PRESETS, execute, main, presets, validate_config, write_csv,
@@ -311,6 +312,40 @@ def test_sweep_workers_write_what_one_process_writes(tmp_path):
     assert rows[0] == rows[1] and len(rows[0]) == 4
 
 
+def test_the_sweep_pool_never_outnumbers_its_rows(tmp_path, monkeypatch):
+    # a fork pool starts every worker it is given at once; a fake records the
+    # size asked for and maps in this process, so no worker is ever started
+    asked = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    status, out = run_cli(tmp_path, small_sweep([4, 6]), "--jobs", "1000000")
+    assert status == 0 and asked == [2]
+    assert json.loads((out / "run.json").read_text())["diagnostics"]["n_rows"] == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_fewer_than_one_job_is_a_config_error(tmp_path, capsys, jobs):
+    status, out = run_cli(tmp_path, small_sweep([4, 6]), "--jobs", jobs)
+    assert status == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "config" and "--jobs" in err["message"]
+    assert not out.exists()
+
+
 def test_every_preset_validates():
     for name, preset in PRESETS.items():
         for sub in preset["runs"]:
@@ -409,6 +444,8 @@ def test_burst_run_reports_fits(tmp_path):
                 "t_end", "tail_bound"):
         assert entry[key] == prof.diagnostics[key]
     assert entry["n_steps"] > 0 and entry["conservation_defect"] < 1e-6
+    # and the bulk fit's count of dropped window points
+    assert entry["fit_left"]["n_excluded"] == fit_bulk(prof.P, 60, "LEFT").n_excluded
 
 
 def _spectrum_csv(path):

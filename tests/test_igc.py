@@ -3,10 +3,11 @@ import pytest
 from numpy.polynomial import chebyshev as C
 
 from igclab import (
-    GAPPED, IGC, LadderParams, build_ladder, eigendecompose,
-    igc_energies_closed_form, linear_gamma, random_gamma, solve_connection,
+    GAPPED, IGC, LadderParams, build_ladder, eigendecompose, linear_gamma,
+    random_gamma, solve_connection,
 )
 from igclab.model import h_x
+from references import igc_energies_closed_form
 
 
 def test_nearest_coupling_roots():
@@ -15,7 +16,7 @@ def test_nearest_coupling_roots():
     k = np.arccos(-0.6)
     assert sol.points[0].k == pytest.approx(k, abs=1e-9)
     assert sol.points[1].k == pytest.approx(2 * np.pi - k, abs=1e-9)
-    assert sorted(sol.energies) == pytest.approx([-0.4, 0.4], abs=1e-12)
+    assert sorted(pt.energy for pt in sol.points) == pytest.approx([-0.4, 0.4], abs=1e-12)
     assert not sol.gapped
     assert sol.f_min == pytest.approx(-0.2)
     assert all(not p.marginal for p in sol.points)
@@ -169,7 +170,7 @@ def test_solver_matches_closed_form_energies():
         tp, phi = rng.uniform(-1, 1), rng.uniform(0, 2 * np.pi)
         sol = solve_connection([t0, t1], tp, phi)
         closed = igc_energies_closed_form(t0, t1, tp, phi)
-        assert sorted(sol.energies) == pytest.approx(sorted(closed), abs=1e-10)
+        assert sorted(pt.energy for pt in sol.points) == pytest.approx(sorted(closed), abs=1e-10)
 
 
 def test_classify():
@@ -229,7 +230,7 @@ def test_gamma_independence_on_commensurate_ring(commensurate_params):
     """The surviving real eigenvalues do not move when the loss profile does."""
     E = 0.5 * np.sin(3 * np.pi / 5)
     sol = solve_connection(commensurate_params().t, 0.5, np.pi / 2)
-    assert sorted(sol.energies) == pytest.approx([-E, E], abs=1e-12)
+    assert sorted(pt.energy for pt in sol.points) == pytest.approx([-E, E], abs=1e-12)
     for gamma in (0.5, linear_gamma(200, 0.01, 0.20), random_gamma(200, seed=8)):
         p = commensurate_params(gamma=gamma)
         w = eigendecompose(build_ladder(p).matrix).eigenvalues

@@ -3,10 +3,11 @@ import pytest
 
 from igclab import (
     LadderParams, OBC, PBC, WalkConfig, build_damping, build_ladder,
-    eigendecompose, liouvillian_gap, loss_profile_resolvent,
-    propagate_correlation, random_gamma, steady_density,
+    eigendecompose, liouvillian_gap, loss_profile_resolvent, random_gamma,
+    steady_density,
 )
 from igclab.analysis import EXP, fit_bulk
+from references import propagate_correlation
 
 
 def ladder(t0=0.3, L=30, bc=PBC, gamma=None, seed=1):

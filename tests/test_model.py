@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from igclab import (
-    OBC, PBC, GeneralModel, LadderParams, build_bloch, build_general,
-    build_ladder, eigendecompose, ladder_to_general, linear_gamma,
-    random_gamma, site_index,
+    OBC, PBC, GeneralModel, LadderParams, build_general, build_ladder,
+    eigendecompose, linear_gamma, random_gamma, site_index,
 )
 from igclab.model import bloch_bands, h_x, h_y
+from references import build_bloch, ladder_to_general
 
 
 def test_dimer_is_block_diagonal():

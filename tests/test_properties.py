@@ -27,13 +27,13 @@ from scipy.optimize import linear_sum_assignment
 
 from igclab import (
     OBC, PBC, LadderParams, SingularMatrixError, WalkConfig, bloch_bands,
-    build_bloch, build_damping, build_general, build_ladder,
-    densela, eigendecompose,
-    ladder_to_general, linear_gamma, loss_profile_resolvent, random_gamma,
-    self_intersections, steady_density,
+    build_damping, build_general, build_ladder, densela, eigendecompose,
+    linear_gamma, loss_profile_resolvent, random_gamma, self_intersections,
+    steady_density,
 )
 from igclab.model import LadderOperator, band_order
 from igclab.walk import _band_rhs, _loss_rates, resolvent_integrand
+from references import build_bloch, ladder_to_general
 
 _amplitude = st.floats(-1.0, 1.0, allow_nan=False)
 
