@@ -12,10 +12,10 @@ node), so the driver is written around batched evaluations: the integrand
 receives all 15 panel nodes at once and returns an (n_nodes, n_components)
 array.
 
-Integrals over very wide windows must not hand the rule a panel much wider
-than the distance to the features: all 15 nodes would then miss the mass near
-one edge and the error estimate would vanish along with it.  Callers build
-edge lists with `geometric_edges` for algebraically decaying tails.
+An algebraically decaying tail is integrated in a compactified variable, as
+QUADPACK's QAGI does for infinite ranges (Piessens et al., Springer 1983):
+`tail_map` carries |omega| >= width onto |v| in [width, 2 width), where a
+tail with no pole near it is smooth, and one or two panels cover it.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
 _W15 = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _GAUSS_POS = np.arange(1, 15, 2)          # Gauss nodes sit at the odd slots
 _W7 = np.concatenate([_WG[:3], _WG[3:], _WG[2::-1]])
-#: ratio of successive `geometric_edges`
-_EDGE_FACTOR = 4.0
 
 
 @dataclass
@@ -69,23 +67,15 @@ def kronrod_panel(f, a, b):
     return i15, np.abs(i15 - i7)
 
 
-def geometric_edges(start, stop):
-    """Edges start, start*_EDGE_FACTOR, ... covering up to |stop| (same sign).
+def tail_map(v, width):
+    """omega(v) and d omega/dv of the tail compactification beyond `width`.
 
-    Suitable for 1/omega^p tails: each panel's width stays comparable to its
-    distance from the origin, which keeps all features visible to the rule.
+    Exactly (v, 1) on |v| <= width; beyond it omega = sign(v) width^2 /
+    (2 width - |v|) and d omega/dv = (omega/width)^2, both continuous at
+    |v| = width, and |omega| = Omega at |v| = 2 width - width^2/Omega.
     """
-    if start == 0 or stop == 0 or np.sign(start) != np.sign(stop):
-        raise ValueError("start and stop must be nonzero with the same sign")
-    if abs(stop) <= abs(start):
-        return [float(start), float(stop)]
-    edges = [float(start)]
-    v = abs(start)
-    while v * _EDGE_FACTOR < abs(stop):
-        v *= _EDGE_FACTOR
-        edges.append(float(np.sign(start) * v))
-    edges.append(float(stop))
-    return edges
+    r = width / (2.0 * width - np.maximum(np.abs(v), width))
+    return np.where(r > 1.0, np.copysign(width * r, v), v), r * r
 
 
 def adaptive_quadrature(f, edges, rtol=1e-9, atol_frac=1e-16,

@@ -20,19 +20,20 @@ compute the escape profile P_x and serve as mutual cross-checks:
   P_x = (gamma_x / pi) * integral |<x,B| (omega - H)^{-1} |x0,A>|^2 d omega
   by adaptive Gauss-Kronrod panels, one shifted band solve per node: the
   band -M is laid out once per integral and each node solves it shifted by
-  s*omega.  A periodic ring with uniform loss is block diagonal in
-  momentum, so its band is the L 2x2 Bloch blocks (`LadderOperator.blocks`)
-  as one tridiagonal matrix, and an inverse FFT takes the response back to
-  the cells; every other ladder solves its own band (natural site order under
-  OBC, folded cells under PBC, so the half-bandwidth is 2n+1 or 4n+1
-  whatever L is).  The same integrand, with the damping matrix
-  X = i conj(H) in place of H, gives the steady density in `liouville`, and
-  `resolvent_result` reads both quadratures into values and a flag.  Where
-  the operator has a real gauge form (c, R) with c/s = +-i (H at s = 1,
-  X at s = i, both at cos(phi) = 0 or t_p = 0) the integrand is even in
-  omega, so the integral is folded onto omega >= 0: half the solves, the
-  values and error estimates doubled, and each folded panel counted twice
-  against the caller's panel budget.
+  s*omega.  Past the band window each tail is one span in the v of
+  `quadrature.tail_map`.  A periodic ring with uniform loss is block
+  diagonal in momentum, so its band is the L 2x2 Bloch blocks
+  (`LadderOperator.blocks`) as one tridiagonal matrix, and an inverse FFT
+  takes the response back to the cells; every other ladder solves its own
+  band (natural site order under OBC, folded cells under PBC, so the
+  half-bandwidth is 2n+1 or 4n+1 whatever L is).  The same integrand, with
+  the damping matrix X = i conj(H) in place of H, gives the steady density
+  in `liouville`, and `resolvent_result` reads both quadratures into values
+  and a flag.  Where the operator has a real gauge form (c, R) with c/s =
+  +-i (H at s = 1, X at s = i, both at cos(phi) = 0 or t_p = 0) the
+  integrand is even in omega, so the integral is folded onto omega >= 0:
+  half the solves, the values and error estimates doubled, and each folded
+  panel counted twice against the caller's panel budget.
 
 The two engines share only the operator build: the time engine's matvec and
 the resolvent engine's solves are separate code, so that their agreement
@@ -53,7 +54,7 @@ from scipy.linalg import get_blas_funcs
 from . import densela
 from .model import LadderOperator, LadderParams, bloch_bands, build_ladder, site_index
 from .ode import PAIR, integrate
-from .quadrature import adaptive_quadrature, geometric_edges
+from .quadrature import adaptive_quadrature, tail_map
 
 TIME = "TIME"
 RESOLVENT = "RESOLVENT"
@@ -256,13 +257,13 @@ def _band_edge_seeds(p: LadderParams, width: float) -> list:
     return sorted(v for v in seeds if abs(v) < width)
 
 
-def _resolvent_edges(p: LadderParams, h_inf: float, omega_max: float,
+def _resolvent_edges(p: LadderParams, width: float, omega_max: float,
                      folded: bool) -> np.ndarray:
     # band window split finely enough that no peak hides between nodes, plus
-    # geometrically growing tail panels out to the truncation frequency; a
+    # tail panels omega in [W, 4W] and on to Omega, in v (`tail_map`); a
     # folded integral keeps the edges above 0 and starts at exactly 0
-    width = h_inf + 1.0
-    tail = geometric_edges(width, omega_max)
+    v_max = 2.0 * width - width ** 2 / omega_max
+    tail = [width, min(1.75 * width, v_max), v_max]
     cand = (set(np.linspace(-width, width, 49))
             | set(_band_edge_seeds(p, width))
             | set(tail) | set(-e for e in tail))
@@ -290,6 +291,12 @@ def resolvent_integrand(p: LadderParams, x0: int, op: LadderOperator, s: complex
     B components an inverse FFT over k takes to the cells; on any other
     ladder, -M in the sites' `band_order`.
 
+    Edges and nodes are in v (`quadrature.tail_map`, W = ||M||_inf + 1):
+    omega = v on the band window, each tail [W, Omega] is the span
+    [W, 2W - W^2/Omega], and there the integrand carries d omega/dv.  A pole,
+    an eigenvalue |E| <= W - 1 of M, maps to v = 2W - W^2/E, at least
+    W/(W - 1) >= 1 from that span, so a tail is two panels: [W, 4W], the rest.
+
     With a `gauge_form` (c, R) of `op` and c/s purely imaginary (c = i for
     H at s = 1, c = 1 for X at s = i), D^-1 (s omega - M) D = s (omega -+ i R)
     with R real, so the response at -omega is minus the conjugate of the one
@@ -297,7 +304,7 @@ def resolvent_integrand(p: LadderParams, x0: int, op: LadderOperator, s: complex
     then the window's non-negative half, from an edge at exactly 0, and
     `folded` is true; `resolvent_result` doubles the integral, and the
     callers give the quadrature half their panel budget.  Every other
-    ladder keeps [-Omega, Omega] as it was.
+    ladder keeps the whole window.
 
     Returns (integrand, edges, Omega, tail_bound, info), info naming the
     `solver` ("bloch_blocks" or "banded"), for the banded one its
@@ -314,7 +321,8 @@ def resolvent_integrand(p: LadderParams, x0: int, op: LadderOperator, s: complex
     # an even integrand (docstring) where c/s = +-i
     form = op.gauge_form()
     folded = form is not None and (form[0] / s).real == 0.0
-    edges = _resolvent_edges(p, m_inf, omega_max, folded)
+    width = m_inf + 1.0
+    edges = _resolvent_edges(p, width, omega_max, folded)
     if op.ring:
         # s*omega - M is block diagonal in momentum: its L 2x2 blocks
         # s*omega - B_j are one tridiagonal band of order 2L (cells' (A, B)
@@ -335,15 +343,16 @@ def resolvent_integrand(p: LadderParams, x0: int, op: LadderOperator, s: complex
         cells = np.argsort(op.order)[np.arange(p.L) * 2 + 1]
         info = {"solver": "banded", "bandwidth": [neg.kl, neg.ku], "folded": folded}
 
-    def f(omegas):
+    def f(vs):
+        omegas, jac = tail_map(vs, width)
         g = np.empty((omegas.size, rhs.size), dtype=complex)
         for i, w in enumerate(omegas):
             g[i] = densela.lu_solve(neg, rhs, shift=s * w)
-        # the Kronrod sums round differently on C- and F-ordered values, so
-        # each path keeps its layout: switching it moves P in the last bits
-        if op.ring:
-            return np.abs(np.fft.ifft(g[:, 1::2], axis=1)[:, cells]) ** 2
-        return np.abs(g.take(cells, axis=1)) ** 2
+        # the Kronrod sums round differently on C- and F-ordered values, so each
+        # path keeps its layout, in place too: switching it moves P in the last bits
+        resp = np.fft.ifft(g[:, 1::2], axis=1)[:, cells] if op.ring else g.take(cells, axis=1)
+        out = np.abs(resp) ** 2
+        return np.multiply(out, jac[:, None], out=out)
 
     tail_bound = float(gam.max() / np.pi * 2.0 / (omega_max - m_inf))
     return f, edges, omega_max, tail_bound, info

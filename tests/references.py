@@ -10,7 +10,10 @@ to a number the package computes another way:
 * `igc_energies_closed_form`: the nearest-coupling IGC energies, against
   `solve_connection` (C1, C7);
 * `propagate_correlation`: dense correlation propagation, behind the
-  convergence class `liouvillian_gap` reads off the gap (C8).
+  convergence class `liouvillian_gap` reads off the gap (C8);
+* `geometric_edges`: the resolvent tail split into panels of ratio 4 in
+  omega, against the one compactified span `walk.resolvent_integrand`
+  integrates (`quadrature.tail_map`).
 """
 
 from __future__ import annotations
@@ -96,3 +99,26 @@ def propagate_correlation(p: LadderParams, x0: int, times) -> CorrelationTrace:
         prop = sla.expm(X * t)
         dists[i] = np.linalg.norm(prop @ c0 @ prop.conj().T)
     return CorrelationTrace(times=times, distances=dists)
+
+
+#: ratio of successive `geometric_edges`
+_EDGE_FACTOR = 4.0
+
+
+def geometric_edges(start, stop):
+    """Edges start, start*_EDGE_FACTOR, ... covering up to |stop| (same sign).
+
+    Suitable for 1/omega^p tails: each panel's width stays comparable to its
+    distance from the origin, which keeps all features visible to the rule.
+    """
+    if start == 0 or stop == 0 or np.sign(start) != np.sign(stop):
+        raise ValueError("start and stop must be nonzero with the same sign")
+    if abs(stop) <= abs(start):
+        return [float(start), float(stop)]
+    edges = [float(start)]
+    v = abs(start)
+    while v * _EDGE_FACTOR < abs(stop):
+        v *= _EDGE_FACTOR
+        edges.append(float(np.sign(start) * v))
+    edges.append(float(stop))
+    return edges

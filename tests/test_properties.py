@@ -9,7 +9,8 @@ Bloch blocks read off the band, the split form and the damping matrix must
 reproduce the ladder matrix exactly, the banded solves of the resolvent
 integrand, its Bloch-block solves on uniform rings and the TIME engine's
 banded rhs and loss rates must reproduce the dense reference, and the two
-resolvent integrals (of H and of X) must give the same profile.  At
+resolvent integrals (of H and of X) must give the same profile, each the one
+a dense solve gives over the geometric tail panels its mapped tail replaced.  At
 cos(phi) = 0 the real eigensolve of the gauged operator must match the
 complex dense one (backward error, and values where well conditioned) and be
 exactly closed under its mirror; elsewhere the complex one must be
@@ -21,19 +22,23 @@ absent from the time-reversal-symmetric phases.
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from igclab import (
     OBC, PBC, LadderParams, SingularMatrixError, WalkConfig, bloch_bands,
     build_damping, build_general, build_ladder, densela, eigendecompose,
-    linear_gamma, loss_profile_resolvent, random_gamma, self_intersections,
-    steady_density,
+    linear_gamma, liouvillian_gap, loss_profile_resolvent, random_gamma,
+    self_intersections, steady_density,
 )
+from igclab.liouville import GAPLESS_TOL
 from igclab.model import LadderOperator, band_order
-from igclab.walk import _band_rhs, _loss_rates, resolvent_integrand
-from references import build_bloch, ladder_to_general
+from igclab.quadrature import adaptive_quadrature, tail_map
+from igclab.walk import (
+    RESOLVENT_RTOL, _band_rhs, _loss_rates, resolvent_integrand, resolvent_result,
+)
+from references import build_bloch, geometric_edges, ladder_to_general
 
 _amplitude = st.floats(-1.0, 1.0, allow_nan=False)
 
@@ -388,16 +393,20 @@ def test_bloch_integrand_matches_dense(p, side, u, cell):
     # (measured over 2000 draws: within 2 kappa eps ||x||_2 * 2 max|x_B|).
     s = _SIDES[side]
     M, op = _operator(p, side)
-    w = u * (np.abs(M).sum(axis=1).max() + 1.0)
+    width = np.abs(M).sum(axis=1).max() + 1.0
+    w = u * width
     x0 = 1 + cell % p.L
     b = np.zeros(p.dim, complex)
     b[2 * (x0 - 1)] = 1.0
     f, *_, info = resolvent_integrand(p, x0, op, s)
     form = op.gauge_form()
     assert info == {"solver": "bloch_blocks", "folded": form is not None and form[0] != s}
-    # a second node checks that each node keeps its own row through the FFT
+    # a second node checks that each node keeps its own row through the FFT;
+    # it may lie past the band window, where the integrand's node v stands for
+    # omega(v) and carries the factor d omega/dv (`tail_map`)
     nodes = np.array([w, w + 0.5])
-    shifts = [s * v * np.eye(p.dim) - M for v in nodes]
+    omegas, jac = tail_map(nodes, width)
+    shifts = [s * v * np.eye(p.dim) - M for v in omegas]
     refs = []
     for A in shifts:
         try:
@@ -414,9 +423,9 @@ def test_bloch_integrand_matches_dense(p, side, u, cell):
         # or both refuse, only at a node within about PIVOT_RTOL of singular
         assert max(np.linalg.cond(A) for A in shifts) > 0.01 / densela.PIVOT_RTOL
         return
-    for g, x, A in zip(got, refs, shifts):
+    for g, x, A, d in zip(got, refs, shifts, jac):
         delta = 100 * np.linalg.cond(A) * np.finfo(float).eps * np.linalg.norm(x)
-        assert _max(g - np.abs(x[1::2]) ** 2) <= delta * (2 * _max(x[1::2]) + delta)
+        assert _max(g / d - np.abs(x[1::2]) ** 2) <= delta * (2 * _max(x[1::2]) + delta)
 
 
 @settings(max_examples=60, deadline=None)
@@ -742,9 +751,14 @@ def test_fold_is_taken_on_the_gauge(p, where, phase, side, u, cell):
         assert info["folded"] or q.L == 2 and q.bc == PBC
     elif abs(q.t_p) > 1e-3 and not (q.L == 2 and q.bc == PBC):
         assert not info["folded"]
-    assert edges[-1] == omega_max
+    # the last edge is v(Omega) = 2 W - W^2/Omega, which ties omega to v to
+    # about eps Omega/W relative (`tail_map`)
+    width = np.abs(M).sum(axis=1).max() + 1.0
+    ends = tail_map(edges[[0, -1]], width)[0]
+    tol = 4 * np.finfo(float).eps * omega_max ** 2 / width
+    assert abs(ends[1] - omega_max) <= tol
     if not info["folded"]:
-        assert edges[0] == -omega_max
+        assert abs(ends[0] + omega_max) <= tol
         return
     assert edges[0] == 0.0
     w = u * (np.abs(M).sum(axis=1).max() + 1.0)
@@ -760,3 +774,80 @@ def test_fold_is_taken_on_the_gauge(p, where, phase, side, u, cell):
         return
     delta = 100 * np.linalg.cond(A) * np.finfo(float).eps * np.linalg.norm(x)
     assert _max(got[0] - got[1]) <= 3 * delta * (2 * _max(x[1::2]) + 3 * delta)
+
+
+# --- the compactified resolvent tail against the geometric one -----------------
+
+def _geometric_reference(p, x0, side):
+    """The resolvent integral the way it was taken before the tail was mapped:
+    the same band-window edges, the tail |omega| in [W, Omega] split by
+    `geometric_edges` in omega itself, and a dense solve of s*omega - M per
+    node; read through `resolvent_result` at the engines' goal and budget."""
+    s = _SIDES[side]
+    M, op = _operator(p, side)
+    _, edges, omega_max, tail_bound, info = resolvent_integrand(p, x0, op, s)
+    width = float(np.abs(op.band.T.ab).sum(axis=0).max()) + 1.0
+    tail = geometric_edges(width, omega_max)
+    cand = {e for e in edges if abs(e) <= width} | set(tail) | {-e for e in tail}
+    if info["folded"]:
+        cand = {e for e in cand if e >= 0.0}
+    b = np.zeros(p.dim, complex)
+    b[2 * (x0 - 1)] = 1.0
+
+    def f(omegas):
+        return np.array([np.abs(densela.lu_solve(s * w * np.eye(p.dim) - M, b)[1::2]) ** 2
+                         for w in omegas])
+
+    quad = adaptive_quadrature(f, sorted(cand), rtol=RESOLVENT_RTOL, atol_frac=1e-16,
+                               max_panels=4000 // (2 if info["folded"] else 1))
+    return resolvent_result(quad, np.asarray(p.gamma), omega_max, tail_bound, info)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=ladders(min_L=2, max_L=8, min_gamma=0.05), side=st.sampled_from(sorted(_SIDES)),
+       phase=st.sampled_from([None, np.pi / 2]), cell=st.integers(0, 23))
+@example(p=LadderParams(L=6, t=[0.3, 0.5], t_p=0.5, phi=0.7, gamma=0.5, bc=OBC),
+         side="H", phase=np.pi / 2, cell=4)
+@example(p=LadderParams(L=6, t=[0.341796875, 0.33984375, 0.4921875], t_p=0.0, phi=0.0,
+                        gamma=1.0, bc=OBC),
+         side="H", phase=None, cell=1)
+@example(p=LadderParams(L=6, t=[0.3, 0.5], t_p=0.5, phi=0.7, gamma=0.5, bc=PBC),
+         side="X", phase=None, cell=2)
+@example(p=LadderParams(L=5, t=[0.6, 0.2], t_p=0.4, phi=1.1,
+                        gamma=[0.1, 0.5, 0.2, 0.7, 0.3], bc=PBC),
+         side="X", phase=np.pi / 2, cell=1)
+@example(p=LadderParams(L=7, t=[0.3, 0.5, 0.2], t_p=0.5, phi=2.0,
+                        gamma=np.linspace(0.1, 0.9, 7), bc=OBC),
+         side="H", phase=None, cell=6)
+def test_compact_tail_matches_the_geometric_tail(p, side, phase, cell):
+    # the profile (H) and the steady density (X), OBC and PBC, folded (at
+    # phi = pi/2) and unfolded, against the dense reference over geometric
+    # tail panels.  Both integrate the same function to the same goal, so
+    # they flag alike, and where both converge they agree within 1e-12
+    # relative or within their two error estimates: at RESOLVENT_RTOL each
+    # may stop a few 1e-12 from the exact integral (the second example
+    # differs by 7e-12 relative, each side within 5.5e-12 of an integral
+    # taken to 1e-14), far below its goal and far below the tail's share of
+    # the total, which a wrong map or derivative would move.
+    #
+    # A mode that decays slower than the gapless threshold (a coupling of
+    # 1e-10 leaves the A chain nearly dark) is a peak no frequency grid
+    # resolves (test_both_paths_flag_an_unresolvable_mode): each quadrature
+    # then misses it in its own way, and the two may disagree on values and
+    # on the flag, so such ladders compare nothing here.
+    q = p if phase is None else p.replace(phi=phase)
+    assume(liouvillian_gap(build_damping(q)).gap >= GAPLESS_TOL)
+    x0 = 1 + cell % q.L
+    ref, ref_flag, ref_diag = _geometric_reference(q, x0, side)
+    if side == "H":
+        prof = loss_profile_resolvent(WalkConfig(params=q, x0=x0))
+        values, flag, diag = prof.P, not prof.incomplete, prof.diagnostics
+    else:
+        values, diag = steady_density(q, x0)
+        flag = diag["converged"]
+    assert flag == ref_flag
+    assert diag["folded"] == ref_diag["folded"]
+    if diag["converged"] and ref_diag["converged"]:
+        mask = ref > 1e-12
+        bound = np.maximum(1e-12 * ref, diag["quadrature_error"] + ref_diag["quadrature_error"])
+        assert np.all(np.abs(values - ref)[mask] <= bound[mask])

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from igclab.quadrature import (
-    NODES, adaptive_quadrature, geometric_edges, kronrod_panel,
-)
+from igclab.quadrature import NODES, adaptive_quadrature, kronrod_panel, tail_map
 
 
 def test_nodes_are_symmetric_and_sorted():
@@ -55,25 +53,35 @@ def test_vector_components_converge_independently():
     assert res.value[1] == pytest.approx(1e-9, rel=1e-5)
 
 
-def test_geometric_edges_cover_wide_tails():
-    edges = geometric_edges(2.0, 3.2e7)
-    assert edges[0] == 2.0 and edges[-1] == 3.2e7
-    ratios = np.array(edges[1:-1]) / np.array(edges[:-2])
-    assert np.all(ratios <= 4.0 + 1e-12)
-    neg = geometric_edges(-2.0, -1e5)
-    assert neg[0] == -2.0 and neg[-1] == -1e5
-    with pytest.raises(ValueError):
-        geometric_edges(-1.0, 2.0)
+def test_tail_map_is_the_identity_inside_and_odd():
+    width = 2.5
+    v = np.array([-width, -1.0, 0.0, 0.3, width])
+    omega, jac = tail_map(v, width)
+    assert np.array_equal(omega, v) and np.array_equal(jac, np.ones(5))
+    v = np.array([1.0, 1.75, 1.99]) * width
+    omega, jac = tail_map(v, width)
+    assert np.allclose(omega, [width, 4 * width, 100 * width], rtol=1e-13)
+    assert np.allclose(jac, (omega / width) ** 2, rtol=1e-15)
+    neg, neg_jac = tail_map(-v, width)
+    assert np.array_equal(neg, -omega) and np.array_equal(neg_jac, jac)
 
 
-def test_inverse_square_tail_with_geometric_edges():
-    def f(x):
-        return (1.0 / x ** 2)[:, None]
+@pytest.mark.parametrize("power", [2, 4])
+def test_one_mapped_span_integrates_an_algebraic_tail(power):
+    # integral_W^Omega omega^-p d omega over the single span [W, v(Omega)]:
+    # omega^-p (omega/W)^2 is a polynomial of degree p - 2 in v, so one
+    # panel is exact and the driver stops there
+    width, omega_max = 2.0, 3.2e7
+    v_max = 2.0 * width - width ** 2 / omega_max
 
-    edges = geometric_edges(1.0, 1e8)
-    res = adaptive_quadrature(f, edges, rtol=1e-11)
-    assert res.converged
-    assert res.value[0] == pytest.approx(1.0 - 1e-8, rel=1e-10)
+    def f(v):
+        omega, jac = tail_map(v, width)
+        return (omega ** -power * jac)[:, None]
+
+    res = adaptive_quadrature(f, [width, v_max], rtol=1e-12)
+    exact = (width ** (1 - power) - omega_max ** (1 - power)) / (power - 1)
+    assert res.converged and res.n_panels == 1
+    assert res.value[0] == pytest.approx(exact, rel=1e-12)
 
 
 def test_budget_exhaustion_reports_unconverged():

@@ -265,14 +265,14 @@ def test_folded_integral_matches_the_full_window(p, x0, side):
 
 
 def test_a_folded_panel_counts_twice_against_the_budget():
-    # the C3 corner converges on 43 folded panels (86 over the full window):
-    # a budget of 80 allows 40 folded panels, and both integrals stop short
+    # the C3 corner converges on 30 folded panels (60 over the full window):
+    # a budget of 56 allows 28 folded panels, and both integrals stop short
     p = _c3_corner(0.3, "uniform")
-    prof = loss_profile_resolvent(WalkConfig(params=p, x0=75), max_panels=80)
+    prof = loss_profile_resolvent(WalkConfig(params=p, x0=75), max_panels=56)
     d = prof.diagnostics
-    assert d["folded"] and d["n_panels"] == 40
+    assert d["folded"] and d["n_panels"] == 28
     assert prof.incomplete and not d["converged"]
-    _, ref_flag, ref_diag = _full_window(p, 75, build_ladder(p), 1.0, 80)
-    assert ref_diag["n_panels"] == 80 and not ref_flag
-    assert loss_profile_resolvent(WalkConfig(params=p, x0=75), max_panels=86).diagnostics[
+    _, ref_flag, ref_diag = _full_window(p, 75, build_ladder(p), 1.0, 56)
+    assert ref_diag["n_panels"] == 56 and not ref_flag
+    assert loss_profile_resolvent(WalkConfig(params=p, x0=75), max_panels=60).diagnostics[
         "converged"]
