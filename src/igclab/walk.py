@@ -138,6 +138,8 @@ def _loss_rates(op: LadderOperator, gamma: np.ndarray):
 
     The states are in `op.order`, so the B sites are psi[:, 1::2], and there
     is one accumulator per cell in the order the cells' A-B pairs take there.
+    A float64 stack (the real gauge) is squared directly: |x| is exact for a
+    real x, so x*x is |x|^2 bit for bit; a complex one takes |x| first.
     """
     two_gam = 2.0 * gamma[op.order[0::2] // 2]
     mag = np.empty((6, two_gam.size))     # at most a step's six stage states
@@ -146,8 +148,11 @@ def _loss_rates(op: LadderOperator, gamma: np.ndarray):
         # |psi_B|^2 in a contiguous buffer: ufuncs on the strided `out` the
         # integrator hands over are twice as slow
         sq = mag[:psi.shape[0]]
-        np.abs(psi[:, 1::2], out=sq)
-        np.square(sq, out=sq)
+        if psi.dtype == np.float64:
+            np.square(psi[:, 1::2], out=sq)
+        else:
+            np.abs(psi[:, 1::2], out=sq)
+            np.square(sq, out=sq)
         np.multiply(sq, two_gam, out=out)
 
     return rates

@@ -138,3 +138,18 @@ def test_real_state_integrates_in_real_arithmetic():
     # a complex rhs on a real state is refused, not truncated to its real part
     with pytest.raises(TypeError, match="returns reals"):
         integrate(lambda t, y: -1j * y, np.array([1.0]), 0.0, 1.0)
+
+
+def test_rhs_calls_are_one_plus_six_per_attempted_step():
+    # a stiff relaxation, y' = -1000 (y - cos t), rejects steps at the
+    # stability limit; rejected steps cost their six stage calls too, and
+    # the count the result reports is the calls the rhs saw
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return -1000.0 * (y - np.cos(t))
+
+    res = integrate(rhs, np.array([0.0]), 0.0, 10.0, rtol=1e-6, atol=1e-9)
+    assert res.n_rejected > 0 and res.t == 10.0
+    assert res.n_rhs == len(calls) == 1 + 6 * (res.n_steps + res.n_rejected)

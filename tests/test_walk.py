@@ -82,6 +82,18 @@ def test_incomplete_flag_when_ceiling_hits():
     assert prof.diagnostics["tail_bound"] > 1e-3   # plenty of norm remains
 
 
+@pytest.mark.parametrize("phi", [0.7, np.pi / 2])
+def test_an_overflowed_state_is_named_in_the_step_size_failure(phi):
+    # loss of 1e300 overflows the stage states at once, in complex and in
+    # real arithmetic: every error estimate is NaN, every step is rejected
+    # until h underflows, and the failure says why
+    p = LadderParams(L=4, t=[0.3, 0.5], t_p=0.5, phi=phi, gamma=[1e300] * 4)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(RuntimeError, match=r"underflow at t=0; the last error "
+                          r"estimate was not finite \(the state overflowed\)"):
+        loss_profile_time(WalkConfig(params=p, x0=2))
+
+
 def test_engines_agree_midsize():
     p = LadderParams(L=40, t=[0.3, 0.5], t_p=0.5, phi=np.pi / 2, gamma=0.5)
     cfg = WalkConfig(params=p, x0=28, norm_floor=1e-12)
