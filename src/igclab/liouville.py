@@ -30,7 +30,8 @@ import numpy as np
 from . import densela
 from .model import LadderOperator, LadderParams, build_ladder
 from .quadrature import adaptive_quadrature
-from .walk import LOSSLESS_DIAGNOSTICS, RESOLVENT_RTOL, resolvent_integrand, resolvent_result
+from .walk import (LOSSLESS_DIAGNOSTICS, RESOLVENT_RTOL, check_x0, resolvent_integrand,
+                   resolvent_result)
 
 GAPLESS_TOL = 1e-6
 
@@ -90,8 +91,7 @@ def steady_density(p: LadderParams, x0: int, max_panels: int = 4000):
     panels of the full window, as the profile's does.  Returns
     (n, diagnostics).
     """
-    if not 1 <= x0 <= p.L:
-        raise ValueError("x0 outside the chain")
+    check_x0(x0, p.L)
     gam = np.asarray(p.gamma)
     if np.all(gam == 0.0):
         return np.zeros(p.L), dict(LOSSLESS_DIAGNOSTICS)

@@ -15,7 +15,7 @@ array.
 An algebraically decaying tail is integrated in a compactified variable, as
 QUADPACK's QAGI does for infinite ranges (Piessens et al., Springer 1983):
 `tail_map` carries |omega| >= width onto |v| in [width, 2 width), where a
-tail with no pole near it is smooth, and one or two panels cover it.
+tail with no pole near it is smooth, and it starts as one panel.
 """
 
 from __future__ import annotations
@@ -112,12 +112,11 @@ def adaptive_quadrature(f, edges, rtol=1e-9, atol_frac=1e-16,
     errs[:len(panels)] = errs0
     del errs0
     evals = 15 * len(panels)
-    converged = False
-    while len(panels) < max_panels:
+    while True:
         goal = np.maximum(rtol * np.abs(total), atol_frac * np.abs(total).sum())
         np.maximum(goal, 1e-300, out=goal)
-        if np.all(err <= goal):
-            converged = True
+        converged = bool(np.all(err <= goal))
+        if converged or len(panels) >= max_panels:
             break
         # worst panel by its largest goal violation; leftmost wins ties
         n = len(panels)
@@ -139,8 +138,5 @@ def adaptive_quadrature(f, edges, rtol=1e-9, atol_frac=1e-16,
         evals += 30
         total = total - val_old + left[0] + right[0]
         err = err - err_old + left[1] + right[1]
-    else:
-        goal = np.maximum(rtol * np.abs(total), atol_frac * np.abs(total).sum())
-        converged = bool(np.all(err <= np.maximum(goal, 1e-300)))
     return QuadratureResult(value=total, error=err, n_panels=len(panels),
                             n_evaluations=evals, converged=converged)

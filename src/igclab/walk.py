@@ -52,7 +52,7 @@ import numpy as np
 from scipy.linalg import get_blas_funcs
 
 from . import densela
-from .model import LadderOperator, LadderParams, bloch_bands, build_ladder, site_index
+from .model import LadderOperator, LadderParams, build_ladder, site_index
 from .ode import PAIR, integrate
 from .quadrature import adaptive_quadrature, tail_map
 
@@ -69,6 +69,13 @@ RESOLVENT_RTOL = 1e-9
 _TINY = np.finfo(float).tiny
 
 
+def check_x0(x0, L: int):
+    """Refuse a release cell that is not an integer in 1..L: a float cannot
+    index the state, and a bool is no cell."""
+    if isinstance(x0, bool) or not isinstance(x0, (int, np.integer)) or not 1 <= x0 <= L:
+        raise ValueError(f"x0 must be an integer cell in 1..{L}, got {x0!r}")
+
+
 @dataclass(frozen=True)
 class WalkConfig:
     """A walk experiment: model, release cell, and stopping/tolerance knobs."""
@@ -80,8 +87,7 @@ class WalkConfig:
     step_tol: float = 1e-8
 
     def __post_init__(self):
-        if not 1 <= self.x0 <= self.params.L:
-            raise ValueError(f"x0 must lie in 1..{self.params.L}, got {self.x0}")
+        check_x0(self.x0, self.params.L)
         if not self.t_max > 0:
             raise ValueError("t_max must be positive")
         if not 0 < self.norm_floor < 1:
@@ -242,36 +248,14 @@ def loss_profile_time(cfg: WalkConfig) -> LossProfile:
                        incomplete=not res.stopped_early, diagnostics=diag)
 
 
-def _band_edge_seeds(p: LadderParams, width: float) -> list:
-    """Initial panel edges: real parts of the momentum-space band extrema.
-
-    A non-uniform loss profile has no momentum-space form; its mean is close
-    enough for seeding purposes (the adaptive driver does the real work).
-    """
-    g = p.uniform_gamma
-    if g is None:
-        p = p.replace(gamma=float(np.mean(p.gamma)))
-    ks = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
-    re = bloch_bands(p, ks).real
-    seeds = set()
-    for band in re:
-        d = np.diff(band)
-        for i in np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0):
-            seeds.add(round(float(band[i + 1]), 9))
-        seeds.update((round(float(band.min()), 9), round(float(band.max()), 9)))
-    return sorted(v for v in seeds if abs(v) < width)
-
-
-def _resolvent_edges(p: LadderParams, width: float, omega_max: float,
-                     folded: bool) -> np.ndarray:
-    # band window split finely enough that no peak hides between nodes, plus
-    # tail panels omega in [W, 4W] and on to Omega, in v (`tail_map`); a
-    # folded integral keeps the edges above 0 and starts at exactly 0
+def _resolvent_edges(width: float, omega_max: float, folded: bool) -> np.ndarray:
+    # the band window in 48 equal panels, fine enough that no peak hides
+    # between nodes, and each tail [W, Omega] as its one span in v
+    # (`tail_map`); a folded integral keeps the edges above 0 and starts at
+    # exactly 0.  Edges can still nearly coincide (the window's midpoint
+    # next to that 0, or v_max next to W at a tiny gamma_max): keep the first
     v_max = 2.0 * width - width ** 2 / omega_max
-    tail = [width, min(1.75 * width, v_max), v_max]
-    cand = (set(np.linspace(-width, width, 49))
-            | set(_band_edge_seeds(p, width))
-            | set(tail) | set(-e for e in tail))
+    cand = set(np.linspace(-width, width, 49)) | {v_max, -v_max}
     if folded:
         cand = {0.0} | {e for e in cand if e > 0}
     cand = sorted(cand)
@@ -300,7 +284,9 @@ def resolvent_integrand(p: LadderParams, x0: int, op: LadderOperator, s: complex
     omega = v on the band window, each tail [W, Omega] is the span
     [W, 2W - W^2/Omega], and there the integrand carries d omega/dv.  A pole,
     an eigenvalue |E| <= W - 1 of M, maps to v = 2W - W^2/E, at least
-    W/(W - 1) >= 1 from that span, so a tail is two panels: [W, 4W], the rest.
+    W/(W - 1) >= 1 from that span, so each tail starts as that one panel.
+    The window [-W, W] starts as 48 equal panels: the initial edges read W
+    and Omega only, and the adaptive split finds the peaks.
 
     With a `gauge_form` (c, R) of `op` and c/s purely imaginary (c = i for
     H at s = 1, c = 1 for X at s = i), D^-1 (s omega - M) D = s (omega -+ i R)
@@ -327,7 +313,7 @@ def resolvent_integrand(p: LadderParams, x0: int, op: LadderOperator, s: complex
     form = op.gauge_form()
     folded = form is not None and (form[0] / s).real == 0.0
     width = m_inf + 1.0
-    edges = _resolvent_edges(p, width, omega_max, folded)
+    edges = _resolvent_edges(width, omega_max, folded)
     if op.ring:
         # s*omega - M is block diagonal in momentum: its L 2x2 blocks
         # s*omega - B_j are one tridiagonal band of order 2L (cells' (A, B)

@@ -161,3 +161,10 @@ def test_gapless_correlation_plateaus():
     assert tr.distances[-1] > 0.05
     drop = tr.distances[-1] / tr.distances[0]
     assert drop > 0.5          # nothing like exponential decay
+
+
+@pytest.mark.parametrize("x0", [0, 31, 4.5, np.float64(4.0), True])
+def test_steady_density_refuses_a_cell_that_is_not_one(x0):
+    # 4.5 and 4.0 would index the state with a float, and True would run as cell 1
+    with pytest.raises(ValueError, match="x0"):
+        steady_density(ladder(), x0)

@@ -15,8 +15,10 @@ def dimer(gamma=0.5, t0=0.3):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="x0"):
-        WalkConfig(params=dimer(), x0=3)
+    # 1.5 and 1.0 would index the state with a float, and True would run as cell 1
+    for x0 in (3, 0, 1.5, np.float64(1.0), True):
+        with pytest.raises(ValueError, match="x0"):
+            WalkConfig(params=dimer(), x0=x0)
     with pytest.raises(ValueError, match="norm_floor"):
         WalkConfig(params=dimer(), x0=1, norm_floor=2.0)
     with pytest.raises(ValueError, match="t_max"):
@@ -277,14 +279,30 @@ def test_folded_integral_matches_the_full_window(p, x0, side):
 
 
 def test_a_folded_panel_counts_twice_against_the_budget():
-    # the C3 corner converges on 30 folded panels (60 over the full window):
-    # a budget of 56 allows 28 folded panels, and both integrals stop short
+    # the C3 corner converges on 28 folded panels (56 over the full window):
+    # a budget of 52 allows 26 folded panels, and both integrals stop short
     p = _c3_corner(0.3, "uniform")
-    prof = loss_profile_resolvent(WalkConfig(params=p, x0=75), max_panels=56)
+    prof = loss_profile_resolvent(WalkConfig(params=p, x0=75), max_panels=52)
     d = prof.diagnostics
-    assert d["folded"] and d["n_panels"] == 28
+    assert d["folded"] and d["n_panels"] == 26
     assert prof.incomplete and not d["converged"]
-    _, ref_flag, ref_diag = _full_window(p, 75, build_ladder(p), 1.0, 56)
-    assert ref_diag["n_panels"] == 56 and not ref_flag
-    assert loss_profile_resolvent(WalkConfig(params=p, x0=75), max_panels=60).diagnostics[
+    _, ref_flag, ref_diag = _full_window(p, 75, build_ladder(p), 1.0, 52)
+    assert ref_diag["n_panels"] == 52 and not ref_flag
+    assert loss_profile_resolvent(WalkConfig(params=p, x0=75), max_panels=56).diagnostics[
         "converged"]
+
+
+@pytest.mark.parametrize("phi", [0.7, np.pi / 2])
+def test_initial_edges_read_only_the_window(phi):
+    # same gamma_max and ||H||_inf, different loss profiles: the first panels
+    # come from the window W and Omega alone, not from the spectrum
+    spiked = np.full(20, 0.2)
+    spiked[10] = 0.5
+    runs = []
+    for gamma in (0.5, spiked):
+        p = LadderParams(L=20, t=[0.3, 0.5], t_p=0.5, phi=phi, gamma=gamma, bc=OBC)
+        _, edges, omega_max, _, _ = resolvent_integrand(p, 10, build_ladder(p), 1.0)
+        runs.append((edges, omega_max))
+    (uniform, om_uniform), (spike, om_spike) = runs
+    assert om_uniform == om_spike
+    assert np.array_equal(uniform, spike)
