@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LadderParams, bloch_bands, h_x, h_y
+from .model import LadderParams, bloch_bands, check_x0, h_x, h_y
 
 POWER = "POWER"
 EXP = "EXP"
@@ -87,6 +87,7 @@ def fit_bulk(P, x0: int, side: str = LEFT) -> FitResult:
     """
     P = np.asarray(P, dtype=float)
     L = P.size
+    check_x0(x0, L)
     lo, hi = _window(x0, L, side)
     xs = np.arange(lo, hi + 1)
     if xs.size < MIN_POINTS:
@@ -130,8 +131,7 @@ def burst_metrics(P, x0: int, threshold: float = BURST_THRESHOLD) -> BurstMetric
     """
     P = np.asarray(P, dtype=float)
     L = P.size
-    if not 1 <= x0 <= L:
-        raise ValueError("x0 outside the chain")
+    check_x0(x0, L)
     def _side(edge, pmin):
         if pmin > 0:
             return edge, edge / pmin

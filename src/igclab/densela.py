@@ -9,7 +9,11 @@ around them: singularity detection at a fixed pivot threshold, the same for
 dense and banded input and any diagonal shift, per-pair eigen residuals, and
 a condition flag that marks spectra whose eigenbasis cannot be trusted.
 Skin-effect matrices under open boundaries are expected to trip that flag at
-moderate sizes; callers must not propagate with their eigenvectors.
+moderate sizes; callers must not propagate with their eigenvectors.  A band
+checks its pivots first against a cheap upper bound of the threshold's scale
+and works the exact scale out only where that check does not pass, so a
+shifted band solve costs little more than its LAPACK call and decides as the
+exact rule does.
 """
 
 from __future__ import annotations
@@ -57,7 +61,8 @@ class Banded:
     `ab` has kl + ku + 1 rows (the diagonal is row ku) and one column per
     matrix column; the entries outside the matrix are zero (LAPACK ignores
     them, `T` relies on it).  The band keeps its own read-only copy of `ab`,
-    so the LU set-up it caches (`_lu_setup`) cannot go stale.
+    so the LU set-up it caches (`_lu_setup`) cannot go stale, and the one
+    work buffer its solves factor in.
     """
 
     ab: np.ndarray
@@ -78,17 +83,21 @@ class Banded:
 
     @cached_property
     def _lu_setup(self):
-        # (tridiagonal, storage, diagonal row, largest off-diagonal |a|): the
-        # band LU (`zgbtrf`) needs kl spare rows on top for the pivoting fill-in
-        # and column-major storage, the tridiagonal solver (`zgtsv`) neither
+        # (tridiagonal, storage, diagonal row, largest off-diagonal |a|, largest
+        # diagonal |a|, work buffer): the band LU (`zgbtrf`) needs kl spare rows
+        # on top for the pivoting fill-in and column-major storage, the
+        # tridiagonal solver (`zgtsv`) neither; each solve copies the storage
+        # into the one work buffer and factors it there
         kl, ku = self.kl, self.ku
         tri = kl == ku == 1 and self.ab.shape[1] > 1
         spare = 0 if tri else kl
-        work = np.zeros((spare + kl + ku + 1, self.ab.shape[1]), dtype=complex,
-                        order="C" if tri else "F")
-        work[spare:] = self.ab
-        off = np.abs(np.delete(self.ab, ku, axis=0)).max(initial=0.0)
-        return tri, work, spare + ku, off
+        setup = np.zeros((spare + kl + ku + 1, self.ab.shape[1]), dtype=complex,
+                         order="C" if tri else "F")
+        setup[spare:] = self.ab
+        setup.flags.writeable = False
+        off = float(np.abs(np.delete(self.ab, ku, axis=0)).max(initial=0.0))
+        dmax = float(np.abs(self.ab[ku]).max(initial=0.0))
+        return tri, setup, spare + ku, off, dmax, np.empty_like(setup)
 
 
 def _check_pivots(pivot: float, scale: float):
@@ -101,26 +110,39 @@ def _check_pivots(pivot: float, scale: float):
             f"{pivot:.3e} vs scale {scale:.3e})")
 
 
+#: pads dmax + |shift| into an upper bound of the computed max|diag + shift|:
+#: the shifted entries, their moduli, dmax, |shift| and the sum each round,
+#: by about 5 eps together (measured excess: up to 3 eps)
+_BOUND_PAD = 1.0 + 8.0 * np.finfo(float).eps
+
+
 def _banded_solve(A: Banded, b: np.ndarray, shift: complex) -> np.ndarray:
-    tri, setup, d, off = A._lu_setup
-    work = setup.copy(order="A")
+    tri, setup, d, off, dmax, work = A._lu_setup
+    work[...] = setup
     diag = work[d]
     diag += shift
-    # max|A + shift I|: the off-diagonal part was measured once; a NaN in
-    # either part propagates
-    scale = np.abs(diag).max(initial=off)
     if tri:
         # positional: dl, d, du, b, then overwrite_dl, _d, _du, _b; U's
         # diagonal comes back in place of d
         _, u, _, x, info = sla.lapack.zgtsv(work[2, :-1], diag, work[0, 1:],
                                             b.reshape(b.shape[0], -1), 1, 1, 1, 0)
         # an exact zero pivot (info > 0) stops the elimination early
-        _check_pivots(np.abs(u).min() if info == 0 else 0.0, scale)
+        pivot = np.abs(u).min() if info == 0 else 0.0
+    else:
+        kl, ku = A.kl, A.ku
+        lu, piv, _ = sla.lapack.zgbtrf(work, kl, ku, overwrite_ab=1)
+        # U's diagonal is row kl + ku; an exact zero pivot (info > 0) fails here too
+        pivot = np.abs(lu[kl + ku]).min()
+    # max|A + shift I| <= max(off, dmax + |shift|) < bound, so a pivot that
+    # clears the bound clears the exact scale; only a pivot that does not, a
+    # subnormal off-diagonal part or a bound that is not finite (NaN included)
+    # take the exact scale, from the storage, as the solve overwrote diag
+    bound = dmax + abs(shift)
+    bound = (off if off > bound else bound) * _BOUND_PAD
+    if not (off >= _TINY and bound < np.inf and pivot >= PIVOT_RTOL * bound):
+        _check_pivots(pivot, np.abs(setup[d] + shift).max(initial=off))
+    if tri:
         return x.reshape(b.shape)
-    kl, ku = A.kl, A.ku
-    lu, piv, _ = sla.lapack.zgbtrf(work, kl, ku, overwrite_ab=1)
-    # U's diagonal is row kl + ku; an exact zero pivot (info > 0) fails here too
-    _check_pivots(np.abs(lu[kl + ku]).min(), scale)
     x, _ = sla.lapack.zgbtrs(lu, kl, ku, b, piv)
     return x
 
@@ -134,6 +156,16 @@ def lu_solve(A: np.ndarray | Banded, b: np.ndarray, shift: complex = 0.0) -> np.
     its LUs only.  The matrix counts as singular, and `SingularMatrixError`
     is raised, when a pivot of U falls below PIVOT_RTOL * max|A + shift I|;
     a NaN or infinite entry, or a subnormal max|A + shift I|, the same way.
+
+    On a band the smallest pivot is first compared with PIVOT_RTOL times the
+    bound max(off, dmax + |shift|)(1 + 8 eps), off and dmax the largest
+    off-diagonal and diagonal |a| recorded once per band; the bound is never
+    below the computed max|A + shift I|, so a pivot that clears it passes the
+    exact rule.  Only a pivot that does not, a subnormal off-diagonal part or
+    a bound that is not finite take the exact scale, so every decision, and
+    the error's pivot and scale, are the exact rule's.  Each solve factors a
+    copy of the band's storage in one work buffer the band keeps, so one
+    `Banded` must not be solved from two threads at once.
     """
     b = np.asarray(b, dtype=complex)
     if isinstance(A, Banded):

@@ -28,10 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import densela
-from .model import LadderOperator, LadderParams, build_ladder
+from .model import LadderOperator, LadderParams, build_ladder, check_x0
 from .quadrature import adaptive_quadrature
-from .walk import (LOSSLESS_DIAGNOSTICS, RESOLVENT_RTOL, check_x0, resolvent_integrand,
-                   resolvent_result)
+from .walk import LOSSLESS_DIAGNOSTICS, RESOLVENT_RTOL, resolvent_integrand, resolvent_result
 
 GAPLESS_TOL = 1e-6
 

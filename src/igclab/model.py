@@ -141,6 +141,13 @@ def site_index(x: int, sub: str) -> int:
     return 2 * (x - 1) + (0 if sub == "A" else 1)
 
 
+def check_x0(x0, L: int):
+    """Refuse a release cell that is not an integer in 1..L: a float cannot
+    index a state or a profile, and a bool is no cell."""
+    if isinstance(x0, bool) or not isinstance(x0, (int, np.integer)) or not 1 <= x0 <= L:
+        raise ValueError(f"x0 must be an integer cell in 1..{L}, got {x0!r}")
+
+
 def band_order(p: LadderParams) -> np.ndarray:
     """Site permutation that keeps the ladder matrix narrowly banded.
 

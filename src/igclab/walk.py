@@ -52,7 +52,7 @@ import numpy as np
 from scipy.linalg import get_blas_funcs
 
 from . import densela
-from .model import LadderOperator, LadderParams, build_ladder, site_index
+from .model import LadderOperator, LadderParams, build_ladder, check_x0, site_index
 from .ode import PAIR, integrate
 from .quadrature import adaptive_quadrature, tail_map
 
@@ -67,13 +67,6 @@ RESOLVENT_RTOL = 1e-9
 
 #: psi entries below the smallest normal double are flushed to zero
 _TINY = np.finfo(float).tiny
-
-
-def check_x0(x0, L: int):
-    """Refuse a release cell that is not an integer in 1..L: a float cannot
-    index the state, and a bool is no cell."""
-    if isinstance(x0, bool) or not isinstance(x0, (int, np.integer)) or not 1 <= x0 <= L:
-        raise ValueError(f"x0 must be an integer cell in 1..{L}, got {x0!r}")
 
 
 @dataclass(frozen=True)
@@ -324,7 +317,7 @@ def resolvent_integrand(p: LadderParams, x0: int, op: LadderOperator, s: complex
         ab = np.zeros((3, 2 * p.L), dtype=complex)
         ab[0, 1::2], ab[2, 0::2] = blocks[:, 0, 1], blocks[:, 1, 0]
         ab[1] = blocks.diagonal(0, 1, 2).ravel()
-        neg, rhs = densela.Banded(ab, 1, 1), np.tile([1.0, 0.0], p.L)
+        neg, rhs = densela.Banded(ab, 1, 1), np.tile([1.0 + 0j, 0.0], p.L)
         cells = (np.arange(p.L) - (x0 - 1)) % p.L
         info = {"solver": "bloch_blocks", "folded": folded}
     else:
@@ -337,8 +330,10 @@ def resolvent_integrand(p: LadderParams, x0: int, op: LadderOperator, s: complex
     def f(vs):
         omegas, jac = tail_map(vs, width)
         g = np.empty((omegas.size, rhs.size), dtype=complex)
-        for i, w in enumerate(omegas):
-            g[i] = densela.lu_solve(neg, rhs, shift=s * w)
+        # the panel's shifts in one product; as Python complexes, each node's
+        # pivot bound is Python float arithmetic
+        for i, z in enumerate((s * omegas).tolist()):
+            g[i] = densela.lu_solve(neg, rhs, shift=z)
         # the Kronrod sums round differently on C- and F-ordered values, so each
         # path keeps its layout, in place too: switching it moves P in the last bits
         resp = np.fft.ifft(g[:, 1::2], axis=1)[:, cells] if op.ring else g.take(cells, axis=1)

@@ -113,6 +113,27 @@ def test_burst_metrics_edge_release_undefined_side():
         burst_metrics(P, 0)
 
 
+@pytest.mark.parametrize("x0", [4.5, np.float64(3.0), True, 0, 201])
+def test_burst_metrics_refuses_a_cell_that_is_not_one(x0):
+    # 4.5 and 3.0 cannot slice the profile, and True would read as cell 1
+    with pytest.raises(ValueError, match="integer cell"):
+        burst_metrics(planted_exp(x0=100, lam=0.9), x0)
+
+
+@pytest.mark.parametrize("x0", [4.5, np.float64(150.0), True, 0, 201])
+def test_fit_bulk_refuses_a_cell_that_is_not_one(x0):
+    # a refused cell, not a bulk window built from it ([11, -10.5] for 4.5)
+    with pytest.raises(ValueError, match="integer cell") as err:
+        fit_bulk(planted_power(), x0, LEFT)
+    assert not isinstance(err.value, WindowError)
+
+
+def test_an_integer_cell_of_any_integer_type_is_one():
+    P = planted_power()
+    assert fit_bulk(P, np.int64(150), LEFT) == fit_bulk(P, 150, LEFT)
+    assert burst_metrics(P, np.int32(150)) == burst_metrics(P, 150)
+
+
 def test_burst_threshold_configurable():
     P = planted_exp(x0=100, lam=0.9)
     P[0] = P.min() * 5

@@ -1,13 +1,19 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from igclab import (
     OBC, PBC, LadderParams, SingularMatrixError, build_ladder, eigendecompose,
     lu_solve,
 )
 from igclab.densela import PIVOT_RTOL, Banded
+
+EPS = np.finfo(float).eps
 
 
 def test_lu_solve_identity():
@@ -46,7 +52,8 @@ def test_lu_solve_singular_raises():
 
 def _near_singular_block(ratio):
     # |c| > |a| makes partial pivoting swap the rows: U = [[1, 2 + e], [0, -e/2]],
-    # and with max|A| = 2 + e the second pivot is ratio * PIVOT_RTOL * max|A|
+    # and with max|A| = 2 + e the second pivot is ratio * PIVOT_RTOL * max|A|,
+    # to about 1e-3 relative: e rounds in 2 + e (`_threshold_block` is exact)
     e = 4.0 * ratio * PIVOT_RTOL / (1.0 - 2.0 * ratio * PIVOT_RTOL)
     return np.exp(0.3j) * np.array([[0.5, 1.0], [1.0, 2.0 + e]])
 
@@ -89,6 +96,194 @@ def test_lu_solve_stacked_blocks():
             lu_solve(_block_band(A), b.ravel())
     with pytest.raises(ValueError, match="square"):
         lu_solve(np.ones((3, 3, 3)), np.ones(3))
+
+
+def _band_of(A, kl, ku):
+    """A dense matrix, zero outside the band, in band storage."""
+    n = A.shape[0]
+    ab = np.zeros((kl + ku + 1, n), dtype=complex)
+    for d in range(-kl, ku + 1):
+        i = np.arange(max(-d, 0), n - max(d, 0))
+        ab[ku - d, i + d] = A[i, i + d]
+    return Banded(ab, kl, ku)
+
+
+def _exact_rule(band, b, shift):
+    """The pivot rule as stated, worked out in full for every solve.
+
+    LAPACK's own factorization of the shifted storage (`zgtsv` for a
+    tridiagonal band of order > 1, `zgbtrf` otherwise) gives the smallest
+    |U_ii|, and the scale is max|A + shift I| over the matrix's entries.
+    Returns (x, pivot, scale), x None where the rule refuses the matrix.
+    """
+    kl, ku, n = band.kl, band.ku, band.ab.shape[1]
+    shifted = np.array(band.ab)
+    shifted[ku] += shift
+    A = np.zeros((n, n), dtype=complex)
+    for d in range(-kl, ku + 1):
+        i = np.arange(max(-d, 0), n - max(d, 0))
+        A[i, i + d] = shifted[ku - d, i + d]
+    scale = np.abs(A).max(initial=0.0)
+    if kl == ku == 1 and n > 1:
+        _, u, _, x, info = sla.lapack.zgtsv(shifted[2, :-1].copy(), shifted[1].copy(),
+                                            shifted[0, 1:].copy(), b.reshape(n, 1).copy())
+        pivot, x = (np.abs(u).min() if info == 0 else 0.0), x[:, 0]
+    else:
+        storage = np.zeros((2 * kl + ku + 1, n), dtype=complex, order="F")
+        storage[kl:] = shifted
+        lu, piv, _ = sla.lapack.zgbtrf(storage, kl, ku)
+        pivot = np.abs(lu[kl + ku]).min()
+        x = sla.lapack.zgbtrs(lu, kl, ku, b, piv)[0]
+    ok = np.finfo(float).tiny <= scale < np.inf and pivot >= PIVOT_RTOL * scale
+    return (x if ok else None), pivot, scale
+
+
+def _threshold_block(k, omega, unit):
+    """A 2x2 block whose second pivot, under the shift unit * omega, is
+    (1 + k eps) PIVOT_RTOL times its scale, within two rounding units.
+
+    Upper triangular (no row swap) with the coupling 0.5, its diagonal on the
+    shift's ray: unit (a, q) with q + omega = 2^-44 exactly and a + omega the
+    scale 2^-44 / (PIVOT_RTOL (1 + k eps)) to one rounding, unit being 1, i,
+    -1 or -i (the X side's s = i is unit i), so |a + shift| = |a| + |shift|
+    and the bound max(off, dmax + |shift|) is the scale itself.
+    """
+    pivot = 2.0 ** -44
+    scale = pivot / (PIVOT_RTOL * (1.0 + k * EPS))
+    return np.array([[unit * (scale - omega), 0.5], [0.0, unit * (pivot - omega)]])
+
+
+@st.composite
+def _pivot_cases(draw):
+    """A band, a right-hand side and a shift near the edges of the pivot rule.
+
+    Entries of modulus below 1 (or all scaled to subnormal or huge, or with a
+    subnormal off-diagonal part), a diagonal that may share one phase with
+    the shift, so that |a + shift| = |a| + |shift| and the cheap bound is
+    tight; or a 2x2 block whose second pivot lies a few rounding units from
+    the threshold (`_threshold_block`, under an aligned shift, or
+    `_near_singular_block(1 + k eps)`, unshifted); or a NaN, an infinite
+    entry or a zero column.
+    """
+    path = draw(st.sampled_from(["tridiagonal", "band"]))
+    if path == "tridiagonal":
+        kl = ku = 1
+        n = draw(st.integers(2, 8))
+    else:
+        kl, ku = draw(st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 2), (2, 1), (2, 2), (3, 1)]))
+        n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = np.triu(np.tril(rng.uniform(-0.7, 0.7, (n, n)) + 1j * rng.uniform(-0.7, 0.7, (n, n)),
+                        ku), -kl)
+    unit = draw(st.sampled_from([None, 1.0, 1j, -1.0, -1j]))
+    omega = draw(st.sampled_from([0.0, 1.0, 0.5, 3.5, 1e-3, 1e-310]))
+    if unit is None:
+        shift = omega * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+    else:
+        # the diagonal on the shift's ray
+        shift = unit * omega
+        A[np.diag_indices(n)] = unit * np.abs(np.diagonal(A))
+    defect = draw(st.sampled_from(["none", "threshold", "near singular", "nan", "inf",
+                                   "zero column"]))
+    if defect in ("threshold", "near singular") and n >= 2 and ku >= 1:
+        # decoupled from the rest of the matrix, whose entries it dominates
+        j = draw(st.integers(0, n - 2))
+        A[j:j + 2, :] = 0.0
+        A[:, j:j + 2] = 0.0
+        k = draw(st.integers(-12, 12))
+        if defect == "threshold" and unit is not None and omega in (0.0, 0.5, 1.0, 3.5):
+            A[j:j + 2, j:j + 2] = _threshold_block(k, omega, unit)
+        elif kl >= 1:
+            A[j:j + 2, j:j + 2] = _near_singular_block(1.0 + k * EPS)
+            shift = 0.0
+    elif defect in ("nan", "inf"):
+        i = draw(st.integers(0, n - 1))
+        j = min(max(i + draw(st.integers(-kl, ku)), 0), n - 1)
+        A[i, j] = np.nan if defect == "nan" else np.inf
+    elif defect == "zero column":
+        A[:, draw(st.integers(0, n - 1))] = 0.0
+    if defect not in ("threshold", "near singular"):
+        diag_mag, off_mag = draw(st.sampled_from([(1.0, 1.0), (1e-310, 1e-310), (1.0, 1e-310),
+                                                  (1e300, 1e300), (1.0, 0.0)]))
+        off = ~np.eye(n, dtype=bool)
+        with np.errstate(invalid="ignore"):
+            A[off] *= off_mag
+            A[~off] *= diag_mag
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return _band_of(A, kl, ku), b, complex(shift)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_pivot_cases())
+@example(case=(_band_of(_threshold_block(-1, 3.5, -1.0), 1, 2), np.ones(2), -3.5 + 0j))
+@example(case=(_band_of(np.diag([1j, 2j, 1e-15j]), 1, 1), np.ones(3), 1e-300j))
+def test_bounded_pivot_test_refuses_what_the_exact_rule_refuses(case):
+    # lu_solve first checks the pivot against a cheap bound of the scale and
+    # works the exact scale out only where that check does not pass; its
+    # decisions, its solution bits and its message are the exact rule's
+    band, b, shift = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)     # inf - inf in a NaN case
+        x, pivot, scale = _exact_rule(band, b, shift)
+        try:
+            got = lu_solve(band, b, shift=shift)
+        except SingularMatrixError as err:
+            assert x is None, f"refused, but the exact rule passes: {err}"
+            assert f"(min pivot {pivot:.3e} vs scale {scale:.3e})" in str(err)
+            return
+    assert x is not None, f"solved, but the exact rule refuses (pivot {pivot}, scale {scale})"
+    assert np.array_equal(got, x)
+
+
+@pytest.mark.parametrize("kl, ku", [(1, 1), (1, 2)])
+@pytest.mark.parametrize("unit", [1.0, 1j])
+def test_a_pivot_within_the_bounds_padding_is_decided_exactly(kl, ku, unit):
+    # the scale sits on the diagonal, so the bound is that scale times about
+    # 1 + 8 eps: a pivot 4 eps above the threshold fails the bound and is
+    # passed on the exact scale; 4 eps below it, it is refused with that scale
+    band = _band_of(_threshold_block(4, 1.0, unit), kl, ku)
+    x, pivot, scale = _exact_rule(band, np.ones(2), unit)
+    assert PIVOT_RTOL * scale <= pivot < PIVOT_RTOL * scale * (1 + 8 * EPS)
+    assert np.array_equal(lu_solve(band, np.ones(2), shift=unit), x)
+    band = _band_of(_threshold_block(-4, 1.0, unit), kl, ku)
+    x, pivot, scale = _exact_rule(band, np.ones(2), unit)
+    assert x is None and pivot == 2.0 ** -44
+    with pytest.raises(SingularMatrixError, match=re.escape(f"vs scale {scale:.3e})")):
+        lu_solve(band, np.ones(2), shift=unit)
+
+
+def test_the_bound_is_padded_past_rounding():
+    # here the computed |a + shift| exceeds fl(|a| + |shift|) by one rounding
+    # unit, and the pivot 2^-44 lies between PIVOT_RTOL times the two: an
+    # unpadded bound would pass what the exact rule refuses
+    a, shift = -2.307765934463148 + 1.8276640587483926j, -2.1483769805711397 + 1.7014339844692183j
+    band = _band_of(np.array([[a, 0.5], [0.0, 2.0 ** -44 - shift]]), 1, 1)
+    x, pivot, scale = _exact_rule(band, np.ones(2), shift)
+    assert pivot == 2.0 ** -44 and scale > abs(a) + abs(shift)
+    assert PIVOT_RTOL * (abs(a) + abs(shift)) <= pivot < PIVOT_RTOL * scale
+    with pytest.raises(SingularMatrixError, match=re.escape(f"vs scale {scale:.3e})")):
+        lu_solve(band, np.ones(2), shift=shift)
+
+
+def test_consecutive_shifts_share_no_state():
+    # each solve copies the band's storage into one work buffer and factors it
+    # there: a second shift, and a solve after a refused one, must read what a
+    # fresh band of the same entries reads, bit for bit
+    rng = np.random.default_rng(11)
+    H = build_ladder(LadderParams(L=12, t=[0.3, 0.5], t_p=0.5, phi=0.7, gamma=0.5))
+    tri = rng.normal(size=(3, 10)) + 1j * rng.normal(size=(3, 10))
+    tri[0, 0] = tri[2, -1] = 0.0
+    for ab, kl, ku in ((-H.band.ab, H.band.kl, H.band.ku), (tri, 1, 1)):
+        b = rng.normal(size=ab.shape[1]) + 1j * rng.normal(size=ab.shape[1])
+        band = Banded(ab, kl, ku)
+        first = lu_solve(band, b, shift=0.3 - 0.1j)
+        second = lu_solve(band, b, shift=1.7j)
+        assert np.array_equal(second, lu_solve(Banded(ab, kl, ku), b, shift=1.7j))
+        assert np.array_equal(lu_solve(band, b, shift=0.3 - 0.1j), first)
+        assert not np.array_equal(first, second)
+        with pytest.raises(SingularMatrixError):
+            lu_solve(band, b, shift=np.nan)
+        assert np.array_equal(lu_solve(band, b, shift=1.7j), second)
 
 
 def test_a_band_is_read_only():
