@@ -50,6 +50,8 @@ _GAMMA_KEYS = {"uniform": {"kind", "value"},
                "linear": {"kind", "slope", "offset"},
                "random": {"kind", "low", "high", "seed"}}
 _SWEEP_KEYS = {"vary", "values"}
+#: the generator of `random_gamma`, recorded beside a random profile's echo
+_PRNG = f"numpy PCG64 ({np.__version__})"
 COMMANDS = tuple(_TOP_KEYS)
 
 
@@ -91,10 +93,13 @@ def _number(value, where):
 
 
 def _resolve_gamma(spec, L, default_seed):
-    """Gamma field: scalar, explicit list, or a named profile description."""
+    """Gamma field: scalar, explicit list, or a named profile description.
+
+    Returns the loss rates and their echo, a gamma field that parses back to
+    the same rates without --seed."""
     if isinstance(spec, list):
-        return ([_number(v, "model.gamma") for v in spec],
-                {"kind": "explicit", "values": list(spec)})
+        values = [_number(v, "model.gamma") for v in spec]
+        return values, values
     if isinstance(spec, dict):
         kind = _need(spec, "kind", "model.gamma")
         if kind not in _GAMMA_KEYS:
@@ -116,8 +121,7 @@ def _resolve_gamma(spec, L, default_seed):
         low = _number(spec.get("low", 0.4), "model.gamma.low")
         high = _number(spec.get("high", 0.6), "model.gamma.high")
         return (random_gamma(L, low, high, seed),
-                {"kind": "random", "low": low, "high": high, "seed": seed,
-                 "prng": f"numpy PCG64 ({np.__version__})"})
+                {"kind": "random", "low": low, "high": high, "seed": seed})
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         return float(spec), {"kind": "uniform", "value": float(spec)}
     raise ConfigError("model.gamma must be a number, a list, or a profile object")
@@ -287,6 +291,30 @@ def write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+class _Outputs(dict):
+    """The files of one run, path -> description: each CSV and plot is
+    written under the run's directory, named with its tag, and listed here."""
+
+    def __init__(self, out, tag):
+        super().__init__()
+        self.out, self.tag = out, tag
+
+    def _path(self, name, what):
+        path = self.out / f"{self.tag}{name}"
+        self[str(path)] = what
+        return path
+
+    def csv(self, name, what, header, rows):
+        write_csv(self._path(name, what), header, rows)
+
+    def plot(self, name, what, series, mode="points", **axes):
+        """An SVG of `series`, (label, xs, ys) each, on `SvgPlot(**axes)`."""
+        pl = SvgPlot(**axes)
+        for label, xs, ys in series:
+            pl.add(xs, ys, label=label, mode=mode)
+        pl.write(self._path(name, what))
+
+
 def _profiles(engine, wc):
     """Escape profiles of the release `wc` on `engine` (TIME, RESOLVENT or
     BOTH): the one engine dispatch of walk, burst and every sweep row."""
@@ -299,8 +327,9 @@ def _profiles(engine, wc):
 
 
 # --- command implementations -------------------------------------------------
+# each writes its files through `files` and returns its diagnostics
 
-def _cmd_spectrum(cfg, model, out, tag, plot, jobs):
+def _cmd_spectrum(cfg, model, files, plot, jobs):
     rows, diags = [], {}
     if isinstance(model, GeneralModel):
         variants = [("general", eigendecompose(build_general(model)).eigenvalues, "dense")]
@@ -311,37 +340,28 @@ def _cmd_spectrum(cfg, model, out, tag, plot, jobs):
         rows += [(e.real, e.imag, label) for e in w]
         diags[label] = {"dim": w.size, "max_imag": float(w.imag.max()),
                         "eigensolve": how}
-    files = {}
-    csv = out / f"{tag}spectrum.csv"
-    write_csv(csv, ["re", "im", "label"], rows)
-    files[str(csv)] = "complex eigenvalues"
+    files.csv("spectrum.csv", "complex eigenvalues", ["re", "im", "label"], rows)
     if cfg.get("self_intersections"):
         hits = analysis.self_intersections(model, cfg["k_samples"])
-        path = out / f"{tag}self_intersections.csv"
-        write_csv(path, ["k1", "k2", "re", "im"],
+        files.csv("self_intersections.csv", "spectral self-crossings",
+                  ["k1", "k2", "re", "im"],
                   [(h.k1, h.k2, h.energy.real, h.energy.imag) for h in hits])
-        files[str(path)] = "spectral self-crossings"
         diags["self_intersections"] = len(hits)
     if plot:
-        pl = SvgPlot(xlabel="Re E", ylabel="Im E", title="energy spectrum")
-        for label in sorted({r[2] for r in rows}):
-            pts = [(float(r[0]), float(r[1])) for r in rows if r[2] == label]
-            pl.add([p[0] for p in pts], [p[1] for p in pts], label=label)
-        svg = out / f"{tag}spectrum.svg"
-        pl.write(svg)
-        files[str(svg)] = "spectrum plot"
-    return files, diags
+        files.plot("spectrum.svg", "spectrum plot",
+                   [(label, w.real, w.imag) for label, w, _ in variants],
+                   xlabel="Re E", ylabel="Im E", title="energy spectrum")
+    return diags
 
 
-def _cmd_igc(cfg, model, out, tag, plot, jobs):
+def _cmd_igc(cfg, model, files, plot, jobs):
     sol = igc.solve_connection(model.t, model.t_p, model.phi)
-    csv = out / f"{tag}igc.csv"
-    write_csv(csv, ["k", "beta_re", "beta_im", "energy", "marginal"],
+    files.csv("igc.csv", "connection-condition roots",
+              ["k", "beta_re", "beta_im", "energy", "marginal"],
               [(p.k, p.beta.real, p.beta.imag, p.energy, int(p.marginal))
                for p in sol.points])
-    diags = {"f_min": sol.f_min, "k_min": sol.k_min, "gapped": sol.gapped,
-             "classification": sol.classification, "n_points": len(sol.points)}
-    return {str(csv): "connection-condition roots"}, diags
+    return {"f_min": sol.f_min, "k_min": sol.k_min,
+            "classification": sol.classification, "n_points": len(sol.points)}
 
 
 def _burst(P, x0, threshold):
@@ -363,30 +383,24 @@ def _burst(P, x0, threshold):
     return entry
 
 
-def _cmd_walk(cfg, model, out, tag, plot, jobs):
+def _cmd_walk(cfg, model, files, plot, jobs):
     """The profiles of a walk or burst run, with their CSV, plot and
     diagnostics; a burst run adds each profile's `_burst` entry."""
     (_, wc), = cfg["walks"]
     profs = _profiles(cfg["engine"], wc)
-    csv = out / f"{tag}profile.csv"
-    write_csv(csv, ["x", "P_x", "engine"],
+    files.csv("profile.csv", "escape probabilities", ["x", "P_x", "engine"],
               [(x + 1, float(p), prof.engine) for prof in profs
                for x, p in enumerate(prof.P)])
-    files = {str(csv): "escape probabilities"}
     diags = {prof.engine: dict(prof.diagnostics, total=prof.total,
                                incomplete=prof.incomplete) for prof in profs}
     if cfg["command"] == "burst":
         for prof in profs:
             diags[prof.engine].update(_burst(prof.P, wc.x0, cfg["threshold"]))
     if plot:
-        pl = SvgPlot(xlabel="x", ylabel="P_x", title="escape probability",
-                     ylog=True)
-        for prof in profs:
-            pl.add(range(1, len(prof.P) + 1), prof.P, label=prof.engine)
-        svg = out / f"{tag}profile.svg"
-        pl.write(svg)
-        files[str(svg)] = "escape profile plot"
-    return files, diags
+        files.plot("profile.svg", "escape profile plot",
+                   [(prof.engine, range(1, len(prof.P) + 1), prof.P) for prof in profs],
+                   xlabel="x", ylabel="P_x", title="escape probability", ylog=True)
+    return diags
 
 
 #: each sweep row's diagnostics in `run.json`, by engine: no timings, so that
@@ -408,7 +422,7 @@ def _sweep_row(args):
             m.p_edge_left, m.p_edge_right, m.burst_type, prof.incomplete), diag
 
 
-def _cmd_sweep(cfg, model, out, tag, plot, jobs):
+def _cmd_sweep(cfg, model, files, plot, jobs):
     vary = cfg["sweep"]["vary"]
     tasks = [(cfg["engine"], cfg["threshold"], v, wc) for v, wc in cfg["walks"]]
     # a fork pool starts all its workers at once: never more than rows or CPUs
@@ -419,56 +433,42 @@ def _cmd_sweep(cfg, model, out, tag, plot, jobs):
     else:
         rows = [_sweep_row(t) for t in tasks]
     results = [r for r, _ in rows]
-    csv = out / f"{tag}sweep.csv"
-    write_csv(csv, [vary, "ratio_left", "ratio_right", "p_edge_left",
-                    "p_edge_right", "burst_type", "incomplete"],
-              [(v, rl, rr, pl_, pr, bt, int(inc))
-               for v, rl, rr, pl_, pr, bt, inc in results])
-    files = {str(csv): f"burst metrics against {vary}"}
+    files.csv("sweep.csv", f"burst metrics against {vary}",
+              [vary, "ratio_left", "ratio_right", "p_edge_left", "p_edge_right",
+               "burst_type", "incomplete"],
+              [(*r[:6], int(r[6])) for r in results])
     diags = {"n_rows": len(results), "n_incomplete": sum(r[6] for r in results),
              "rows": [{vary: v, **d} for (v, _), (_, d) in zip(cfg["walks"], rows)]}
+    values = [r[0] for r in results]
     if vary == "x0":
-        fits = analysis.x0_slopes([r[0] for r in results], [r[1] for r in results],
-                                  [r[3] for r in results])
+        fits = analysis.x0_slopes(values, [r[1] for r in results], [r[3] for r in results])
         if not np.isnan(fits[0]):
             diags.update(zip(("ratio_loglog_slope", "ratio_loglog_r2",
                               "p_edge_loglinear_rate", "p_edge_loglinear_r2"), fits))
     if plot:
-        pl = SvgPlot(xlabel=vary, ylabel="P_edge/P_min",
-                     title=f"edge burst against {vary}",
-                     xlog=(vary == "x0"), ylog=True)
-        pl.add([r[0] for r in results], [r[1] for r in results],
-               label="left", mode="line")
-        pl.add([r[0] for r in results], [r[2] for r in results],
-               label="right", mode="line")
-        svg = out / f"{tag}sweep.svg"
-        pl.write(svg)
-        files[str(svg)] = "sweep plot"
-    return files, diags
+        files.plot("sweep.svg", "sweep plot",
+                   [("left", values, [r[1] for r in results]),
+                    ("right", values, [r[2] for r in results])], mode="line",
+                   xlabel=vary, ylabel="P_edge/P_min", title=f"edge burst against {vary}",
+                   xlog=(vary == "x0"), ylog=True)
+    return diags
 
 
-def _cmd_liouville(cfg, model, out, tag, plot, jobs):
+def _cmd_liouville(cfg, model, files, plot, jobs):
     rep = liouville.liouvillian_gap(liouville.build_damping(model))
-    csv = out / f"{tag}liouville_spectrum.csv"
-    write_csv(csv, ["re", "im", "label"],
-              [(w.real, w.imag, model.bc) for w in rep.eigenvalues])
-    files = {str(csv): "damping-matrix eigenvalues"}
+    files.csv("liouville_spectrum.csv", "damping-matrix eigenvalues",
+              ["re", "im", "label"], [(w.real, w.imag, model.bc) for w in rep.eigenvalues])
     diags = {"gap": rep.gap, "gapless": rep.gapless, "max_real": rep.max_real,
              "note": rep.note, "eigensolve": rep.eigensolve}
     if "x0" in cfg:
-        dens, qd = liouville.steady_density(model, cfg["x0"])
-        dcsv = out / f"{tag}steady_density.csv"
-        write_csv(dcsv, ["x", "n_B"], list(enumerate(dens, start=1)))
-        files[str(dcsv)] = "steady B-site density"
-        diags["steady_density"] = qd
+        dens, diags["steady_density"] = liouville.steady_density(model, cfg["x0"])
+        files.csv("steady_density.csv", "steady B-site density", ["x", "n_B"],
+                  list(enumerate(dens, start=1)))
     if plot:
-        pl = SvgPlot(xlabel="Re lambda", ylabel="Im lambda",
-                     title="damping-matrix spectrum")
-        pl.add(rep.eigenvalues.real, rep.eigenvalues.imag, label=model.bc)
-        svg = out / f"{tag}liouville_spectrum.svg"
-        pl.write(svg)
-        files[str(svg)] = "damping spectrum plot"
-    return files, diags
+        files.plot("liouville_spectrum.svg", "damping spectrum plot",
+                   [(model.bc, rep.eigenvalues.real, rep.eigenvalues.imag)],
+                   xlabel="Re lambda", ylabel="Im lambda", title="damping-matrix spectrum")
+    return diags
 
 
 def execute(cfg, out_dir, plot=False, jobs=1, seed=None, tag=""):
@@ -481,8 +481,11 @@ def execute(cfg, out_dir, plot=False, jobs=1, seed=None, tag=""):
         return _run_figure(cfg, out, plot, jobs, seed)
     impl = {"spectrum": _cmd_spectrum, "igc": _cmd_igc, "walk": _cmd_walk,
             "burst": _cmd_walk, "sweep": _cmd_sweep, "liouville": _cmd_liouville}
-    files, diags = impl[command](cfg, model, out, tag, plot, jobs)
+    files = _Outputs(out, tag)
+    diags = impl[command](cfg, model, files, plot, jobs)
     diags["model"] = echo
+    if isinstance(echo["gamma"], dict) and echo["gamma"]["kind"] == "random":
+        diags["prng"] = _PRNG
     return files, diags
 
 

@@ -45,15 +45,14 @@ class IgcPoint:
 class IgcSolution:
     """The roots of the coupling condition and what they imply.
 
-    `gapped` means no real root; `classification` is IGC when the minimum
-    of F reaches zero or below (within float noise at exact criticality),
-    GAPPED otherwise.
+    `classification` is IGC when the minimum of F reaches zero or below
+    (within float noise at exact criticality), which is exactly when
+    `points` holds a root, and GAPPED otherwise.
     """
 
     points: tuple
     f_min: float
     k_min: float
-    gapped: bool
     classification: str
 
 
@@ -143,5 +142,4 @@ def solve_connection(t, t_p: float, phi: float) -> IgcSolution:
             ))
     points.sort(key=lambda pt: pt.k)
     return IgcSolution(points=tuple(points), f_min=f_min, k_min=k_min,
-                       gapped=(len(points) == 0),
                        classification=IGC if f_min <= near_zero else GAPPED)

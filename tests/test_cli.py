@@ -1,5 +1,7 @@
 import json
 import os
+from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -371,8 +373,8 @@ def test_override_via_set(tmp_path):
     assert status == 0
     rows = (out / "igc.csv").read_text().strip().splitlines()
     assert len(rows) == 1          # header only: gapped couplings, no roots
-    record = json.loads((out / "run.json").read_text())
-    assert record["diagnostics"]["gapped"] is True
+    diags = json.loads((out / "run.json").read_text())["diagnostics"]
+    assert (diags["classification"], diags["n_points"]) == ("GAPPED", 0)
 
 
 def test_override_on_a_config_that_is_not_an_object(tmp_path, capsys):
@@ -380,6 +382,110 @@ def test_override_on_a_config_that_is_not_an_object(tmp_path, capsys):
     assert status == 2
     assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
     assert not out.exists()
+
+
+def _ladder(**edits):
+    """The small open ladder of the end-to-end table, with `edits`."""
+    return dict({"kind": "ladder", "L": 20, "t": [0.3, 0.5], "t_p": 0.5,
+                 "phi": np.pi / 2, "gamma": 0.5, "bc": "OBC"}, **edits)
+
+
+def _within_budget(d):
+    return (d["converged"] and not d["incomplete"]
+            and d["conservation_defect"] <= d["conservation_budget"]
+            and d["tail_bound"] <= 1e-8)
+
+
+def _svgs(*names):
+    """The outputs hold exactly these plots, by file name."""
+    return lambda outputs: sorted(Path(p).name for p in outputs
+                                  if p.endswith(".svg")) == sorted(names)
+
+
+def _walk(engine, x0=10, **edits):
+    return {"command": "walk", "x0": x0, "engine": engine, "model": _ladder(**edits)}
+
+
+#: one end-to-end run of main() per row: its config, its extra arguments, its
+#: exit code, and facts of its run.json, by dotted path, each a value or a
+#: predicate of the value
+END_TO_END = {
+    "fig5a, 13 folded converged rows": (
+        {"command": "figure", "figure": "fig5a"}, [], 0,
+        {"diagnostics.runs.0.diagnostics.n_rows": 13,
+         "diagnostics.runs.0.diagnostics.n_incomplete": 0,
+         "diagnostics.runs.0.diagnostics.rows":
+             lambda rows: all(r["folded"] and r["converged"] for r in rows)}),
+    "ring BOTH walk, Bloch blocks folded": (
+        _walk("BOTH", t=[0.6, 0.5], bc="PBC"), [], 0,
+        {"diagnostics.RESOLVENT.solver": "bloch_blocks",
+         "diagnostics.RESOLVENT.folded": True}),
+    "phi 0.7 walk within budget": (
+        _walk("RESOLVENT", phi=0.7), [], 0,
+        {"diagnostics.RESOLVENT.folded": False, "diagnostics.RESOLVENT": _within_budget}),
+    "linear-loss walk within budget": (
+        _walk("RESOLVENT", phi=0.7, gamma={"kind": "linear", "slope": 0.01, "offset": 0.2}),
+        [], 0, {"diagnostics.RESOLVENT": _within_budget}),
+    # one rhs call to start, then six per attempted step of the FSAL pair
+    **{f"TIME walk, {how} arithmetic": (
+        _walk("TIME", x0=8, L=16, phi=phi), [], 0,
+        {"diagnostics.TIME.arithmetic": how,
+         "diagnostics.TIME": lambda d: d["n_rhs"] == 1 + 6 * (d["n_steps"] + d["n_rejected"])})
+       for phi, how in ((np.pi / 2, "real"), (0.7, "complex"))},
+    # a nearly decoupled A site: the pivot bound fails, then the exact rule
+    "decoupled ladder, exact pivot refusal": (
+        _walk("RESOLVENT", x0=2, L=3, t=[1e-16], t_p=0.0, phi=0.7, gamma=[0.3, 0.3, 1e-9]),
+        [], 3,
+        {"error.type": "SingularMatrixError",
+         "error.message": lambda m: "min pivot 1.684e-15 vs scale 3.000e-01" in m}),
+    # a near-tangent ring: its 512-point curve cuts itself three times around
+    # one crossing, reported once, with its partner at -i gamma - E
+    "spectrum plot, both bcs and self-crossings": (
+        {"command": "spectrum", "compare_bc": True, "self_intersections": True,
+         "k_samples": 512, "model": _ladder(t=[0.575, 0.5, 0.236], phi=0.0044, bc="PBC")},
+        ["--plot"], 0,
+        {"diagnostics.self_intersections": 2, "diagnostics.OBC.eigensolve": "dense",
+         "diagnostics.PBC.eigensolve": "bloch_blocks", "outputs": _svgs("spectrum.svg")}),
+    "sweep plot": (
+        small_sweep([4, 6]), ["--plot"], 0,
+        {"diagnostics.n_rows": 2, "diagnostics.n_incomplete": 0,
+         "outputs": _svgs("sweep.svg")}),
+    "damping plot with a steady density": (
+        {"command": "liouville", "x0": 10,
+         "model": _ladder(phi=0.7, gamma={"kind": "random", "low": 0.4, "high": 0.6,
+                                          "seed": 1})},
+        ["--plot"], 0,
+        {"diagnostics.eigensolve": "dense", "diagnostics.steady_density.solver": "banded",
+         "outputs": _svgs("liouville_spectrum.svg")}),
+    # two of the four roots, u = cos k = 0.10013 and 0.10047, lie closer than 1e-3
+    "igc close roots, no plot": (
+        {"command": "igc", "model": _ladder(t=[0.5100600611, -0.2006, 0.5], bc="PBC")},
+        ["--plot"], 0,
+        {"diagnostics.n_points": 4, "diagnostics.classification": "IGC",
+         "outputs": _svgs()}),
+}
+
+
+def _lookup(record, path):
+    for key in path.split("."):
+        record = record[int(key)] if isinstance(record, list) else record[key]
+    return record
+
+
+@pytest.mark.parametrize("cfg, argv, status, facts", END_TO_END.values(),
+                         ids=END_TO_END.keys())
+def test_end_to_end(tmp_path, cfg, argv, status, facts):
+    got, out = run_cli(tmp_path, cfg, *argv)
+    assert got == status
+    record = json.loads((out / "run.json").read_text())
+    assert record["status"] == ("ok" if status == 0 else "failed")
+    for path, want in facts.items():
+        value = _lookup(record, path)
+        assert want(value) if callable(want) else value == want, f"{path}: {value!r}"
+    for path in record.get("outputs", {}):
+        if path.endswith(".svg"):
+            assert Path(path).stat().st_size > 0
+            assert ElementTree.parse(path).getroot().tag == "{http://www.w3.org/2000/svg}svg"
 
 
 def test_walk_run_small(tmp_path):
@@ -606,12 +712,24 @@ def test_byte_identical_reruns(tmp_path):
 
 
 def test_config_echo_reparses(tmp_path):
-    status, out = run_cli(tmp_path, igc_config())
-    assert status == 0
-    record = json.loads((out / "run.json").read_text())
-    cfg2, model, _ = validate_config(record["config"])
-    assert cfg2["command"] == "igc"
-    assert model.t == (0.3, 0.5)
+    # the resolved echo, diagnostics.model, parses back without --seed to
+    # the ladder that ran; the generator of a random profile is named beside it
+    forms = {"scalar": 0.5,
+             "list": [0.4 + 0.001 * x for x in range(200)],
+             "linear": {"kind": "linear", "slope": 0.001, "offset": 0.2},
+             "random": {"kind": "random", "low": 0.4, "high": 0.6}}  # seeded by --seed
+    for name, gamma in forms.items():
+        cfg = igc_config()
+        cfg["model"]["gamma"] = gamma
+        status, out = run_cli(tmp_path / name, cfg, "--seed", "7")
+        assert status == 0
+        record = json.loads((out / "run.json").read_text())
+        cfg2, model, _ = validate_config(record["config"], default_seed=record["seed"])
+        assert cfg2["command"] == "igc"
+        assert model.t == (0.3, 0.5)
+        echo = record["diagnostics"]["model"]
+        assert validate_config({"command": "igc", "model": echo})[1] == model, name
+        assert ("prng" in record["diagnostics"]) == (name == "random")
 
 
 def test_csv_full_precision(tmp_path):

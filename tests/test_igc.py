@@ -17,14 +17,14 @@ def test_nearest_coupling_roots():
     assert sol.points[0].k == pytest.approx(k, abs=1e-9)
     assert sol.points[1].k == pytest.approx(2 * np.pi - k, abs=1e-9)
     assert sorted(pt.energy for pt in sol.points) == pytest.approx([-0.4, 0.4], abs=1e-12)
-    assert not sol.gapped
+    assert sol.classification == IGC
     assert sol.f_min == pytest.approx(-0.2)
     assert all(not p.marginal for p in sol.points)
 
 
 def test_gapped_couplings():
     sol = solve_connection([0.6, 0.5], 0.5, np.pi / 2)
-    assert sol.gapped and len(sol.points) == 0
+    assert sol.classification == GAPPED and len(sol.points) == 0
     assert sol.f_min == pytest.approx(0.1)
     assert sol.k_min == pytest.approx(np.pi)
 
@@ -78,8 +78,7 @@ def test_triple_root_reported_once_per_momentum():
 ])
 def test_roots_closer_than_any_grid_are_all_found(t):
     sol = solve_connection(t, 0.5, np.pi / 2)
-    assert len(sol.points) == 4 and not sol.gapped
-    assert sol.classification == IGC
+    assert len(sol.points) == 4 and sol.classification == IGC
     for p in sol.points:
         assert abs(h_x(t, p.k)) < 1e-10 and not p.marginal
 
@@ -201,8 +200,7 @@ def test_count_bound_and_residuals_randomized():
         assert len(sol.points) <= 2 * n
         for p in sol.points:
             assert abs(h_x(t, p.k)) < 1e-10
-        assert sol.gapped == (len(sol.points) == 0)
-        assert sol.gapped == (sol.classification == GAPPED)
+        assert (len(sol.points) == 0) == (sol.classification == GAPPED)
 
 
 def test_quartic_cross_check_second_neighbor():
