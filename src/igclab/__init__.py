@@ -12,7 +12,7 @@ from .model import (
     OBC, PBC, LadderParams, GeneralModel, LadderOperator, build_ladder,
     build_general, bloch_bands, linear_gamma, random_gamma, site_index,
 )
-from .densela import Spectrum, SingularMatrixError, lu_solve, eigendecompose
+from .densela import SingularMatrixError, lu_solve, eigendecompose
 from .igc import IGC, GAPPED, IgcPoint, IgcSolution, solve_connection
 from .walk import (
     TIME, RESOLVENT, WalkConfig, LossProfile, loss_profile_time, loss_profile_resolvent,

@@ -153,6 +153,11 @@ def _complex_matrix(rows, where):
         raise ConfigError(f"{where} must be a matrix of [re, im] pairs") from exc
 
 
+def _pairs(matrix):
+    """A complex matrix as the [re, im] pairs `_complex_matrix` reads back."""
+    return [[[float(c.real), float(c.imag)] for c in row] for row in matrix]
+
+
 def _parse_model(cfg, default_seed):
     m = _need(cfg, "model")
     if not isinstance(m, dict):
@@ -171,8 +176,8 @@ def _parse_model(cfg, default_seed):
                                     (gamma if isinstance(gamma, list) else [gamma])])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad general model: {exc}") from exc
-        return g, {"kind": "general", "n_h": g.n_h, "n_d": g.n_d,
-                   "gamma": list(g.gamma)}
+        return g, {"kind": "general", "A": _pairs(g.A), "B_herm": _pairs(g.B_herm),
+                   "C": _pairs(g.C), "gamma": list(g.gamma)}
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
@@ -332,7 +337,7 @@ def _profiles(engine, wc):
 def _cmd_spectrum(cfg, model, files, plot, jobs):
     rows, diags = [], {}
     if isinstance(model, GeneralModel):
-        variants = [("general", eigendecompose(build_general(model)).eigenvalues, "dense")]
+        variants = [("general", eigendecompose(build_general(model)), "dense")]
     else:
         bcs = (OBC, PBC) if cfg.get("compare_bc") else (model.bc,)
         variants = [(bc, *build_ladder(model.replace(bc=bc)).eigenvalues()) for bc in bcs]
@@ -391,7 +396,7 @@ def _cmd_walk(cfg, model, files, plot, jobs):
     files.csv("profile.csv", "escape probabilities", ["x", "P_x", "engine"],
               [(x + 1, float(p), prof.engine) for prof in profs
                for x, p in enumerate(prof.P)])
-    diags = {prof.engine: dict(prof.diagnostics, total=prof.total,
+    diags = {prof.engine: dict(prof.diagnostics, total=float(prof.P.sum()),
                                incomplete=prof.incomplete) for prof in profs}
     if cfg["command"] == "burst":
         for prof in profs:

@@ -1,4 +1,4 @@
-"""Complex linear-algebra kernels with residual diagnostics.
+"""Complex linear-algebra kernels behind one pivot contract.
 
 Everything downstream funnels its linear solves and eigenproblems through
 this module.  The factorizations themselves are delegated to LAPACK
@@ -6,14 +6,10 @@ this module.  The factorizations themselves are delegated to LAPACK
 band with kl = ku = 1; Hessenberg + implicitly shifted QR via numpy's eig, in
 real arithmetic for a float64 matrix); what this module owns is the contract
 around them: singularity detection at a fixed pivot threshold, the same for
-dense and banded input and any diagonal shift, per-pair eigen residuals, and
-a condition flag that marks spectra whose eigenbasis cannot be trusted.
-Skin-effect matrices under open boundaries are expected to trip that flag at
-moderate sizes; callers must not propagate with their eigenvectors.  A band
-checks its pivots first against a cheap upper bound of the threshold's scale
-and works the exact scale out only where that check does not pass, so a
-shifted band solve costs little more than its LAPACK call and decides as the
-exact rule does.
+dense and banded input and any diagonal shift.  A band checks its pivots
+first against a cheap upper bound of the threshold's scale and works the
+exact scale out only where that check does not pass, so a shifted band solve
+costs little more than its LAPACK call and decides as the exact rule does.
 """
 
 from __future__ import annotations
@@ -27,31 +23,11 @@ import scipy.linalg as sla
 #: relative pivot magnitude below which a matrix counts as singular
 PIVOT_RTOL = 1e-14
 
-#: relative eigenpair residual above which the condition flag is set
-RESIDUAL_RTOL = 1e-8
-
 _TINY = np.finfo(float).tiny
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
     """Raised when an LU pivot falls below the working-precision threshold."""
-
-
-@dataclass
-class Spectrum:
-    """Eigenvalues of a dense complex matrix, optionally with diagnostics.
-
-    `eigenvalues` is (n,), or (m, n) for a stack of m blocks.  `residuals`
-    holds ||A v - lambda v|| / ||A|| per pair when eigenvectors were
-    requested.  `condition_flag` is set when any residual exceeds the
-    contract tolerance or the eigenvector basis is numerically rank deficient
-    (defective or near-defective input).
-    """
-
-    eigenvalues: np.ndarray
-    right_vectors: np.ndarray | None = None
-    residuals: np.ndarray | None = None
-    condition_flag: bool = False
 
 
 @dataclass(frozen=True)
@@ -182,17 +158,13 @@ def lu_solve(A: np.ndarray | Banded, b: np.ndarray, shift: complex = 0.0) -> np.
     return x
 
 
-def eigendecompose(A: np.ndarray, want_vectors: bool = False) -> Spectrum:
+def eigendecompose(A: np.ndarray) -> np.ndarray:
     """Full complex spectrum of a square matrix, sorted by (Re, Im).
 
     A float64 matrix takes real LAPACK (`dgeev`: about a third of `zgeev`'s
     work, conjugate pairs exact), any other input the complex solve; both
-    return complex arrays.  A stack of m square n x n blocks gives
-    eigenvalues of shape (m, n), row i holding block i's, each row sorted by
-    (Re, Im); eigenvectors are refused for a stack.  With `want_vectors`,
-    right eigenvectors are returned column-aligned with the eigenvalues and
-    every pair gets a relative residual.  The solver is treated as a black
-    box; the residuals are the ground truth.
+    return complex arrays.  A stack of m square n x n blocks gives shape
+    (m, n), row i holding block i's eigenvalues, each row sorted by (Re, Im).
     """
     A = np.asarray(A)
     A = A if A.dtype == np.float64 else A.astype(complex, copy=False)
@@ -200,26 +172,5 @@ def eigendecompose(A: np.ndarray, want_vectors: bool = False) -> Spectrum:
         raise ValueError("eigendecompose needs a square matrix or a stack of square blocks")
     if A.size == 0:
         raise ValueError("empty matrix")
-    if want_vectors and A.ndim == 3:
-        raise ValueError("eigenvectors are not returned for a stack of blocks")
-    if not want_vectors:
-        w = np.linalg.eigvals(A).astype(complex, copy=False)
-        order = np.lexsort((w.imag, w.real))
-        return Spectrum(eigenvalues=np.take_along_axis(w, order, axis=-1))
-    w, V = (a.astype(complex, copy=False) for a in np.linalg.eig(A))
-    order = np.lexsort((w.imag, w.real))
-    w, V = w[order], V[:, order]
-    norm_a = np.linalg.norm(A)
-    if norm_a == 0.0:
-        residuals = np.zeros(w.size)
-    else:
-        residuals = np.linalg.norm(A @ V - V * w, axis=0) / (np.linalg.norm(V, axis=0) * norm_a)
-    flag = bool(np.any(residuals > RESIDUAL_RTOL))
-    if not flag:
-        # near-defective input: pairs can look accurate while the basis is rank
-        # deficient, so probe the basis conditioning as well
-        sv = np.linalg.svd(V, compute_uv=False)
-        flag = sv[-1] <= np.finfo(float).eps / RESIDUAL_RTOL * sv[0]
-    return Spectrum(eigenvalues=w, right_vectors=V, residuals=residuals,
-                    condition_flag=flag)
-
+    w = np.linalg.eigvals(A).astype(complex, copy=False)
+    return np.take_along_axis(w, np.lexsort((w.imag, w.real)), axis=-1)

@@ -245,13 +245,13 @@ class LadderOperator:
         else zgeev of `matrix` ("dense").
         """
         if self.ring:
-            w = densela.eigendecompose(self.blocks()).eigenvalues
+            w = densela.eigendecompose(self.blocks())
             return np.sort_complex(w.ravel()), "bloch_blocks"
         form = self.gauge_form()
         if form is None:
-            return densela.eigendecompose(self.matrix).eigenvalues, "dense"
+            return densela.eigendecompose(self.matrix), "dense"
         c, R = form
-        w = c * densela.eigendecompose(self._dense(R)).eigenvalues
+        w = c * densela.eigendecompose(self._dense(R))
         return w[np.lexsort((w.imag, w.real))], "dense_real"
 
     def loss_diagonal(self) -> np.ndarray:

@@ -58,8 +58,10 @@ class SvgPlot:
         self.series = []
 
     def add(self, xs, ys, label="", mode="points"):
+        # a None point (an undefined ratio) is dropped like a non-finite one
         pts = [(float(x), float(y)) for x, y in zip(xs, ys)
-               if math.isfinite(x) and math.isfinite(y)
+               if x is not None and y is not None
+               and math.isfinite(x) and math.isfinite(y)
                and (not self.xlog or x > 0) and (not self.ylog or y > 0)]
         self.series.append((pts, label, mode))
 

@@ -95,7 +95,6 @@ class LossProfile:
 
     P: np.ndarray
     engine: str
-    total: float
     incomplete: bool = False
     diagnostics: dict = field(default_factory=dict)
 
@@ -230,15 +229,14 @@ def loss_profile_time(cfg: WalkConfig) -> LossProfile:
     escaped = np.empty(p.L)
     escaped[order[0::2] // 2] = res.y[n:].real
     P = np.maximum(escaped, 0.0)
-    total = float(P.sum())
     diag = {"n_steps": res.n_steps, "n_rejected": res.n_rejected,
             "n_rhs": res.n_rhs, "rk_pair": PAIR,
             "arithmetic": "real" if real else "complex", "residual_norm": norm_end,
             "t_end": res.t, "tail_bound": norm_end,
-            "conservation_defect": abs(1.0 - total - norm_end), "engine": TIME}
+            "conservation_defect": abs(1.0 - float(P.sum()) - norm_end), "engine": TIME}
     # stopped early: the norm floor was reached before the time ceiling
-    return LossProfile(P=P, engine=TIME, total=total,
-                       incomplete=not res.stopped_early, diagnostics=diag)
+    return LossProfile(P=P, engine=TIME, incomplete=not res.stopped_early,
+                       diagnostics=diag)
 
 
 def _resolvent_edges(width: float, omega_max: float, folded: bool) -> np.ndarray:
@@ -414,12 +412,12 @@ def loss_profile_resolvent(cfg: WalkConfig, max_panels: int = 4000) -> LossProfi
     p = cfg.params
     gam = np.asarray(p.gamma)
     if np.all(gam == 0.0):
-        return LossProfile(P=np.zeros(p.L), engine=RESOLVENT, total=0.0,
+        return LossProfile(P=np.zeros(p.L), engine=RESOLVENT,
                            diagnostics={"engine": RESOLVENT, **LOSSLESS_DIAGNOSTICS})
     f, edges, omega_max, tail_bound, info = resolvent_integrand(
         p, cfg.x0, build_ladder(p), 1.0)
     quad = adaptive_quadrature(f, edges, rtol=RESOLVENT_RTOL, atol_frac=1e-16,
                                max_panels=max_panels // (2 if info["folded"] else 1))
     P, ok, diag = resolvent_result(quad, gam, omega_max, tail_bound, info)
-    return LossProfile(P=P, engine=RESOLVENT, total=float(P.sum()), incomplete=not ok,
+    return LossProfile(P=P, engine=RESOLVENT, incomplete=not ok,
                        diagnostics={"engine": RESOLVENT, **diag})

@@ -13,7 +13,12 @@ to a number the package computes another way:
   convergence class `liouvillian_gap` reads off the gap (C8);
 * `geometric_edges`: the resolvent tail split into panels of ratio 4 in
   omega, against the one compactified span `walk.resolvent_integrand`
-  integrates (`quadrature.tail_map`).
+  integrates (`quadrature.tail_map`);
+* `eigenpairs`: a dense eigensolve with right vectors, residuals and a
+  condition flag, behind the spectra C8b compares and the pairs
+  `eigenpair_near` is pinned to;
+* `eigenpair_near`: the eigenpair nearest a shift by inverse iteration on a
+  band, the pairs C2 reads.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from igclab import GeneralModel, LadderParams, build_damping, build_ladder, site_index
+from igclab import GeneralModel, LadderParams, build_damping, build_ladder, lu_solve, site_index
 from igclab.model import h_x, h_y
 
 
@@ -122,3 +127,76 @@ def geometric_edges(start, stop):
         edges.append(float(np.sign(start) * v))
     edges.append(float(stop))
     return edges
+
+
+#: relative eigenpair residual above which `eigenpairs` sets its flag
+RESIDUAL_RTOL = 1e-8
+
+
+def eigenpairs(A: np.ndarray):
+    """(eigenvalues, right vectors, residuals, condition flag) of a square matrix.
+
+    The eigenvalues are sorted by (Re, Im), a float64 matrix solved in real
+    arithmetic as `densela.eigendecompose` does, and the vectors are the
+    columns aligned with them.  Each pair gets its relative residual
+    ||A v - lambda v|| / (||v|| ||A||); the solver is treated as a black box
+    and the residuals are the ground truth.  The flag is set when a residual
+    exceeds RESIDUAL_RTOL or the eigenvector basis is numerically rank
+    deficient (defective or near-defective input).  Skin-effect matrices
+    under open boundaries trip it at moderate sizes; callers must not
+    propagate with their eigenvectors.
+    """
+    A = np.asarray(A)
+    A = A if A.dtype == np.float64 else A.astype(complex, copy=False)
+    w, V = (a.astype(complex, copy=False) for a in np.linalg.eig(A))
+    order = np.lexsort((w.imag, w.real))
+    w, V = w[order], V[:, order]
+    norm_a = np.linalg.norm(A)
+    if norm_a == 0.0:
+        residuals = np.zeros(w.size)
+    else:
+        residuals = np.linalg.norm(A @ V - V * w, axis=0) / (np.linalg.norm(V, axis=0) * norm_a)
+    flag = bool(np.any(residuals > RESIDUAL_RTOL))
+    if not flag:
+        # near-defective input: pairs can look accurate while the basis is rank
+        # deficient, so probe the basis conditioning as well
+        sv = np.linalg.svd(V, compute_uv=False)
+        flag = bool(sv[-1] <= np.finfo(float).eps / RESIDUAL_RTOL * sv[0])
+    return w, V, residuals, flag
+
+
+#: steps after which `eigenpair_near` gives up: a C2 pair takes 5, and a
+#: shift 0.4 of the way between two eigenvalues up to 74
+_MAX_ITERATIONS = 200
+
+
+def eigenpair_near(band, sigma: complex):
+    """(E, v): the eigenpair of a `Banded` matrix A nearest sigma, by
+    fixed-shift inverse iteration, v of unit norm in the band's site order.
+
+    Each step solves (A - sigma) y = x with `lu_solve(band, x, shift=-sigma)`
+    and takes x = y / ||y||.  The shift never moves, so the iterate converges
+    to the eigenvector of the eigenvalue nearest sigma, by the factor
+    |E - sigma| / |E' - sigma| per step (E' the next nearest); a Rayleigh
+    quotient shift converges faster but can reach another eigenvalue.  As
+    (A - sigma) y = x, E = sigma + <y, x> / <y, y> is y's Rayleigh quotient
+    and ||x - (E - sigma) y|| / ||y|| its residual ||A v - E v||, so no
+    matvec is needed; the iteration stops once that is <= 1e-14 ||A||_F.  The
+    start is a fixed random vector, since a structured one (all ones) is
+    orthogonal to every plane wave of a ring but the uniform one.  A shift
+    on an eigenvalue raises `SingularMatrixError` by the pivot rule.
+    """
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=band.ab.shape[1]) + 1j * rng.normal(size=band.ab.shape[1])
+    x /= np.linalg.norm(x)
+    tol = 1e-14 * np.linalg.norm(band.ab)
+    for _ in range(_MAX_ITERATIONS):
+        y = lu_solve(band, x, shift=-sigma)
+        norm_y = np.linalg.norm(y)
+        theta = np.vdot(y, x) / norm_y ** 2
+        residual = np.linalg.norm(x - theta * y) / norm_y
+        x = y / norm_y
+        if residual <= tol:
+            return sigma + theta, x
+    raise RuntimeError(f"inverse iteration at {sigma} did not converge in "
+                       f"{_MAX_ITERATIONS} steps (residual {residual:.2e})")

@@ -14,8 +14,9 @@ the finite L=200 matrix and a double-precision eigensolve can show it:
   ring's seam, and as bounds set by F at the nearest grid momentum.
 * Under open boundaries the eigenvalue condition numbers reach 1e26 to 1e105,
   so two separate eigensolves of X and i conj(H) disagree far above 1e-9.
-  C8b compares the spectra directly where `densela` leaves both unflagged
-  and compares power sums, which stay well conditioned, everywhere.
+  C8b compares the spectra directly where the reference eigensolve
+  (`references.eigenpairs`) leaves both unflagged, reading its condition
+  flag, and compares power sums, which stay well conditioned, everywhere.
 
 Each of them also has a companion test that carries the literal clause at
 commensurate couplings or at a well-conditioned size.
@@ -33,7 +34,9 @@ import igclab as il
 from igclab import OBC, PBC
 from igclab.cli import execute, main as cli_main
 from igclab.model import h_x, h_y
-from references import build_bloch, igc_energies_closed_form, propagate_correlation
+from references import (
+    build_bloch, eigenpair_near, eigenpairs, igc_energies_closed_form, propagate_correlation,
+)
 
 
 def _report(tag, ok, detail=""):
@@ -49,6 +52,11 @@ def fig3(t0=0.3, gamma=0.5, bc=OBC, L=200, t2=None, phi=np.pi / 2):
 LINEAR = il.linear_gamma(200, 0.01, 0.20)
 COMMENSURATE_T0 = 0.5 * np.cos(2 * np.pi / 5)
 COMMENSURATE_E = 0.5 * np.sin(3 * np.pi / 5)
+#: +/-COMMENSURATE_E are eigenvalues of the commensurate ring whatever its
+#: loss, and a shift on an eigenvalue leaves the band singular to the pivot
+#: rule; C2c's inverse iteration shifts this far off them instead, far
+#: nearer its target than any other eigenvalue
+_OFF_EIGENVALUE = 1e-9
 
 CORNERS = [(0.3, "uniform"), (0.3, "linear"), (0.6, "uniform"), (0.6, "linear")]
 
@@ -102,6 +110,19 @@ def _a_plane_wave(k, L):
     v = np.zeros(2 * L, dtype=complex)
     v[0::2] = np.exp(1j * k * np.arange(1, L + 1)) / np.sqrt(L)
     return v
+
+
+def _pair_near(op, sigma):
+    """The eigenpair of ladder operator `op` nearest sigma by inverse iteration
+    on its band (`references.eigenpair_near`), the vector in natural order."""
+    E, v = eigenpair_near(op.band, sigma)
+    natural = np.empty_like(v)
+    natural[op.order] = v
+    return E, natural
+
+
+def _b_weight(v):
+    return np.linalg.norm(v[1::2]) ** 2 / np.linalg.norm(v) ** 2
 
 
 @pytest.fixture(scope="module")
@@ -163,14 +184,14 @@ def test_c1_finite_ring_real_eigenvalues_as_stated():
     """
     p = fig3(bc=PBC)
     grid = _ring_grid(p)
-    w = il.eigendecompose(il.build_ladder(p).matrix).eigenvalues
+    w = il.eigendecompose(il.build_ladder(p).matrix)
     bands = il.bloch_bands(p, grid.ks).ravel()
     rows, cols = linear_sum_assignment(np.abs(w[:, None] - bands[None, :]))
     ring_vs_bands = np.abs(w[rows] - bands[cols]).max()
     at_root, near_real = [], []
     for target in (0.4, -0.4):
         root = min(grid.roots, key=lambda r: abs(r.energy - target))
-        wb = il.eigendecompose(build_bloch(p, root.k)).eigenvalues
+        wb = il.eigendecompose(build_bloch(p, root.k))
         at_root.append(np.abs(wb - target).min())
         bj = il.bloch_bands(p, [root.k_j]).ravel()
         nearest = w[np.abs(w - target).argmin()]
@@ -188,7 +209,7 @@ def test_c1_commensurate_ring_counterpart():
     """Same physics where the ring hosts the mode: eigenvalue hit to 1e-8."""
     p = fig3(t0=COMMENSURATE_T0, bc=PBC)
     sol = il.solve_connection(p.t, p.t_p, p.phi)
-    w = il.eigendecompose(il.build_ladder(p).matrix).eigenvalues
+    w = il.eigendecompose(il.build_ladder(p).matrix)
     dist = max(np.abs(w - COMMENSURATE_E).min(),
                np.abs(w + COMMENSURATE_E).min())
     ok = (len(sol.points) == 2
@@ -229,6 +250,10 @@ def test_c2_gamma_independence_as_stated():
       w_B <= F_j^2 / gamma_min^2 (worst: 28%).
     * The Im identity above gives gamma_min w_B <= -Im E <= gamma_max w_B,
       checked to 1e-8 relative.
+
+    Each near-real pair is read by inverse iteration on the band at the fixed
+    shift eps_j, which converges to the eigenvalue nearest eps_j (see
+    `test_c2_inverse_iteration_matches_the_dense_pair` for the dense witness).
     """
     t_start = time.perf_counter()
     p0 = fig3(bc=PBC)
@@ -240,7 +265,8 @@ def test_c2_gamma_independence_as_stated():
     worst_res, worst_spread = 0.0, 0.0
     worst_shift, worst_weight, worst_identity = 0.0, 0.0, 0.0
     for p in _profile_matrix(0.3):
-        H = il.build_ladder(p).matrix
+        op = il.build_ladder(p)
+        H = op.matrix
         residuals = np.array([H @ v - E * v for E, v in waves])
         worst_res = max(worst_res, np.abs(residuals[:, interior]).max())
         if ref_residuals is None:
@@ -248,11 +274,9 @@ def test_c2_gamma_independence_as_stated():
         worst_spread = max(worst_spread, np.abs(residuals - ref_residuals).max())
 
         g_min, g_max = min(p.gamma), max(p.gamma)
-        spec = il.eigendecompose(H, want_vectors=True)
         for r in grid.roots:
-            j = np.abs(spec.eigenvalues - r.eps_j).argmin()
-            E, v = spec.eigenvalues[j], spec.right_vectors[:, j]
-            w_b = np.linalg.norm(v[1::2]) ** 2 / np.linalg.norm(v) ** 2
+            E, v = _pair_near(op, r.eps_j)
+            w_b = _b_weight(v)
             worst_shift = max(worst_shift, abs(E - r.eps_j)
                               / (r.F_j ** 2 / (g_min - abs(E.imag))))
             worst_weight = max(worst_weight, w_b / (r.F_j ** 2 / g_min ** 2))
@@ -276,23 +300,34 @@ def test_c2_gamma_independence_commensurate():
     t_start = time.perf_counter()
     E = COMMENSURATE_E
     worst_dist, worst_weight = 0.0, 0.0
-    profs = [np.full(200, 0.5), il.linear_gamma(200, 0.01, 0.20)]
-    profs += [il.random_gamma(200, 0.4, 0.6, seed=s) for s in range(10)]
-    for g in profs:
-        p = fig3(t0=COMMENSURATE_T0, gamma=g, bc=PBC)
-        spec = il.eigendecompose(il.build_ladder(p).matrix, want_vectors=True)
-        w = spec.eigenvalues
+    for p in _profile_matrix(COMMENSURATE_T0):
+        op = il.build_ladder(p)
         for target in (E, -E):
-            j = np.abs(w - target).argmin()
-            worst_dist = max(worst_dist, abs(w[j] - target))
-            v = spec.right_vectors[:, j]
-            worst_weight = max(worst_weight,
-                               np.linalg.norm(v[1::2]) ** 2 / np.linalg.norm(v) ** 2)
+            lam, v = _pair_near(op, target + _OFF_EIGENVALUE)
+            worst_dist = max(worst_dist, abs(lam - target))
+            worst_weight = max(worst_weight, _b_weight(v))
     elapsed = time.perf_counter() - t_start
     ok = worst_dist < 1e-8 and worst_weight < 1e-8
     assert _report("C2c", ok,
                    f"12 profiles: eigenvalue distance {worst_dist:.2e}, "
                    f"B-weight {worst_weight:.2e}, {elapsed:.1f}s")
+
+
+def test_c2_inverse_iteration_matches_the_dense_pair():
+    """Witness: on C2's and C2c's uniform profiles, the pair inverse
+    iteration reads is the reference dense eigensolve's pair nearest the
+    target, eigenvalue to 1e-12 and B-weight to 1e-10 relative (or both
+    below 1e-20, where each is rounding on an A-only vector)."""
+    for t0, targets, off in ((0.3, [r.eps_j for r in _ring_grid(fig3(bc=PBC)).roots], 0.0),
+                             (COMMENSURATE_T0, [COMMENSURATE_E, -COMMENSURATE_E],
+                              _OFF_EIGENVALUE)):
+        op = il.build_ladder(fig3(t0=t0, bc=PBC))
+        w, V, _, _ = eigenpairs(op.matrix)
+        for target in targets:
+            j = np.abs(w - target).argmin()
+            E, v = _pair_near(op, target + off)
+            assert abs(E - w[j]) < 1e-12
+            assert _b_weight(v) == pytest.approx(_b_weight(V[:, j]), rel=1e-10, abs=1e-20)
 
 
 # --- criterion 3 --------------------------------------------------------------
@@ -308,7 +343,7 @@ def test_c3_engine_equivalence(corner_profiles):
         mask = pt.P > 1e-12
         rel = np.abs(pr.P[mask] - pt.P[mask]) / pt.P[mask]
         worst_rel = max(worst_rel, rel.max())
-        worst_sum = max(worst_sum, abs(pt.total - 1.0))
+        worst_sum = max(worst_sum, abs(pt.P.sum() - 1.0))
     ok = worst_rel < 1e-4 and worst_sum < 1e-6 and total_wall < 600.0
     assert _report("C3", ok, f"max relative gap {worst_rel:.2e}, "
                              f"|sum P - 1| {worst_sum:.2e}, {total_wall:.0f}s")
@@ -410,7 +445,7 @@ def test_c7_peierls_symmetry_and_energies():
         closed = sorted(igc_energies_closed_form(0.3, 0.5, 0.5, phi))
         assert sorted(pt.energy for pt in sol.points) == pytest.approx(closed, abs=1e-10)
         for pt in sol.points:
-            w = il.eigendecompose(build_bloch(p, pt.k)).eigenvalues
+            w = il.eigendecompose(build_bloch(p, pt.k))
             worst = max(worst, np.abs(w - pt.energy).min())
     ok = ok_sym and worst < 1e-8
     assert _report("C7", ok, f"asymmetry {asym:.2e}; worst band distance {worst:.2e}")
@@ -443,15 +478,16 @@ def test_c8_spectral_mapping_multiset_as_stated():
 
     X = i conj(H) holds elementwise (C8a), so the two spectra are equal
     exactly; the question is what two separate eigensolves can show.
-    `densela` promises small residuals and a `condition_flag`, i.e. each
-    computed spectrum is exact for a matrix within rounding of its input;
-    it does not promise forward accuracy.  The forward error is that
-    backward error times the eigenvalue condition number, which is at most
+    The reference eigensolve `references.eigenpairs` checks small residuals
+    and sets a condition flag, i.e. each unflagged spectrum is exact for a
+    matrix within rounding of its input; it does not promise forward
+    accuracy.  The forward error is that backward error times the
+    eigenvalue condition number, which is at most
     1.9 under PBC but 1e9 to 1e105 under OBC (skin effect; estimates from
     left and right eigenvectors), where the two solves differ by 8.4e-4
     (t0=0.3) and 9.6e-3 (t0=0.6).  So on all four Fig-8 configurations:
 
-    * where `densela` leaves both spectra unflagged, the multiset distance
+    * where the reference leaves both spectra unflagged, the multiset distance
       is < 1e-9; both PBC rows must be unflagged, so this always runs
       (measured 1.7e-14);
     * the power sums sum_j w_X^m and sum_j (i conj w_H)^m, m = 1..8, agree
@@ -463,10 +499,10 @@ def test_c8_spectral_mapping_multiset_as_stated():
     unflagged = set()
     for t0, bc in FIG8_CONFIGS:
         p = _fig8_params(t0, bc)
-        spec_h = il.eigendecompose(il.build_ladder(p).matrix, want_vectors=True)
-        spec_x = il.eigendecompose(il.build_damping(p).matrix, want_vectors=True)
-        mapped, w_x = 1j * np.conj(spec_h.eigenvalues), spec_x.eigenvalues
-        if not (spec_h.condition_flag or spec_x.condition_flag):
+        w_h, _, _, flag_h = eigenpairs(il.build_ladder(p).matrix)
+        w_x, _, _, flag_x = eigenpairs(il.build_damping(p).matrix)
+        mapped = 1j * np.conj(w_h)
+        if not (flag_h or flag_x):
             unflagged.add((t0, bc))
             dist = np.abs(mapped[:, None] - w_x[None, :])
             worst_dist = max(worst_dist, dist.min(axis=1).max(),
@@ -489,8 +525,8 @@ def test_c8_spectral_mapping_multiset_reference_scale():
     worst = 0.0
     for t0, bc in FIG8_CONFIGS:
         p = _fig8_params(t0, bc, L=30)
-        w_h = il.eigendecompose(il.build_ladder(p).matrix).eigenvalues
-        w_x = il.eigendecompose(il.build_damping(p).matrix).eigenvalues
+        w_h = il.eigendecompose(il.build_ladder(p).matrix)
+        w_x = il.eigendecompose(il.build_damping(p).matrix)
         mapped = 1j * np.conj(w_h)
         dist = np.abs(mapped[:, None] - w_x[None, :])
         worst = max(worst, dist.min(axis=1).max(), dist.min(axis=0).max())

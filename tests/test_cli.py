@@ -450,6 +450,12 @@ END_TO_END = {
         small_sweep([4, 6]), ["--plot"], 0,
         {"diagnostics.n_rows": 2, "diagnostics.n_incomplete": 0,
          "outputs": _svgs("sweep.svg")}),
+    # a release at an edge cell leaves that side's ratio undefined (None):
+    # the plot drops the point, as the CSV writes nan
+    "sweep plot, edge releases": (
+        dict(small_sweep([1, 6, 12]), engine="RESOLVENT"), ["--plot"], 0,
+        {"diagnostics.n_rows": 3, "diagnostics.n_incomplete": 0,
+         "outputs": _svgs("sweep.svg")}),
     "damping plot with a steady density": (
         {"command": "liouville", "x0": 10,
          "model": _ladder(phi=0.7, gamma={"kind": "random", "low": 0.4, "high": 0.6,
@@ -578,13 +584,13 @@ def test_spectrum_takes_bloch_blocks_only_on_uniform_rings(tmp_path, monkeypatch
     # the open ladder and the non-uniform ring are the dense eigensolve, unchanged
     obc = LadderParams(L=30, t=[0.3, 0.5, 0.2], t_p=0.5, phi=0.7, gamma=0.5)
     ring_lin = obc.replace(bc="PBC", gamma=linear_gamma(30, 0.01, 0.2))
-    assert np.array_equal(got["OBC"], eigendecompose(build_ladder(obc).matrix).eigenvalues)
-    assert np.array_equal(got_lin, eigendecompose(build_ladder(ring_lin).matrix).eigenvalues)
+    assert np.array_equal(got["OBC"], eigendecompose(build_ladder(obc).matrix))
+    assert np.array_equal(got_lin, eigendecompose(build_ladder(ring_lin).matrix))
     # the uniform ring: its Bloch-block spectrum, sorted as the dense one is
     ring = obc.replace(bc="PBC")
     w = got["PBC"]
     assert np.array_equal(np.lexsort((w.imag, w.real)), np.arange(w.size))
-    dense = eigendecompose(build_ladder(ring).matrix).eigenvalues
+    dense = eigendecompose(build_ladder(ring).matrix)
     rows, cols = linear_sum_assignment(np.abs(dense[:, None] - w[None, :]))
     assert np.abs(dense[rows] - w[cols]).max() < 1e-13
     assert diags["PBC"]["max_imag"] == w.imag.max()
@@ -635,7 +641,7 @@ def test_a_uniform_ring_gap_reads_the_bloch_blocks(tmp_path):
         rows, cols = linear_sum_assignment(np.abs(lam[:, None] - w[None, :]))
         assert lam.size == w.size == 40
         assert np.abs(lam[rows] - w[cols]).max() <= 1e-14 * scale
-        dense = eigendecompose(1j * np.conj(H.matrix)).eigenvalues
+        dense = eigendecompose(1j * np.conj(H.matrix))
         assert abs(diags["gap"] + 2 * dense.real.max()) <= 1e-14
 
 
@@ -730,6 +736,18 @@ def test_config_echo_reparses(tmp_path):
         echo = record["diagnostics"]["model"]
         assert validate_config({"command": "igc", "model": echo})[1] == model, name
         assert ("prng" in record["diagnostics"]) == (name == "random")
+    # a general model's echo carries its matrices as [re, im] pairs
+    cfg = {"command": "spectrum",
+           "model": dict(_GENERAL, A=[[[0.2, 0.0]]], C=[[[0.1, -0.3]]])}
+    status, out = run_cli(tmp_path / "general", cfg)
+    assert status == 0
+    ran = validate_config(cfg)[1]
+    echoed = validate_config({"command": "spectrum",
+                              "model": json.loads((out / "run.json").read_text())
+                              ["diagnostics"]["model"]})[1]
+    for name in ("A", "B_herm", "C"):
+        assert np.array_equal(getattr(echoed, name), getattr(ran, name)), name
+    assert echoed.gamma == ran.gamma
 
 
 def test_csv_full_precision(tmp_path):

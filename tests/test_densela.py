@@ -12,6 +12,7 @@ from igclab import (
     lu_solve,
 )
 from igclab.densela import PIVOT_RTOL, Banded
+from references import eigenpair_near, eigenpairs
 
 EPS = np.finfo(float).eps
 
@@ -351,8 +352,8 @@ def test_lu_solve_ill_conditioned_backward_stable():
 
 
 def test_eigendecompose_symmetric_pair():
-    spec = eigendecompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(spec.eigenvalues, [-1.0, 1.0])
+    w = eigendecompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert isinstance(w, np.ndarray) and np.allclose(w, [-1.0, 1.0])
 
 
 def test_eigendecompose_solves_a_real_matrix_in_real_arithmetic(monkeypatch):
@@ -361,11 +362,10 @@ def test_eigendecompose_solves_a_real_matrix_in_real_arithmetic(monkeypatch):
     seen = []
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda M: seen.append(M.dtype) or eigvals(M))
-    spec = eigendecompose(A)
+    w = eigendecompose(A)
     Ac = A.astype(complex)
-    ref = eigendecompose(Ac).eigenvalues
+    ref = eigendecompose(Ac)
     assert seen == [np.float64, np.complex128]
-    w = spec.eigenvalues
     # complex dtype, sorted by (Re, Im), and exactly closed under conjugation
     assert w.dtype == complex and np.iscomplex(w).any()
     assert np.array_equal(np.lexsort((w.imag, w.real)), np.arange(w.size))
@@ -377,79 +377,93 @@ def test_eigendecompose_solves_a_real_matrix_in_real_arithmetic(monkeypatch):
     ref_w = eigvals(Ac)
     assert np.array_equal(ref, ref_w[np.lexsort((ref_w.imag, ref_w.real))])
     # all-real eigenvalues still come back complex
-    assert eigendecompose(A + A.T).eigenvalues.dtype == complex
-    # the vectors keep the residual and flag contract
-    vec = eigendecompose(A, want_vectors=True)
-    assert vec.right_vectors.dtype == complex
-    assert np.array_equal(vec.eigenvalues, w)
-    assert vec.residuals.max() < 1e-13 and not vec.condition_flag
-    r = np.linalg.norm(A @ vec.right_vectors - vec.right_vectors * w, axis=0)
-    assert np.allclose(r / (np.linalg.norm(vec.right_vectors, axis=0) * np.linalg.norm(A)),
-                       vec.residuals, rtol=1e-6, atol=1e-16)
+    assert eigendecompose(A + A.T).dtype == complex
+    # the reference's vectors keep the residual and flag contract
+    vec_w, V, residuals, flag = eigenpairs(A)
+    assert V.dtype == complex
+    assert np.array_equal(vec_w, w)
+    assert residuals.max() < 1e-13 and not flag
+    r = np.linalg.norm(A @ V - V * w, axis=0)
+    assert np.allclose(r / (np.linalg.norm(V, axis=0) * np.linalg.norm(A)),
+                       residuals, rtol=1e-6, atol=1e-16)
 
 
 def test_eigendecompose_takes_a_stack_of_blocks():
     rng = np.random.default_rng(8)
     blocks = rng.normal(size=(7, 3, 3)) + 1j * rng.normal(size=(7, 3, 3))
-    w = eigendecompose(blocks).eigenvalues
+    w = eigendecompose(blocks)
     assert w.shape == (7, 3)
     for block, row in zip(blocks, w):
         # each row is its block's spectrum, in the same (Re, Im) order
-        assert np.allclose(row, eigendecompose(block).eigenvalues, rtol=0, atol=1e-13)
+        assert np.allclose(row, eigendecompose(block), rtol=0, atol=1e-13)
         assert np.array_equal(np.lexsort((row.imag, row.real)), np.arange(3))
-    with pytest.raises(ValueError, match="stack"):
-        eigendecompose(blocks, want_vectors=True)
     with pytest.raises(ValueError, match="square"):
         eigendecompose(np.zeros((4, 2, 3)))
     with pytest.raises(ValueError, match="empty"):
         eigendecompose(np.zeros((0, 2, 2)))
 
 
-def test_eigendecompose_defective_sets_flag():
-    spec = eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]), want_vectors=True)
-    assert np.allclose(spec.eigenvalues, 0.0)
-    assert spec.condition_flag
+def test_eigenpairs_defective_sets_flag():
+    w, _, _, flag = eigenpairs(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert np.allclose(w, 0.0)
+    assert flag
 
 
-def test_eigendecompose_residual_contract():
+def test_eigenpairs_residual_contract():
     rng = np.random.default_rng(6)
     A = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
-    spec = eigendecompose(A, want_vectors=True)
-    assert spec.residuals.max() < 1e-8
-    assert not spec.condition_flag
+    w, V, residuals, flag = eigenpairs(A)
+    assert residuals.max() < 1e-8
+    assert not flag
     # residuals recomputed directly must match the reported ones
     for j in [0, 7, 29]:
-        v = spec.right_vectors[:, j]
-        r = np.linalg.norm(A @ v - spec.eigenvalues[j] * v)
+        v = V[:, j]
+        r = np.linalg.norm(A @ v - w[j] * v)
         r /= np.linalg.norm(v) * np.linalg.norm(A)
-        assert r == pytest.approx(spec.residuals[j], rel=1e-6, abs=1e-15)
+        assert r == pytest.approx(residuals[j], rel=1e-6, abs=1e-15)
+
+
+def test_inverse_iteration_converges_to_the_eigenvalue_nearest_the_shift():
+    # tridiagonal Toeplitz (sub 1, super 1/4): eigenvalues cos(j pi / 9),
+    # j = 1..8; diag(2^k) makes it symmetric, so an eigenvalue is good to its
+    # residual times that scaling's condition number, 2^7
+    n = 8
+    lam = np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
+    ab = np.zeros((3, n), dtype=complex)
+    ab[0, 1:], ab[2, :-1] = 0.25, 1.0
+    band = Banded(ab=ab, kl=1, ku=1)
+    A = np.diag(np.full(n - 1, 0.25), 1) + np.diag(np.ones(n - 1), -1)
+    for j in range(n - 1):
+        for frac, want in ((0.4, j), (0.6, j + 1)):
+            # the shift lies between two eigenvalues, nearer `want`
+            E, v = eigenpair_near(band, lam[j] + frac * (lam[j + 1] - lam[j]))
+            assert abs(E - lam[want]) < 1e-12
+            assert np.linalg.norm(A @ v - E * v) < 1e-13
 
 
 def test_trace_and_determinant_invariants():
     rng = np.random.default_rng(7)
     for n in (3, 17, 64):
         A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        w = eigendecompose(A).eigenvalues
+        w = eigendecompose(A)
         assert abs(w.sum() - np.trace(A)) < 1e-9 * np.linalg.norm(A)
         det = np.linalg.det(A)
         assert abs(np.prod(w) - det) < 1e-8 * abs(det)
 
 
 def test_obc_skin_matrix_flags_conditioning(fig3_params):
-    spec = eigendecompose(build_ladder(fig3_params(bc=OBC)).matrix,
-                          want_vectors=True)
-    assert spec.condition_flag
+    assert eigenpairs(build_ladder(fig3_params(bc=OBC)).matrix)[3]
 
 
 def test_max_imag_obc_strictly_gapped(fig3_params):
-    w = eigendecompose(build_ladder(fig3_params(bc=OBC)).matrix).eigenvalues
+    w = eigendecompose(build_ladder(fig3_params(bc=OBC)).matrix)
     assert w.imag.max() < -1e-3
 
 
 def test_max_imag_pbc_near_axis(fig3_params, commensurate_params):
     # the finite incommensurate ring only approaches the axis; the
     # commensurate one touches it to machine precision
-    near = eigendecompose(build_ladder(fig3_params(bc=PBC)).matrix).eigenvalues.imag.max()
+    near = eigendecompose(build_ladder(fig3_params(bc=PBC)).matrix).imag.max()
     assert -1e-4 < near <= 1e-12
-    exact = eigendecompose(build_ladder(commensurate_params()).matrix).eigenvalues.imag.max()
+    exact = eigendecompose(build_ladder(commensurate_params()).matrix).imag.max()
     assert abs(exact) < 1e-12

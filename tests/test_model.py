@@ -48,7 +48,7 @@ def test_dissipativity_random_models():
                          phi=rng.uniform(0, 2 * np.pi), gamma=rng.uniform(0, 1, L),
                          bc=PBC if rng.random() < 0.5 else OBC)
         H = build_ladder(p).matrix
-        w = eigendecompose(H).eigenvalues
+        w = eigendecompose(H)
         assert w.imag.max() <= 1e-10 * np.linalg.norm(H)
 
 
@@ -78,7 +78,7 @@ def test_bloch_eigenvalues_at_connection_root():
     k = np.arccos(-0.6)
     assert abs(h_x(p.t, k)) < 1e-15
     E = h_y(p.t_p, p.phi, k)
-    w = eigendecompose(build_bloch(p, k)).eigenvalues
+    w = eigendecompose(build_bloch(p, k))
     expected = np.array([E, -E - 0.5j])
     dist = np.abs(w[:, None] - expected[None, :])
     assert dist.min(axis=1).max() < 1e-12
@@ -149,9 +149,9 @@ def test_general_model_block_diagonal_when_uncoupled():
     B = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     B = (B + B.conj().T) / 2
     g = GeneralModel(A=A, B_herm=B, C=np.zeros((3, 4)), gamma=[0.5, 1.0, 2.0])
-    w = eigendecompose(build_general(g)).eigenvalues
-    wa = eigendecompose(A).eigenvalues
-    wb = eigendecompose(B - 1j * np.diag([0.5, 1.0, 2.0])).eigenvalues
+    w = eigendecompose(build_general(g))
+    wa = eigendecompose(A)
+    wb = eigendecompose(B - 1j * np.diag([0.5, 1.0, 2.0]))
     expected = np.concatenate([wa, wb])
     dist = np.abs(w[:, None] - expected[None, :])
     assert dist.min(axis=1).max() < 1e-10
@@ -174,7 +174,7 @@ def test_random_six_site_model_is_dissipative():
     A = (A + A.conj().T) / 2
     C = rng.normal(size=(1, 5)) + 1j * rng.normal(size=(1, 5))
     g = GeneralModel(A=A, B_herm=np.zeros((1, 1)), C=C, gamma=[1.0])
-    w = eigendecompose(build_general(g)).eigenvalues
+    w = eigendecompose(build_general(g))
     assert w.imag.max() <= 1e-12
 
 

@@ -32,7 +32,7 @@ def test_dimer_escapes_entirely_through_its_own_cell():
     assert not prof.incomplete
     assert prof.P[0] == pytest.approx(1.0, abs=1e-7)
     assert prof.P[1] == pytest.approx(0.0, abs=1e-12)
-    assert abs(prof.total - 1.0) < cfg.norm_floor + 1e-6
+    assert abs(prof.P.sum() - 1.0) < cfg.norm_floor + 1e-6
 
 
 def test_dimer_resolvent_matches():
@@ -56,7 +56,7 @@ def test_lossless_walk_keeps_norm():
 def test_resolvent_short_circuits_lossless_case():
     p = LadderParams(L=10, t=[0.3], t_p=0.2, phi=0.1, gamma=0.0)
     prof = loss_profile_resolvent(WalkConfig(params=p, x0=5))
-    assert prof.total == 0.0
+    assert prof.P.sum() == 0.0
     assert np.all(prof.P == 0.0)
 
 
@@ -70,9 +70,9 @@ def test_norm_monotone_and_balance():
         left = prof.diagnostics["residual_norm"]
         norms.append(left)
         # escaped probability plus what is left accounts for the initial unit norm
-        assert prof.total + left == pytest.approx(1.0, abs=1e-6)
+        assert prof.P.sum() + left == pytest.approx(1.0, abs=1e-6)
         assert np.all(prof.P >= 0.0)
-        assert prof.total <= 1.0 + 1e-6
+        assert prof.P.sum() <= 1.0 + 1e-6
     assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
     assert not prof.incomplete
 
@@ -105,10 +105,10 @@ def test_engines_agree_midsize():
     mask = pt.P > 1e-12
     rel = np.abs(pr.P[mask] - pt.P[mask]) / pt.P[mask]
     assert rel.max() < 1e-4
-    assert abs(pt.total - 1.0) < 1e-6
+    assert abs(pt.P.sum() - 1.0) < 1e-6
     # sum P + residual = 1 for TIME, sum P = 1 for RESOLVENT, up to the error
     assert pt.diagnostics["conservation_defect"] < 1e-6
-    assert pr.diagnostics["conservation_defect"] == abs(1.0 - pr.total) < 1e-6
+    assert pr.diagnostics["conservation_defect"] == abs(1.0 - pr.P.sum()) < 1e-6
 
 
 def test_engines_agree_nonuniform_gamma():
@@ -131,7 +131,7 @@ def test_mass_above_one_is_flagged_on_both_resolvent_paths():
     prof = loss_profile_resolvent(WalkConfig(params=p, x0=5))
     dens, diag = steady_density(p, 5)
     assert prof.incomplete and not diag["converged"]
-    for total, d in ((prof.total, prof.diagnostics), (dens.sum(), diag)):
+    for total, d in ((prof.P.sum(), prof.diagnostics), (dens.sum(), diag)):
         assert total > 1.0 + d["conservation_budget"]
         assert d["conservation_defect"] == abs(1.0 - total)
         assert 1e-8 <= d["conservation_budget"] < 1e-6
@@ -220,7 +220,7 @@ def test_banded_walk_steps_like_the_dense_one(p, x0):
     mask = P > 0
     assert (np.abs(prof.P - P)[mask] / P[mask]).max() < 1e-12
     assert prof.diagnostics["conservation_defect"] == \
-        abs(1.0 - prof.total - prof.diagnostics["residual_norm"])
+        abs(1.0 - prof.P.sum() - prof.diagnostics["residual_norm"])
 
 
 def test_time_engine_accuracy_on_the_t2_ladder():
