@@ -403,16 +403,21 @@ def test_eigendecompose_takes_a_stack_of_blocks():
         eigendecompose(np.zeros((0, 2, 2)))
 
 
-def test_eigenpairs_defective_sets_flag():
-    w, _, _, flag = eigenpairs(np.array([[0.0, 1.0], [0.0, 0.0]]))
+def test_eigendecompose_defective_sets_flag():
+    # the flag comes with the vectors, which the reference computes
+    A = np.array([[0.0, 1.0], [0.0, 0.0]])
+    w, _, _, flag = eigenpairs(A)
     assert np.allclose(w, 0.0)
+    assert np.allclose(eigendecompose(A), 0.0)
     assert flag
 
 
-def test_eigenpairs_residual_contract():
+def test_eigendecompose_residual_contract():
     rng = np.random.default_rng(6)
     A = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
     w, V, residuals, flag = eigenpairs(A)
+    # the residuals vouch for eigendecompose's eigenvalues, sorted alike
+    assert np.allclose(eigendecompose(A), w, rtol=0, atol=1e-12 * np.linalg.norm(A))
     assert residuals.max() < 1e-8
     assert not flag
     # residuals recomputed directly must match the reported ones
