@@ -69,7 +69,10 @@ class SvgPlot:
         xs = [p[0] for s in self.series for p in s[0]]
         ys = [p[1] for s in self.series for p in s[0]]
         if not xs:
-            xs, ys = [0.0, 1.0], [0.0, 1.0]
+            # no point survived (a lossless profile on a log axis): an empty
+            # frame over [0, 1], or over one decade on a log axis
+            xs = [1.0, 10.0] if self.xlog else [0.0, 1.0]
+            ys = [1.0, 10.0] if self.ylog else [0.0, 1.0]
         x_lo, x_hi = min(xs), max(xs)
         y_lo, y_hi = min(ys), max(ys)
         if not self.xlog:

@@ -14,6 +14,9 @@ to a number the package computes another way:
 * `geometric_edges`: the resolvent tail split into panels of ratio 4 in
   omega, against the one compactified span `walk.resolvent_integrand`
   integrates (`quadrature.tail_map`);
+* `full_grid_edges`: the resolvent integral's first edges with the whole
+  band window [-W, W] in 48 equal panels, against the edges that keep that
+  grid only within the pole bound;
 * `eigenpairs`: a dense eigensolve with right vectors, residuals and a
   condition flag, behind the spectra C8b compares and the pairs
   `eigenpair_near` is pinned to;
@@ -127,6 +130,24 @@ def geometric_edges(start, stop):
         edges.append(float(np.sign(start) * v))
     edges.append(float(stop))
     return edges
+
+
+def full_grid_edges(width, omega_max, folded):
+    """First edges of a resolvent integral with the band window [-W, W],
+    W = `width`, in 48 equal panels wherever the poles are, each tail
+    [W, Omega] one span in v (`quadrature.tail_map`), and only the edges
+    above an edge at exactly 0 where the integral is `folded`; of two edges
+    within 1e-9 relative the first is kept."""
+    v_max = 2.0 * width - width ** 2 / omega_max
+    cand = set(np.linspace(-width, width, 49)) | {v_max, -v_max}
+    if folded:
+        cand = {0.0} | {e for e in cand if e > 0}
+    cand = sorted(cand)
+    edges = [cand[0]]
+    for e in cand[1:]:
+        if e - edges[-1] > 1e-9 * max(1.0, abs(e)):
+            edges.append(e)
+    return np.array(edges)
 
 
 #: relative eigenpair residual above which `eigenpairs` sets its flag

@@ -402,6 +402,12 @@ def _svgs(*names):
                                   if p.endswith(".svg")) == sorted(names)
 
 
+def _pole_bound(model):
+    """||Herm H||_inf of a ladder config, from its dense matrix."""
+    H = build_ladder(validate_config({"command": "spectrum", "model": model})[1]).matrix
+    return pytest.approx(np.abs(0.5 * (H + H.conj().T)).sum(axis=1).max(), rel=1e-14)
+
+
 def _walk(engine, x0=10, **edits):
     return {"command": "walk", "x0": x0, "engine": engine, "model": _ladder(**edits)}
 
@@ -422,7 +428,13 @@ END_TO_END = {
          "diagnostics.RESOLVENT.folded": True}),
     "phi 0.7 walk within budget": (
         _walk("RESOLVENT", phi=0.7), [], 0,
-        {"diagnostics.RESOLVENT.folded": False, "diagnostics.RESOLVENT": _within_budget}),
+        {"diagnostics.RESOLVENT.folded": False, "diagnostics.RESOLVENT": _within_budget,
+         "diagnostics.RESOLVENT.pole_bound": _pole_bound(_ladder(phi=0.7))}),
+    # nothing escapes: the log-scale plot has no point to show, and the
+    # record has no pole bound
+    "lossless walk plot": (
+        _walk("RESOLVENT", x0=5, L=10, phi=0.7, gamma=0.0), ["--plot"], 0,
+        {"diagnostics.RESOLVENT.pole_bound": None, "outputs": _svgs("profile.svg")}),
     "linear-loss walk within budget": (
         _walk("RESOLVENT", phi=0.7, gamma={"kind": "linear", "slope": 0.01, "offset": 0.2}),
         [], 0, {"diagnostics.RESOLVENT": _within_budget}),
@@ -462,6 +474,9 @@ END_TO_END = {
                                           "seed": 1})},
         ["--plot"], 0,
         {"diagnostics.eigensolve": "dense", "diagnostics.steady_density.solver": "banded",
+         # Herm(X/i) = conj(H0): the damping matrix has the ladder's bound
+         "diagnostics.steady_density.pole_bound": _pole_bound(
+             _ladder(phi=0.7, gamma={"kind": "random", "low": 0.4, "high": 0.6, "seed": 1})),
          "outputs": _svgs("liouville_spectrum.svg")}),
     # two of the four roots, u = cos k = 0.10013 and 0.10047, lie closer than 1e-3
     "igc close roots, no plot": (

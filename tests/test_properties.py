@@ -10,7 +10,9 @@ reproduce the ladder matrix exactly, the banded solves of the resolvent
 integrand, its Bloch-block solves on uniform rings and the TIME engine's
 banded rhs and loss rates must reproduce the dense reference, and the two
 resolvent integrals (of H and of X) must give the same profile, each the one
-a dense solve gives over the geometric tail panels its mapped tail replaced.  At
+a dense solve gives over the geometric tail panels its mapped tail replaced,
+and every eigenvalue of H and of X must lie within the integrands' pole
+bound (Bendixson's strip, read off the band's Hermitian part).  At
 cos(phi) = 0 the real eigensolve of the gauged operator must match the
 complex dense one (backward error, and values where well conditioned) and be
 exactly closed under its mirror; elsewhere the complex one must be
@@ -44,9 +46,9 @@ _amplitude = st.floats(-1.0, 1.0, allow_nan=False)
 
 
 @st.composite
-def ladders(draw, max_L=24, min_gamma=0.0, min_L=4, uniform=False, bc=None):
+def ladders(draw, max_L=24, min_gamma=0.0, min_L=4, uniform=False, bc=None, max_n=None):
     L = draw(st.integers(min_L, max_L))
-    n = draw(st.integers(0, (L - 1) // 2))
+    n = draw(st.integers(0, (L - 1) // 2 if max_n is None else min(max_n, (L - 1) // 2)))
     t = draw(st.lists(_amplitude, min_size=n + 1, max_size=n + 1))
     t_p = draw(st.just(0.0) | _amplitude)
     phi = draw(st.floats(0.0, 2.0 * np.pi))
@@ -261,6 +263,13 @@ def _max(v):
     return np.abs(v).max()
 
 
+def _pole_bound(M, s):
+    """||Herm(M/s)||_inf of a dense M, as `resolvent_integrand`'s `pole_bound`
+    (its band sums each row in another order)."""
+    A = M / s
+    return pytest.approx(np.abs(0.5 * (A + A.conj().T)).sum(axis=1).max(), rel=1e-14)
+
+
 @settings(max_examples=60, deadline=None)
 @given(p=ladders(min_gamma=0.05), side=st.sampled_from(sorted(_SIDES)),
        data=st.data())
@@ -400,7 +409,8 @@ def test_bloch_integrand_matches_dense(p, side, u, cell):
     b[2 * (x0 - 1)] = 1.0
     f, *_, info = resolvent_integrand(p, x0, op, s)
     form = op.gauge_form()
-    assert info == {"solver": "bloch_blocks", "folded": form is not None and form[0] != s}
+    assert info == {"solver": "bloch_blocks", "folded": form is not None and form[0] != s,
+                    "pole_bound": _pole_bound(M, s)}
     # a second node checks that each node keeps its own row through the FFT;
     # it may lie past the band window, where the integrand's node v stands for
     # omega(v) and carries the factor d omega/dv (`tail_map`)
@@ -576,10 +586,12 @@ def test_band_width_does_not_grow_with_L(p):
     info = resolvent_integrand(p, 1, H, 1.0)[4]
     form = H.gauge_form()
     folded = form is not None and form[0] == 1j
+    rho = _pole_bound(H.matrix, 1.0)
     if p.bc == PBC and p.uniform_gamma is not None:
-        assert info == {"solver": "bloch_blocks", "folded": folded}
+        assert info == {"solver": "bloch_blocks", "folded": folded, "pole_bound": rho}
     else:
-        assert info == {"solver": "banded", "bandwidth": [kl, ku], "folded": folded}
+        assert info == {"solver": "banded", "bandwidth": [kl, ku], "folded": folded,
+                        "pole_bound": rho}
 
 
 @settings(max_examples=25, deadline=None)
@@ -781,6 +793,28 @@ def test_fold_is_taken_on_the_gauge(p, where, phase, side, u, cell):
         return
     delta = 100 * np.linalg.cond(A) * np.finfo(float).eps * np.linalg.norm(x)
     assert _max(got[0] - got[1]) <= 3 * delta * (2 * _max(x[1::2]) + 3 * delta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=ladders(min_L=2, max_L=40, min_gamma=0.05, max_n=2),
+       side=st.sampled_from(sorted(_SIDES)))
+@example(p=LadderParams(L=8, t=[0.0], t_p=1.0, phi=0.0, gamma=0.5, bc=PBC), side="H")
+@example(p=LadderParams(L=8, t=[0.0], t_p=1.0, phi=0.0, gamma=0.5, bc=PBC), side="X")
+def test_every_pole_lies_within_the_pole_bound(p, side):
+    # Bendixson: every eigenvalue of M/s has |Re| at most the largest
+    # eigenvalue of Herm(M/s) in modulus, and so at most its row-sum norm, the
+    # `pole_bound` rho whose grid the resolvent edges keep.  The examples
+    # reach it: decoupled A and B chains, whose k = 0 modes sit at E = +-t_p =
+    # +-rho.  The dense eigensolve returns the eigenvalues of M + E, ||E|| a
+    # few eps ||M||_F (measured at most 0.7 eps ||M||_F over 3000 draws, where
+    # couplings of 1e-130 left rho near 1e-130), so that is allowed on top of
+    # rho's own rounding.
+    s = _SIDES[side]
+    M, op = _operator(p, side)
+    rho = resolvent_integrand(p, 1, op, s)[4]["pole_bound"]
+    eps = np.finfo(float).eps
+    lam = np.linalg.eigvals(M) / s
+    assert np.abs(lam.real).max() <= rho * (1 + 8 * eps) + 8 * eps * np.linalg.norm(M)
 
 
 # --- the compactified resolvent tail against the geometric one -----------------

@@ -8,6 +8,7 @@ from igclab import (
 from igclab.ode import integrate
 from igclab.quadrature import adaptive_quadrature
 from igclab.walk import RESOLVENT_RTOL, resolvent_integrand, resolvent_result
+from references import full_grid_edges
 
 
 def dimer(gamma=0.5, t0=0.3):
@@ -278,24 +279,76 @@ def test_folded_integral_matches_the_full_window(p, x0, side):
     assert diag["n_nodes"] <= ref_diag["n_nodes"] // 2 + 15
 
 
+def _full_grid(p, x0, op, s):
+    """The integrand integrated from the first edges it had before the pole
+    bound, the whole band window in 48 equal panels (`full_grid_edges`), at
+    the engines' goal and budget: (values, flag, diag).  Also checks that
+    every first panel that can hold a pole, one reaching into
+    |omega| < `pole_bound`, is a first panel of the full grid."""
+    f, edges, omega_max, tail_bound, info = resolvent_integrand(p, x0, op, s)
+    width = float(np.abs(op.band.T.ab).sum(axis=0).max()) + 1.0
+    full = full_grid_edges(width, omega_max, info["folded"])
+    rho = info["pole_bound"]
+    near = {(a, b) for a, b in zip(full[:-1], full[1:]) if a < rho and b > -rho}
+    assert near and near <= set(zip(edges[:-1], edges[1:]))
+    quad = adaptive_quadrature(f, full, rtol=RESOLVENT_RTOL, atol_frac=1e-16,
+                               max_panels=4000 // (2 if info["folded"] else 1))
+    return resolvent_result(quad, np.asarray(p.gamma), omega_max, tail_bound, info)
+
+
+@pytest.mark.parametrize("p, x0, side", [
+    (_c3_corner(0.3, "uniform"), 75, "H"),
+    (_c3_corner(0.6, "linear"), 75, "X"),
+    # uniform rings solve their Bloch blocks, folded and not
+    (LadderParams(L=60, t=[0.6, 0.5], t_p=0.5, phi=np.pi / 2, gamma=0.5, bc=PBC), 30, "H"),
+    (LadderParams(L=60, t=[0.6, 0.5], t_p=0.5, phi=0.7, gamma=0.5, bc=PBC), 30, "X"),
+    # the band, unfolded, in natural and in folded site order
+    (LadderParams(L=40, t=[0.3, 0.5], t_p=0.5, phi=0.7, gamma=0.5), 20, "H"),
+    (LadderParams(L=40, t=[0.3, 0.5], t_p=0.5, phi=0.7,
+                  gamma=np.linspace(0.2, 0.6, 40), bc=PBC), 10, "X"),
+    (LadderParams(L=60, t=[0.3, 0.5, 0.2], t_p=0.5, phi=np.pi / 2,
+                  gamma=random_gamma(60, 0.4, 0.6, seed=3)), 45, "H"),
+], ids=["c3-profile", "c3-density", "ring", "ring-density", "obc-0.7", "pbc-density", "t2"])
+def test_the_pole_bound_keeps_the_values_of_the_full_grid(p, x0, side):
+    # every pole has |Re omega| <= pole_bound, and every panel that can hold
+    # one is a panel of the full grid: the two integrals agree to rounding
+    # and flag alike, and the coarse pole-free panels save solves
+    if side == "H":
+        prof = loss_profile_resolvent(WalkConfig(params=p, x0=x0))
+        values, flag, diag = prof.P, not prof.incomplete, prof.diagnostics
+        ref, ref_flag, ref_diag = _full_grid(p, x0, build_ladder(p), 1.0)
+    else:
+        values, diag = steady_density(p, x0)
+        flag = diag["converged"]
+        ref, ref_flag, ref_diag = _full_grid(p, x0, build_damping(p), 1j)
+    mask = ref > 1e-12
+    assert (np.abs(values[mask] - ref[mask]) / ref[mask]).max() <= 1e-13
+    assert flag == ref_flag
+    assert diag["n_nodes"] < ref_diag["n_nodes"]
+
+
 def test_a_folded_panel_counts_twice_against_the_budget():
-    # the C3 corner converges on 28 folded panels (56 over the full window):
-    # a budget of 52 allows 26 folded panels, and both integrals stop short
+    # the C3 corner converges on 18 folded panels (36 over the full window):
+    # a budget of 32 allows 16 folded panels, and both integrals stop short
     p = _c3_corner(0.3, "uniform")
-    prof = loss_profile_resolvent(WalkConfig(params=p, x0=75), max_panels=52)
+    prof = loss_profile_resolvent(WalkConfig(params=p, x0=75), max_panels=32)
     d = prof.diagnostics
-    assert d["folded"] and d["n_panels"] == 26
+    assert d["folded"] and d["n_panels"] == 16
     assert prof.incomplete and not d["converged"]
-    _, ref_flag, ref_diag = _full_window(p, 75, build_ladder(p), 1.0, 52)
-    assert ref_diag["n_panels"] == 52 and not ref_flag
-    assert loss_profile_resolvent(WalkConfig(params=p, x0=75), max_panels=56).diagnostics[
+    _, ref_flag, ref_diag = _full_window(p, 75, build_ladder(p), 1.0, 32)
+    assert ref_diag["n_panels"] == 32 and not ref_flag
+    assert loss_profile_resolvent(WalkConfig(params=p, x0=75), max_panels=36).diagnostics[
         "converged"]
 
 
 @pytest.mark.parametrize("phi", [0.7, np.pi / 2])
 def test_initial_edges_read_only_the_window(phi):
     # same gamma_max and ||H||_inf, different loss profiles: the first panels
-    # come from the window W and Omega alone, not from the spectrum
+    # come from the window W, Omega and the pole bound rho = ||Herm H||_inf
+    # alone, not from the spectrum.  The grid of 48 panels over [-W, W] is kept
+    # where |e| <= rho + one step, since every pole has |Re| <= rho
+    # (Bendixson), and rho never reads gamma.  Here rho = 1.3 of W = 2.8:
+    # 24 of the 48 grid panels stay, and [1.4, 2.8] is one panel a side
     spiked = np.full(20, 0.2)
     spiked[10] = 0.5
     runs = []
