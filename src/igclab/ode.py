@@ -3,10 +3,10 @@
 A single Tsitouras 5(4) pair (Ch. Tsitouras, Comput. Math. Appl. 62 (2011)
 770-775) drives every time-domain propagation in the package.  It has the
 7-stage FSAL shape of Dormand & Prince's pair, six new rhs calls per
-attempted step, with smaller error constants.  The controller measures the
-embedded error estimate against a per-component scale supplied by the
-caller, which lets the quantum-walk code tie the tolerance to the decaying
-wave-function magnitude instead of an absolute floor.
+attempted step, with smaller error constants.  The controller's one error
+rule (`integrate`) is a mixed relative weighting (Hairer, Norsett & Wanner,
+Solving ODEs I, Sec. II.4) tied to the decaying state's own size instead of
+an absolute floor, and it flushes the state's slow subnormal tail.
 
 A rider is an integral carried along the solution, q' = rates(y), that feeds
 nothing back into the rhs (the walk's escaped probabilities).  Its rates at
@@ -68,6 +68,8 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 #: accepted plus rejected steps before an integration is given up
 _MAX_STEPS = 20_000_000
+#: rhs-block entries below the smallest normal double are flushed to zero
+_TINY = np.finfo(float).tiny
 
 
 @dataclass
@@ -80,18 +82,7 @@ class OdeResult:
     stopped_early: bool = False
 
 
-def _no_rates(ys, out):
-    """The rates of an empty rider block."""
-
-
-def _default_scale(rtol, atol):
-    def scale(y_old, y_new):
-        return atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return scale
-
-
-def integrate(rhs, y0, t0, t_end, rtol=1e-8, atol=0.0, scale_fn=None,
-              stop_fn=None, rider=None):
+def integrate(rhs, y0, t0, t_end, rtol=1e-8, stop_fn=None, rider=None):
     """Integrate dy/dt = rhs(t, y) from t0 to t_end.
 
     Parameters
@@ -99,15 +90,12 @@ def integrate(rhs, y0, t0, t_end, rtol=1e-8, atol=0.0, scale_fn=None,
     rhs : callable
         Right-hand side, returning an array like y (1-D, without the rider
         block); it may return one buffer of its own on every call.
-    scale_fn : callable, optional
-        Maps (y_old, y_new), rider block included, to the per-component error
-        scale.  Defaults to the standard atol + rtol*|y| weighting.
     stop_fn : callable, optional
         Called after every accepted step with (t, y); returning True ends the
         integration early (flagged on the result).  y is the integrator's own
-        state buffer, rider block included, overwritten by later steps: copy
-        what is to be kept.  An in-place change to it (such as flushing
-        underflowed entries) carries into the next step.
+        state buffer, rider block included, with its subnormal rhs-block
+        entries already flushed to zero, overwritten by later steps: copy
+        what is to be kept.
     rider : (rates, m), optional
         The last m entries of y0 are an integral q with dq/dt = rates(y),
         which the rhs never sees.  ``rates(ys, out)`` is handed an (s, n)
@@ -116,19 +104,21 @@ def integrate(rhs, y0, t0, t_end, rtol=1e-8, atol=0.0, scale_fn=None,
         stage states.  Without a rider the same step runs with an empty
         rider block.
 
-    The error norm is the max over components of |err_i| / scale_i; a step is
-    accepted at norm <= 1 and the next h follows the standard fifth-order
-    rescaling with safety 0.9.
+    The error norm is max_i |err_i| / scale_i, with a_i = max(|y_old,i|,
+    |y_new,i|), scale_i = rtol (a_i + M) on the rhs block, M its largest a_i
+    (at least 1e-300), and scale_i = rtol (a_i + 1) on the rider block.  A
+    step is accepted at norm <= 1 and the next h follows the standard
+    fifth-order rescaling with safety 0.9.  After an accepted step, the
+    rhs-block entries with |y_new,i| below the smallest normal double (many
+    times slower to compute with) are set to zero before `stop_fn` sees y.
     """
     y0 = np.asarray(y0)
     dtype = float if y0.dtype == np.float64 else complex
     y0 = y0.astype(dtype, copy=False)
-    rates, m = rider if rider is not None else (_no_rates, 0)
+    rates, m = rider if rider is not None else (lambda ys, out: None, 0)
     size = y0.size
     n = size - m
     t = float(t0)
-    if scale_fn is None:
-        scale_fn = _default_scale(rtol, atol)
     result = OdeResult(t=t, y=y0, n_steps=0, n_rejected=0)
 
     tab = np.zeros((8, size), dtype=dtype)       # [y; k0..k6]
@@ -137,7 +127,10 @@ def integrate(rhs, y0, t0, t_end, rtol=1e-8, atol=0.0, scale_fn=None,
     rows, hcoef = _ROWS[:, 1:], coef[:, 1:]      # hcoef = h * rows at every step
     err = np.empty(size, dtype=dtype)
     w = np.empty(size)                           # |err| / scale
-    y, y_new = tab[0], ys[5]
+    ao, an, sc = np.empty(size), np.empty(size), np.empty(size)
+    sc_rhs, sc_rider, an_rhs = sc[:n], sc[n:], an[:n]
+    underflow = np.empty(n, dtype=bool)
+    y, y_new, y_rhs = tab[0], ys[5], tab[0, :n]
     rhs_tab, rhs_ys = tab[:, :n], ys[:, :n]
     stage_rates = tab[2:, n:].real               # rider rates of k1..k6
     stages = [(_C[i], coef[i - 1, :i + 1], tab[:i + 1], ys[i - 1], rhs_ys[i - 1],
@@ -145,18 +138,28 @@ def integrate(rhs, y0, t0, t_end, rtol=1e-8, atol=0.0, scale_fn=None,
     b_row, b_tab = coef[5, :7], tab[:7]
     e_row, k_tab = coef[6, 1:], tab[1:]
 
+    def scale(old, new):
+        # the error rule (docstring) into `sc`, leaving |new| in `an`
+        np.abs(old, out=ao)
+        np.abs(new, out=an)
+        np.maximum(ao, an, out=sc)
+        np.add(sc_rhs, max(np.maximum.reduce(sc_rhs), 1e-300), out=sc_rhs)
+        np.add(sc_rider, 1.0, out=sc_rider)
+        np.multiply(sc, rtol, out=sc)
+
     y[...] = y0
-    k0 = rhs(t, y[:n])
+    k0 = rhs(t, y_rhs)
     if dtype is float and np.iscomplexobj(k0):
         # storing it in the real table would drop its imaginary part
         raise TypeError("a float64 y0 needs an rhs that returns reals")
     rhs_tab[1] = k0
     n_rhs, n_steps, n_rejected = 1, 0, 0
     rates(rhs_tab[:1], tab[1:2, n:].real)
-    # initial step heuristic (conservative power-of-tolerance scaling)
-    sc = scale_fn(y, y)
-    d0 = np.max(np.abs(y) / sc) if size else 1.0
-    d1 = np.max(np.abs(tab[1]) / sc)
+    # initial step heuristic (conservative power-of-tolerance scaling); a zero
+    # state starts at h = 1e-6 without dividing k0 by its weight rtol 1e-300
+    scale(y, y)
+    d0 = np.max(np.abs(y) / sc)
+    d1 = np.max(np.abs(tab[1]) / sc) if d0 > 0 else np.inf
     h = min(t_end - t, 1e-2 * (d0 / d1 if d1 > 0 else 1.0) + 1e-6)
 
     while t < t_end:
@@ -174,13 +177,15 @@ def integrate(rhs, y0, t0, t_end, rtol=1e-8, atol=0.0, scale_fn=None,
         rates(rhs_ys, stage_rates)
         np.dot(b_row, b_tab, out=y_new)
         np.dot(e_row, k_tab, out=err)
-        sc = scale_fn(y, y_new)
+        scale(y, y_new)
         np.abs(err, out=w)
         w /= sc
         enorm = np.maximum.reduce(w)
         if enorm <= 1.0:
             t = t_end if end_hit else t + h
             y[...] = y_new
+            np.less(an_rhs, _TINY, out=underflow)
+            np.copyto(y_rhs, 0.0, where=underflow)
             tab[1] = tab[7]  # FSAL
             n_steps += 1
             if stop_fn is not None and stop_fn(t, y):

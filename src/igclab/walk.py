@@ -14,7 +14,7 @@ compute the escape profile P_x and serve as mutual cross-checks:
   D^-1 H D = i R (cos(phi) = 0 or t_p = 0; see `LadderOperator.gauge_form`)
   the engine integrates phi = D^-1 psi, d phi/dt = R phi, in real
   arithmetic with `dgbmv`: the release state is real on an A site, and
-  |psi| = |phi| entrywise, so the rider, the error scale and the stop test
+  |psi| = |phi| entrywise, so the rider, the error rule and the stop test
   read phi as they would psi; every other ladder takes `zgbmv`, and
 * the resolvent engine evaluates the frequency-domain formula
   P_x = (gamma_x / pi) * integral |<x,B| (omega - H)^{-1} |x0,A>|^2 d omega
@@ -69,9 +69,6 @@ TAIL_BOUND = 1e-8
 
 #: relative quadrature goal of the resolvent integrals (profile and density)
 RESOLVENT_RTOL = 1e-9
-
-#: psi entries below the smallest normal double are flushed to zero
-_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -161,29 +158,6 @@ def _loss_rates(op: LadderOperator, gamma: np.ndarray):
     return rates
 
 
-def _walk_scale(n, size, rtol):
-    """Error weights of a walk state of `size` entries, the first n of them psi.
-
-    The wave-function block is weighed relative to its own decaying
-    magnitude, the accumulator block relative to unit probability.  Returns
-    (scale, mag): the weights are written into one buffer on every call, and
-    `mag` holds |y_new| of the last call.
-    """
-    ao, an, sc = np.empty(size), np.empty(size), np.empty(size)
-    sc_psi, sc_acc = sc[:n], sc[n:]
-
-    def scale(y_old, y_new):
-        np.abs(y_old, out=ao)
-        np.abs(y_new, out=an)
-        np.maximum(ao, an, out=sc)
-        np.add(sc_psi, max(np.maximum.reduce(sc_psi), 1e-300), out=sc_psi)
-        np.add(sc_acc, 1.0, out=sc_acc)
-        np.multiply(sc, rtol, out=sc)
-        return sc
-
-    return scale, an
-
-
 def loss_profile_time(cfg: WalkConfig) -> LossProfile:
     """Escape profile accumulated along the adaptive trajectory.
 
@@ -193,11 +167,10 @@ def loss_profile_time(cfg: WalkConfig) -> LossProfile:
     where H has a real gauge form (module header; `arithmetic` in the
     diagnostics reads "real" or "complex").  The escaped probabilities are the
     integrator's rider (see `_loss_rates`), one accumulator per cell after
-    psi in the state the error scale and the stop test see.  After each
-    accepted step the psi entries whose magnitude is below the smallest
-    normal double are set to zero: the far tail of the wavefront otherwise
-    underflows into subnormals, on which every arithmetic operation is many
-    times slower.
+    psi in the state.  `ode.integrate`'s error rule, at `step_tol`, weighs
+    psi against its largest entry and the accumulators against unit
+    probability, and flushes psi's subnormal far tail; the walk adds only
+    its norm-floor stop.
 
     The truncated remainder of the time integral is bounded by the residual
     norm (whatever probability is still in the system must eventually leave
@@ -219,17 +192,9 @@ def loss_profile_time(cfg: WalkConfig) -> LossProfile:
     else:
         rhs = _band_rhs(b.ab, b.kl, b.ku, -1j)
     y0 = np.concatenate([psi0, np.zeros(p.L)])
-    scale, mag = _walk_scale(n, y0.size, cfg.step_tol)
-    mag_psi, underflow = mag[:n], np.zeros(n, dtype=bool)
-
-    def stop(_, y):
-        psi = y[:n]
-        np.less(mag_psi, _TINY, out=underflow)    # |psi| from this step's error scale
-        np.copyto(psi, 0.0, where=underflow)
-        return float(np.vdot(psi, psi).real) < cfg.norm_floor
-
-    res = integrate(rhs, y0, 0.0, cfg.t_max, scale_fn=scale,
-                    stop_fn=stop, rider=(_loss_rates(op, np.asarray(p.gamma)), p.L))
+    res = integrate(rhs, y0, 0.0, cfg.t_max, rtol=cfg.step_tol,
+                    stop_fn=lambda _, y: float(np.vdot(y[:n], y[:n]).real) < cfg.norm_floor,
+                    rider=(_loss_rates(op, np.asarray(p.gamma)), p.L))
     norm_end = float(np.vdot(res.y[:n], res.y[:n]).real)
     escaped = np.empty(p.L)
     escaped[order[0::2] // 2] = res.y[n:].real
@@ -244,7 +209,7 @@ def loss_profile_time(cfg: WalkConfig) -> LossProfile:
                        diagnostics=diag)
 
 
-def _resolvent_edges(width: float, rho: float, omega_max: float,
+def _resolvent_edges(width: float, rho: float, v_max: float,
                      folded: bool) -> np.ndarray:
     # the band window's grid of 48 equal panels, fine enough that no peak
     # hides between nodes, kept where |e| <= rho + one grid step: every pole
@@ -257,7 +222,6 @@ def _resolvent_edges(width: float, rho: float, omega_max: float,
     # next to W at a tiny gamma_max): keep the first
     grid = np.linspace(-width, width, 49)
     grid = grid[np.abs(grid) <= rho + (grid[1] - grid[0])]
-    v_max = 2.0 * width - width ** 2 / omega_max
     cand = set(grid) | {width, -width, v_max, -v_max}
     if folded:
         cand = {0.0} | {e for e in cand if e > 0}
@@ -315,7 +279,9 @@ def resolvent_integrand(p: LadderParams, x0: int, op: LadderOperator, s: complex
     `solver` ("bloch_blocks" or "banded"), for the banded one its
     `bandwidth` [kl, ku], whether the integral is `folded`, and rho as its
     `pole_bound`.  A lossless model (every gamma_x = 0) has no such window
-    and raises ValueError.
+    and raises ValueError, as does any window whose Omega does not exceed
+    ||M||_inf or whose Omega, v_max or tail bound is not finite (a gamma_max
+    near 1e-300 or below against ||M||_inf), before any solve.
     """
     gam = np.asarray(p.gamma)
     if not gam.any():
@@ -328,12 +294,19 @@ def resolvent_integrand(p: LadderParams, x0: int, op: LadderOperator, s: complex
     ab_t = op.band.T.ab
     m_inf = float(np.abs(ab_t).sum(axis=0).max())
     rho = float(np.abs(0.5 * (ab_t / s + np.conj(op.band.ab / s))).sum(axis=0).max())
-    omega_max = m_inf + 2.0 * gam.max() / (np.pi * TAIL_BOUND)
+    g_max = float(gam.max())
+    omega_max = m_inf + 2.0 * g_max / (np.pi * TAIL_BOUND)
+    width = m_inf + 1.0
+    v_max = 2.0 * width - width ** 2 / omega_max
+    tail_bound = g_max / np.pi * 2.0 / (omega_max - m_inf) if omega_max > m_inf else np.inf
+    if not np.isfinite([omega_max, v_max, tail_bound]).all():
+        raise ValueError(f"no frequency window for gamma_max = {g_max:.3g} against "
+                         f"||M||_inf = {m_inf:.3g}: Omega = {omega_max:.3g}, v_max = "
+                         f"{v_max:.3g}, tail bound = {tail_bound:.3g}")
     # an even integrand (docstring) where c/s = +-i
     form = op.gauge_form()
     folded = form is not None and (form[0] / s).real == 0.0
-    width = m_inf + 1.0
-    edges = _resolvent_edges(width, rho, omega_max, folded)
+    edges = _resolvent_edges(width, rho, v_max, folded)
     if op.ring:
         # s*omega - M is block diagonal in momentum: its L 2x2 blocks
         # s*omega - B_j are one tridiagonal band of order 2L (cells' (A, B)
@@ -368,7 +341,6 @@ def resolvent_integrand(p: LadderParams, x0: int, op: LadderOperator, s: complex
         out = np.abs(resp) ** 2
         return np.multiply(out, jac[:, None], out=out)
 
-    tail_bound = float(gam.max() / np.pi * 2.0 / (omega_max - m_inf))
     return f, edges, omega_max, tail_bound, info
 
 

@@ -51,7 +51,7 @@ def test_scalar_exponential_decay():
     g = 0.5
     for t in (1.0, 2.0, 5.0):
         res = integrate(lambda _, y: -g * y, np.array([1.0 + 0j]), 0.0, t,
-                        rtol=1e-10, atol=1e-12)
+                        rtol=1e-10)
         assert res.t == t                       # the last step lands on t_end
         assert abs(res.y[0]) ** 2 == pytest.approx(np.exp(-2 * g * t), abs=1e-8)
 
@@ -59,15 +59,14 @@ def test_scalar_exponential_decay():
 def test_phase_rotation_preserves_norm():
     w = 1.3
     res = integrate(lambda t, y: -1j * w * y, np.array([1.0 + 0j]), 0.0, 100.0,
-                    rtol=1e-9, atol=1e-12)
+                    rtol=1e-9)
     assert abs(abs(res.y[0]) - 1.0) < 5e-8
     assert res.y[0] == pytest.approx(np.exp(-1j * w * 100.0), abs=1e-6)
 
 
 def test_stop_function_ends_early():
     res = integrate(lambda t, y: -y, np.array([1.0 + 0j]), 0.0, 100.0,
-                    rtol=1e-8, atol=1e-10,
-                    stop_fn=lambda t, y: abs(y[0]) < 1e-3)
+                    rtol=1e-8, stop_fn=lambda t, y: abs(y[0]) < 1e-3)
     assert res.stopped_early
     assert res.t < 100.0
     assert abs(res.y[0]) < 1e-3
@@ -80,7 +79,7 @@ def test_tolerance_controls_error():
     errs = []
     for rtol in (1e-5, 1e-8):
         res = integrate(rhs, np.array([1.0, 0.0], dtype=complex), 0.0, 10.0,
-                        rtol=rtol, atol=rtol)
+                        rtol=rtol)
         errs.append(abs(res.y[0] - np.cos(10.0)))
     assert errs[1] < errs[0] / 100
 
@@ -90,7 +89,7 @@ def test_linear_system_vs_expm():
     A = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     A = A - 2.5 * np.eye(6)          # push spectrum into the stable half plane
     y0 = rng.normal(size=6) + 1j * rng.normal(size=6)
-    res = integrate(lambda t, y: A @ y, y0, 0.0, 2.0, rtol=1e-10, atol=1e-13)
+    res = integrate(lambda t, y: A @ y, y0, 0.0, 2.0, rtol=1e-10)
     import scipy.linalg as sla
     exact = sla.expm(2.0 * A) @ y0
     assert np.linalg.norm(res.y - exact) < 1e-8 * np.linalg.norm(exact)
@@ -108,8 +107,8 @@ def test_rhs_may_return_one_buffer_and_results_are_copies():
         np.dot(A, y, out=buf)
         return buf
 
-    fresh = integrate(lambda t, y: A @ y, y0, 0.0, 2.0, rtol=1e-9, atol=1e-12)
-    res = integrate(reused, y0, 0.0, 2.0, rtol=1e-9, atol=1e-12)
+    fresh = integrate(lambda t, y: A @ y, y0, 0.0, 2.0, rtol=1e-9)
+    res = integrate(reused, y0, 0.0, 2.0, rtol=1e-9)
     assert (res.n_steps, res.n_rejected) == (fresh.n_steps, fresh.n_rejected)
     assert np.array_equal(res.y, fresh.y)
     # the state handed back is not, and is not later overwritten through, a
@@ -129,7 +128,7 @@ def test_real_state_integrates_in_real_arithmetic():
         np.square(np.abs(ys[:, :2]), out=out)
 
     real, cplx = (integrate(lambda t, y: A @ y, y0.astype(dtype), 0.0, 5.0, rtol=1e-10,
-                            atol=1e-13, rider=(rates, 2))
+                            rider=(rates, 2))
                   for dtype in (np.float64, complex))
     assert real.y.dtype == np.float64 and cplx.y.dtype == complex
     assert (real.n_steps, real.n_rejected) == (cplx.n_steps, cplx.n_rejected)
@@ -150,6 +149,54 @@ def test_rhs_calls_are_one_plus_six_per_attempted_step():
         calls.append(t)
         return -1000.0 * (y - np.cos(t))
 
-    res = integrate(rhs, np.array([0.0]), 0.0, 10.0, rtol=1e-6, atol=1e-9)
+    res = integrate(rhs, np.array([0.0]), 0.0, 10.0, rtol=1e-6)
     assert res.n_rejected > 0 and res.t == 10.0
     assert res.n_rhs == len(calls) == 1 + 6 * (res.n_steps + res.n_rejected)
+
+
+def test_rider_integrates_its_rates():
+    # y' = -y carries q' = y^2, so q(T) = (1 - e^{-2T}) / 2
+    def rates(ys, out):
+        np.square(ys, out=out)
+
+    for T in (0.5, 3.0, 20.0):
+        res = integrate(lambda t, y: -y, np.array([1.0, 0.0]), 0.0, T, rtol=1e-10,
+                        rider=(rates, 1))
+        assert res.y[1] == pytest.approx((1.0 - np.exp(-2.0 * T)) / 2.0, rel=1e-9)
+
+
+def test_rhs_block_is_weighed_against_its_largest_entry():
+    # a rotation at unit amplitude beside a faster decoupled one: at amplitude
+    # 1e-12 the faster one's error is weighed against the block's largest
+    # entry, 1, and takes no step of its own; at amplitude 1 it sets the steps
+    w = np.array([1.0, 7.0])
+
+    def steps(small):
+        return integrate(lambda t, y: -1j * w * y, np.array([1.0, small], dtype=complex),
+                         0.0, 10.0, rtol=1e-9).n_steps
+
+    alone = integrate(lambda t, y: -1j * y, np.array([1.0 + 0j]), 0.0, 10.0,
+                      rtol=1e-9).n_steps
+    assert steps(1e-12) == alone < steps(1.0)
+
+
+def test_subnormal_entries_are_zero_when_the_stop_test_sees_them():
+    # the second entry decays through the smallest normal double; from the
+    # step that takes it below, the state the stop test sees holds exactly 0,
+    # and the rider block is never flushed
+    tiny = np.finfo(float).tiny
+    seen = []
+
+    def rates(ys, out):
+        out[...] = 1e-320
+
+    def stop(t, y):
+        seen.append(y.copy())
+        return False
+
+    integrate(lambda t, y: -y, np.array([1.0, 1e-307, 0.0]), 0.0, 5.0, rtol=1e-8,
+              stop_fn=stop, rider=(rates, 1))
+    second = np.array([y[1] for y in seen])
+    assert second[0] >= tiny and second[-1] == 0.0
+    assert np.all((second >= tiny) | (second == 0.0))
+    assert 0.0 < seen[-1][2] < tiny

@@ -5,6 +5,7 @@ from igclab import (
     OBC, LadderParams, PBC, RESOLVENT, TIME, WalkConfig, build_damping, build_ladder,
     linear_gamma, loss_profile_resolvent, loss_profile_time, random_gamma, steady_density,
 )
+from igclab import densela
 from igclab.ode import integrate
 from igclab.quadrature import adaptive_quadrature
 from igclab.walk import RESOLVENT_RTOL, resolvent_integrand, resolvent_result
@@ -59,6 +60,25 @@ def test_resolvent_short_circuits_lossless_case():
     prof = loss_profile_resolvent(WalkConfig(params=p, x0=5))
     assert prof.P.sum() == 0.0
     assert np.all(prof.P == 0.0)
+
+
+@pytest.mark.parametrize("gamma", [1e-300, 1e-320, 5e-324])
+@pytest.mark.parametrize("side", ["H", "X"])
+def test_a_loss_too_small_for_a_window_is_refused_unsolved(gamma, side, monkeypatch):
+    # 2 gamma_max / (pi TAIL_BOUND) vanishes against ||M||_inf = 1.3, so Omega
+    # rounds to ||M||_inf and the tail bound is not finite; solved on that
+    # window, these ladders died on a singular pivot at the first node
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved on a window that does not exist")
+
+    monkeypatch.setattr(densela, "lu_solve", no_solve)
+    p = LadderParams(L=6, t=[0.3, 0.5], t_p=0.5, phi=0.7, gamma=gamma)
+    with pytest.raises(ValueError, match=r"no frequency window for gamma_max = .* "
+                                         r"against \|\|M\|\|_inf = 1\.3"):
+        if side == "H":
+            loss_profile_resolvent(WalkConfig(params=p, x0=3))
+        else:
+            steady_density(p, 3)
 
 
 def test_norm_monotone_and_balance():
@@ -161,32 +181,21 @@ def _dense_walk(cfg):
     """The TIME walk as first written: dense -i H psi in natural site order.
 
     The reference for the banded engine: same state layout but unpermuted,
-    the same error weights and stopping rule, new arrays at every call, and
-    the accumulator 2 gamma_x |psi_x^B|^2 as a block of the rhs rather than
-    a rider.
+    the same stopping rule, new arrays at every call, and the accumulators
+    2 gamma_x |psi_x^B|^2 as the integrator's rider.
     """
     p = cfg.params
     H = build_ladder(p).matrix
     n = H.shape[0]
     two_gam = 2.0 * np.asarray(p.gamma)
 
-    def rhs(_, y):
-        out = np.empty_like(y)
-        out[:n] = -1j * (H @ y[:n])
-        out[n:] = two_gam * np.abs(y[1:n:2]) ** 2
-        return out
-
-    def scale(y_old, y_new):
-        ao, an = np.abs(y_old), np.abs(y_new)
-        amp = max(ao[:n].max(), an[:n].max(), 1e-300)
-        sc = np.empty(y_old.size)
-        sc[:n] = cfg.step_tol * (amp + np.maximum(ao[:n], an[:n]))
-        sc[n:] = cfg.step_tol * (1.0 + np.maximum(ao[n:], an[n:]))
-        return sc
+    def rates(ys, out):
+        out[...] = two_gam * np.abs(ys[:, 1::2]) ** 2
 
     y0 = np.zeros(n + p.L, dtype=complex)
     y0[2 * (cfg.x0 - 1)] = 1.0
-    return integrate(rhs, y0, 0.0, cfg.t_max, scale_fn=scale,
+    return integrate(lambda _, psi: -1j * (H @ psi), y0, 0.0, cfg.t_max,
+                     rtol=cfg.step_tol, rider=(rates, p.L),
                      stop_fn=lambda t, y: np.linalg.norm(y[:n]) ** 2 < cfg.norm_floor)
 
 
@@ -213,7 +222,7 @@ def test_banded_walk_steps_like_the_dense_one(p, x0):
     gauge = p.t_p == 0.0 or abs(np.cos(p.phi)) < 1e-15
     assert prof.diagnostics["arithmetic"] == ("real" if gauge else "complex")
     assert ref.stopped_early and not prof.incomplete
-    # the rider sees the stage states the accumulator block saw, and its
+    # the banded rider sees the stage states the dense one saw, and its
     # error estimate enters the step control the same way
     assert (prof.diagnostics["n_steps"], prof.diagnostics["n_rejected"]) == \
         (ref.n_steps, ref.n_rejected)
