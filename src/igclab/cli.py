@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -194,9 +195,9 @@ def _row_params(params, vary, value):
     if vary == "t2":
         t = list(params.t) + [0.0] * (3 - len(params.t))
         t[2] = value
-        return params.replace(t=tuple(t))
+        return dataclasses.replace(params, t=tuple(t))
     if vary == "phi":
-        return params.replace(phi=value)
+        return dataclasses.replace(params, phi=value)
     return params
 
 
@@ -340,7 +341,8 @@ def _cmd_spectrum(cfg, model, files, plot, jobs):
         variants = [("general", eigendecompose(build_general(model)), "dense")]
     else:
         bcs = (OBC, PBC) if cfg.get("compare_bc") else (model.bc,)
-        variants = [(bc, *build_ladder(model.replace(bc=bc)).eigenvalues()) for bc in bcs]
+        variants = [(bc, *build_ladder(dataclasses.replace(model, bc=bc)).eigenvalues())
+                    for bc in bcs]
     for label, w, how in variants:
         rows += [(e.real, e.imag, label) for e in w]
         diags[label] = {"dim": w.size, "max_imag": float(w.imag.max()),
@@ -639,11 +641,6 @@ PRESETS = {
 }
 
 
-def presets():
-    """Names and descriptions of the built-in figure reproductions."""
-    return {name: p["description"] for name, p in PRESETS.items()}
-
-
 # --- entry point --------------------------------------------------------------
 
 def _apply_override(cfg, key, value):
@@ -695,8 +692,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     if args.list_presets:
-        for name, desc in sorted(presets().items()):
-            print(f"{name:8s} {desc}")
+        for name in sorted(PRESETS):
+            print(f"{name:8s} {PRESETS[name]['description']}")
         return 0
     if not args.config:
         print(_error_record(2, "config", "--config is required"), file=sys.stderr)

@@ -2,14 +2,14 @@
 
 Everything downstream funnels its linear solves and eigenproblems through
 this module.  The factorizations themselves are delegated to LAPACK
-(partial-pivot LU via scipy: dense, in band storage, or tridiagonal for a
-band with kl = ku = 1; Hessenberg + implicitly shifted QR via numpy's eig, in
+(partial-pivot LU via scipy: in band storage, or tridiagonal for a band
+with kl = ku = 1; Hessenberg + implicitly shifted QR via numpy's eig, in
 real arithmetic for a float64 matrix); what this module owns is the contract
-around them: singularity detection at a fixed pivot threshold, the same for
-dense and banded input and any diagonal shift.  A band checks its pivots
-first against a cheap upper bound of the threshold's scale and works the
-exact scale out only where that check does not pass, so a shifted band solve
-costs little more than its LAPACK call and decides as the exact rule does.
+around them: singularity detection at a fixed pivot threshold, under any
+diagonal shift.  A band checks its pivots first against a cheap upper bound
+of the threshold's scale and works the exact scale out only where that check
+does not pass, so a shifted band solve costs little more than its LAPACK
+call and decides as the exact rule does.
 """
 
 from __future__ import annotations
@@ -92,7 +92,30 @@ def _check_pivots(pivot: float, scale: float):
 _BOUND_PAD = 1.0 + 8.0 * np.finfo(float).eps
 
 
-def _banded_solve(A: Banded, b: np.ndarray, shift: complex) -> np.ndarray:
+def lu_solve(A: Banded, b: np.ndarray, shift: complex = 0.0) -> np.ndarray:
+    """Solve (A + shift I) x = b by partial-pivot LU, A a `Banded`.
+
+    The band is factored by LAPACK's band LU, or by its tridiagonal solver
+    when kl = ku = 1; what does not depend on `shift` is set up once per
+    `Banded` (see `Banded._lu_setup`), so a sequence of shifts on one band
+    pays for its LUs only.  The matrix counts as singular, and
+    `SingularMatrixError` is raised, when a pivot of U falls below
+    PIVOT_RTOL * max|A + shift I|; a NaN or infinite entry, or a subnormal
+    max|A + shift I|, the same way.  Any other A raises `TypeError`.
+
+    The smallest pivot is first compared with PIVOT_RTOL times the bound
+    max(off, dmax + |shift|)(1 + 8 eps), off and dmax the largest
+    off-diagonal and diagonal |a| recorded once per band; the bound is never
+    below the computed max|A + shift I|, so a pivot that clears it passes the
+    exact rule.  Only a pivot that does not, a subnormal off-diagonal part or
+    a bound that is not finite take the exact scale, so every decision, and
+    the error's pivot and scale, are the exact rule's.  Each solve factors a
+    copy of the band's storage in one work buffer the band keeps, so one
+    `Banded` must not be solved from two threads at once.
+    """
+    if not isinstance(A, Banded):
+        raise TypeError(f"lu_solve needs a Banded matrix, got {type(A).__name__}")
+    b = np.asarray(b, dtype=complex)
     tri, setup, d, off, dmax, work = A._lu_setup
     work[...] = setup
     diag = work[d]
@@ -120,41 +143,6 @@ def _banded_solve(A: Banded, b: np.ndarray, shift: complex) -> np.ndarray:
     if tri:
         return x.reshape(b.shape)
     x, _ = sla.lapack.zgbtrs(lu, kl, ku, b, piv)
-    return x
-
-
-def lu_solve(A: np.ndarray | Banded, b: np.ndarray, shift: complex = 0.0) -> np.ndarray:
-    """Solve (A + shift I) x = b by partial-pivot LU, A dense square or `Banded`.
-
-    A band is factored by LAPACK's band LU, or by its tridiagonal solver when
-    kl = ku = 1; what does not depend on `shift` is set up once per `Banded`
-    (see `Banded._lu_setup`), so a sequence of shifts on one band pays for
-    its LUs only.  The matrix counts as singular, and `SingularMatrixError`
-    is raised, when a pivot of U falls below PIVOT_RTOL * max|A + shift I|;
-    a NaN or infinite entry, or a subnormal max|A + shift I|, the same way.
-
-    On a band the smallest pivot is first compared with PIVOT_RTOL times the
-    bound max(off, dmax + |shift|)(1 + 8 eps), off and dmax the largest
-    off-diagonal and diagonal |a| recorded once per band; the bound is never
-    below the computed max|A + shift I|, so a pivot that clears it passes the
-    exact rule.  Only a pivot that does not, a subnormal off-diagonal part or
-    a bound that is not finite take the exact scale, so every decision, and
-    the error's pivot and scale, are the exact rule's.  Each solve factors a
-    copy of the band's storage in one work buffer the band keeps, so one
-    `Banded` must not be solved from two threads at once.
-    """
-    b = np.asarray(b, dtype=complex)
-    if isinstance(A, Banded):
-        return _banded_solve(A, b, shift)
-    A = np.array(A, dtype=complex, order="F")
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"lu_solve needs a square matrix, got shape {A.shape}")
-    A[np.diag_indices(A.shape[0])] += shift
-    scale = np.abs(A).max(initial=0.0)
-    lu, piv, _ = sla.lapack.zgetrf(A, overwrite_a=1)
-    # an exact zero pivot (info > 0) stays on U's diagonal and fails here too
-    _check_pivots(np.abs(np.diagonal(lu)).min(), scale)
-    x, _ = sla.lapack.zgetrs(lu, piv, b)
     return x
 
 

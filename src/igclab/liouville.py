@@ -53,12 +53,13 @@ def build_damping(p: LadderParams) -> LadderOperator:
     on the band data and fail only if the model builder's conventions drift.
     """
     H = build_ladder(p)
-    b, m = H.band, H.loss_diagonal()
-    if np.any(m[0::2] != 0.0):
+    b = H.band
+    m = -np.imag(b.ab[b.ku])                          # loss rates, band order
+    if np.any(m[H.order % 2 == 0] != 0.0):
         raise AssertionError("loss found on A slots; site ordering broken")
     X = densela.Banded(1j * np.conj(b.ab), b.kl, b.ku)
     via_h0 = 1j * 0.5 * (b.T.ab + np.conj(b.ab))      # i H0^T, H0 = (H + H^dagger)/2
-    via_h0[b.ku] -= m[H.order]
+    via_h0[b.ku] -= m
     if np.abs(via_h0 - X.ab).max() > 1e-14 * max(1.0, np.abs(b.ab).max()):
         raise AssertionError("X != i conj(H); damping-matrix identity broken")
     return LadderOperator(X, H.order, H.ring)

@@ -110,14 +110,6 @@ class LadderParams:
             return float(g[0])
         return None
 
-    def replace(self, **kw) -> "LadderParams":
-        # a uniform profile carries over as its scalar, so it survives a new L
-        g = self.uniform_gamma
-        d = dict(L=self.L, t=self.t, t_p=self.t_p, phi=self.phi,
-                 gamma=self.gamma if g is None else g, bc=self.bc)
-        d.update(kw)
-        return LadderParams(**d)
-
 
 def linear_gamma(L: int, slope: float, offset: float) -> np.ndarray:
     """Loss profile gamma_x = slope*x + offset for x = 1..L."""
@@ -253,12 +245,6 @@ class LadderOperator:
         c, R = form
         w = c * densela.eigendecompose(self._dense(R))
         return w[np.lexsort((w.imag, w.real))], "dense_real"
-
-    def loss_diagonal(self) -> np.ndarray:
-        """Onsite loss rates of a Hamiltonian, natural order: -Im H_ii."""
-        rates = np.empty(self.order.size)
-        rates[self.order] = -np.imag(self.band.ab[self.band.ku])
-        return rates
 
 
 def build_ladder(p: LadderParams) -> LadderOperator:

@@ -24,9 +24,7 @@ compute the escape profile P_x and serve as mutual cross-checks:
   `quadrature.tail_map`.  Within it, the grid of 48 equal panels is kept
   only where a pole can be: by Bendixson's theorem every pole has
   |Re omega| <= rho = ||Herm(M/s)||_inf, so past rho + one grid step each
-  side is one panel (`resolvent_integrand`).  That took a perfbench
-  `walk_resolvent` pass from 2055 to 1650 solves and its median `pass_s`
-  from 0.084 to 0.072 s (`BENCH_pole_window.json`).  A periodic ring with
+  side is one panel (`resolvent_integrand`).  A periodic ring with
   uniform loss is block diagonal in momentum, so its band is the L 2x2
   Bloch blocks (`LadderOperator.blocks`) as one tridiagonal matrix, and an
   inverse FFT takes the response back to the cells; every other ladder
@@ -262,9 +260,7 @@ def resolvent_integrand(p: LadderParams, x0: int, op: LadderOperator, s: complex
     step: every panel that can hold a pole is a grid panel, and each side's
     pole-free rest, up to W, is one panel.  The Hermitian part of H (or of
     X/i = conj(H)) never reads gamma, so the initial edges read W, Omega and
-    rho, no loss profile, and the adaptive split finds the peaks.  On the
-    C3 corner (rho = 1.3, W = 2.8) the profile converges on 18 folded panels
-    instead of 28, 330 solves instead of 465.
+    rho, no loss profile, and the adaptive split finds the peaks.
 
     With a `gauge_form` (c, R) of `op` and c/s purely imaginary (c = i for
     H at s = 1, c = 1 for X at s = i), D^-1 (s omega - M) D = s (omega -+ i R)

@@ -21,7 +21,9 @@ to a number the package computes another way:
   condition flag, behind the spectra C8b compares and the pairs
   `eigenpair_near` is pinned to;
 * `eigenpair_near`: the eigenpair nearest a shift by inverse iteration on a
-  band, the pairs C2 reads.
+  band, the pairs C2 reads;
+* `dense_solve`: a dense LU solve under `densela`'s pivot rule, against
+  `lu_solve` on a band.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from igclab import GeneralModel, LadderParams, build_damping, build_ladder, lu_solve, site_index
+from igclab import (GeneralModel, LadderParams, build_damping, build_ladder, densela,
+                    lu_solve, site_index)
 from igclab.model import h_x, h_y
 
 
@@ -221,3 +224,29 @@ def eigenpair_near(band, sigma: complex):
             return sigma + theta, x
     raise RuntimeError(f"inverse iteration at {sigma} did not converge in "
                        f"{_MAX_ITERATIONS} steps (residual {residual:.2e})")
+
+
+def dense_solve(A, b, shift=0.0):
+    """Solve (A + shift I) x = b for a dense square A by partial-pivot LU.
+
+    LAPACK's `zgetrf`/`zgetrs` under `densela`'s pivot rule, restated: the
+    matrix counts as singular, and `densela.SingularMatrixError` is raised
+    with `lu_solve`'s message, when a pivot of U falls below
+    PIVOT_RTOL * max|A + shift I|; a NaN or infinite entry, or a subnormal
+    max|A + shift I|, the same way.
+    """
+    b = np.asarray(b, dtype=complex)
+    A = np.array(A, dtype=complex, order="F")
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"dense_solve needs a square matrix, got shape {A.shape}")
+    A[np.diag_indices(A.shape[0])] += shift
+    scale = np.abs(A).max(initial=0.0)
+    lu, piv, _ = sla.lapack.zgetrf(A, overwrite_a=1)
+    # an exact zero pivot (info > 0) stays on U's diagonal and fails here too
+    pivot = np.abs(np.diagonal(lu)).min()
+    if not (np.finfo(float).tiny <= scale < np.inf and pivot >= densela.PIVOT_RTOL * scale):
+        raise densela.SingularMatrixError(
+            f"matrix is singular to working precision (min pivot "
+            f"{pivot:.3e} vs scale {scale:.3e})")
+    x, _ = sla.lapack.zgetrs(lu, piv, b)
+    return x

@@ -12,20 +12,35 @@ from igclab import (
     lu_solve,
 )
 from igclab.densela import PIVOT_RTOL, Banded
-from references import eigenpair_near, eigenpairs
+from references import dense_solve, eigenpair_near, eigenpairs
 
 EPS = np.finfo(float).eps
 
 
 def test_lu_solve_identity():
     b = np.array([1.0, 2.0 + 1j, -3.0])
-    assert np.allclose(lu_solve(np.eye(3), b), b)
+    assert np.allclose(lu_solve(_band_of(np.eye(3), 0, 0), b), b)
 
 
 def test_lu_solve_diagonal():
     A = np.diag([2.0, -1j])
-    x = lu_solve(A, np.array([2.0, 1.0]))
+    x = lu_solve(_band_of(A, 0, 0), np.array([2.0, 1.0]))
     assert np.allclose(x, [1.0, 1j])
+
+
+def test_lu_solve_refuses_what_is_not_a_band():
+    # the (3, 3, 3) stack is refused the same way in test_lu_solve_stacked_blocks
+    for A, name in ((np.eye(3), "ndarray"), (np.eye(3).tolist(), "list")):
+        with pytest.raises(TypeError, match=f"needs a Banded matrix, got {name}$"):
+            lu_solve(A, np.ones(3))
+
+
+def test_dense_solve_matches_scipy():
+    rng = np.random.default_rng(11)
+    A = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    b = rng.normal(size=12) + 1j * rng.normal(size=12)
+    ref = sla.solve(A, b)
+    assert np.abs(dense_solve(A, b) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_lu_solve_residual_on_shifted_ladder(fig3_params):
@@ -33,7 +48,7 @@ def test_lu_solve_residual_on_shifted_ladder(fig3_params):
     A = 0.1 * np.eye(H.order.size) - H.matrix
     b = np.zeros(H.order.size, complex)
     b[2 * 149] = 1.0
-    x = lu_solve(A, b)
+    x = dense_solve(A, b)
     assert np.linalg.norm(A @ x - b) < 1e-10 * np.linalg.norm(A) * np.linalg.norm(x)
     # open boundaries keep the natural order, so the band is A's own
     ab = -H.band.ab
@@ -45,10 +60,12 @@ def test_lu_solve_residual_on_shifted_ladder(fig3_params):
 
 def test_lu_solve_singular_raises():
     rank_one = np.array([[1.0, 2.0], [2.0, 4.0]])
-    for form in (rank_one, Banded(np.array([[0.0, 2.0], [1.0, 4.0], [2.0, 0.0]]), 1, 1),
-                 np.zeros((2, 2)), Banded(np.zeros((1, 2)), 0, 0)):
+    for solve, form in ((dense_solve, rank_one),
+                        (lu_solve, Banded(np.array([[0.0, 2.0], [1.0, 4.0], [2.0, 0.0]]), 1, 1)),
+                        (dense_solve, np.zeros((2, 2))),
+                        (lu_solve, Banded(np.zeros((1, 2)), 0, 0))):
         with pytest.raises(SingularMatrixError):
-            lu_solve(form, np.array([1.0, 1.0]))
+            solve(form, np.array([1.0, 1.0]))
 
 
 def _near_singular_block(ratio):
@@ -95,7 +112,7 @@ def test_lu_solve_stacked_blocks():
         A[4] = 0.0
         with pytest.raises(SingularMatrixError):
             lu_solve(_block_band(A), b.ravel())
-    with pytest.raises(ValueError, match="square"):
+    with pytest.raises(TypeError, match="Banded matrix, got ndarray"):
         lu_solve(np.ones((3, 3, 3)), np.ones(3))
 
 
@@ -318,9 +335,10 @@ def test_lu_solve_overflowing_elimination_raises():
     H = build_ladder(LadderParams(L=4, t=[2.2e-311], t_p=0.0, phi=0.0,
                                   gamma=1.0))
     b = np.eye(8)[0]
-    for A in (-H.matrix, Banded(-H.band.ab, H.band.kl, H.band.ku)):
+    for solve, A in ((dense_solve, -H.matrix),
+                     (lu_solve, Banded(-H.band.ab, H.band.kl, H.band.ku))):
         with pytest.raises(SingularMatrixError):
-            lu_solve(A, b)
+            solve(A, b)
 
 
 def test_lu_solve_refuses_a_subnormal_matrix():
@@ -329,16 +347,19 @@ def test_lu_solve_refuses_a_subnormal_matrix():
     # refused on the dense and the band path, with or without a shift
     tiny = np.finfo(float).tiny
     b = np.ones(1)
-    for form in (np.array([[2.2e-311]]), Banded(np.array([[2.2e-311]]), 0, 0)):
+    for solve, form in ((dense_solve, np.array([[2.2e-311]])),
+                        (lu_solve, Banded(np.array([[2.2e-311]]), 0, 0))):
         with pytest.raises(SingularMatrixError):
-            lu_solve(form, b)
-    for form in (np.zeros((4, 4)), Banded(np.zeros((3, 4)), 1, 1),
-                 Banded(np.zeros((5, 4)), 2, 2)):
+            solve(form, b)
+    for solve, form in ((dense_solve, np.zeros((4, 4))),
+                        (lu_solve, Banded(np.zeros((3, 4)), 1, 1)),
+                        (lu_solve, Banded(np.zeros((5, 4)), 2, 2))):
         with pytest.raises(SingularMatrixError):
-            lu_solve(form, np.ones(4), shift=2.2e-311)
+            solve(form, np.ones(4), shift=2.2e-311)
     # the smallest normal scale still solves, to a finite x
-    for form in (np.array([[tiny]]), Banded(np.array([[tiny]]), 0, 0)):
-        assert lu_solve(form, b)[0] == pytest.approx(1.0 / tiny)
+    for solve, form in ((dense_solve, np.array([[tiny]])),
+                        (lu_solve, Banded(np.array([[tiny]]), 0, 0))):
+        assert solve(form, b)[0] == pytest.approx(1.0 / tiny)
 
 
 def test_lu_solve_ill_conditioned_backward_stable():
@@ -347,7 +368,7 @@ def test_lu_solve_ill_conditioned_backward_stable():
     s = np.logspace(0, -8, 40)          # condition number 1e8
     A = (q * s) @ q.conj().T
     b = rng.normal(size=40) + 1j * rng.normal(size=40)
-    x = lu_solve(A, b)
+    x = lu_solve(_band_of(A, 39, 39), b)       # every diagonal of A in the band
     assert np.linalg.norm(A @ x - b) < 1e-10 * np.linalg.norm(A) * np.linalg.norm(x)
 
 

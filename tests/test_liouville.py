@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,10 @@ from igclab import (
     eigendecompose, liouvillian_gap, loss_profile_resolvent, random_gamma,
     steady_density,
 )
+from igclab import liouville
 from igclab.analysis import EXP, fit_bulk
+from igclab.densela import Banded
+from igclab.model import LadderOperator
 from references import propagate_correlation
 
 
@@ -20,13 +25,35 @@ def ladder(t0=0.3, L=30, bc=PBC, gamma=None, seed=1):
 def test_damping_identity_and_pattern():
     p = ladder()
     X = build_damping(p).matrix
-    M = build_ladder(p).loss_diagonal()
     H = build_ladder(p).matrix
+    M = -np.imag(np.diag(H))
     assert np.abs(X - 1j * np.conj(H)).max() < 1e-14
     assert np.allclose(M[0::2], 0.0)
     assert np.allclose(M[1::2], p.gamma)
     H0 = 0.5 * (H + H.conj().T)                 # the Hermitian part of H
     assert np.abs(X - (1j * H0.T - np.diag(M))).max() < 1e-15
+
+
+@pytest.mark.parametrize("bc", [OBC, PBC])
+@pytest.mark.parametrize("fault, message", [
+    ("loss on an A site", "loss found on A slots"),
+    ("unpaired hop", "damping-matrix identity broken"),
+])
+def test_build_damping_guards_trip_on_a_broken_ladder(monkeypatch, bc, fault, message):
+    p = LadderParams(L=8, t=[0.3, 0.5], t_p=0.5, phi=0.7,
+                     gamma=random_gamma(8, seed=1), bc=bc)
+    H = build_ladder(p)
+    ab, ku = np.array(H.band.ab), H.band.ku
+    if fault == "loss on an A site":
+        ab[ku, np.flatnonzero(H.order % 2 == 0)[3]] -= 0.1j
+    else:
+        # one hop scaled without its Hermitian partner: H0 = (H + H^dagger)/2 drifts
+        r, c = next((r, c) for r, c in zip(*np.nonzero(ab)) if r != ku)
+        ab[r, c] *= 1.5
+    broken = LadderOperator(Banded(ab, H.band.kl, ku), H.order, H.ring)
+    monkeypatch.setattr(liouville, "build_ladder", lambda q: broken)
+    with pytest.raises(AssertionError, match=message):
+        build_damping(p)
 
 
 def test_lossless_damping_is_purely_rotational():
@@ -91,7 +118,7 @@ def test_gap_report_carries_the_spectrum_it_read():
     assert rep.max_real == rep.eigenvalues.real.max()
     # a ring's top eigenvalue is well conditioned: the complex solve agrees
     assert abs(rep.max_real - eigendecompose(X.matrix).real.max()) < 1e-14
-    Y = build_damping(p.replace(phi=0.7))
+    Y = build_damping(replace(p, phi=0.7))
     rep = liouvillian_gap(Y)
     assert rep.eigensolve == "dense"
     assert np.array_equal(rep.eigenvalues, eigendecompose(Y.matrix))

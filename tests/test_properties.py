@@ -21,6 +21,8 @@ where the Bloch bands meet, closed under the mirror E -> -i gamma - E, and
 absent from the time-reversal-symmetric phases.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -40,7 +42,7 @@ from igclab.quadrature import adaptive_quadrature, tail_map
 from igclab.walk import (
     RESOLVENT_RTOL, _band_rhs, _loss_rates, resolvent_integrand, resolvent_result,
 )
-from references import build_bloch, geometric_edges, ladder_to_general
+from references import build_bloch, dense_solve, geometric_edges, ladder_to_general
 
 _amplitude = st.floats(-1.0, 1.0, allow_nan=False)
 
@@ -292,7 +294,7 @@ def test_banded_solve_matches_dense(p, side, data):
     # uniform rings take the Bloch blocks instead (test_bloch_integrand_matches_dense)
     banded = info["solver"] == "banded"
     try:
-        x = densela.lu_solve(A, b)
+        x = dense_solve(A, b)
     except SingularMatrixError:
         with pytest.raises(SingularMatrixError):
             densela.lu_solve(band, b[order])
@@ -340,7 +342,7 @@ def test_shifted_band_solve_matches_dense(kl, ku, n, seed, shift, defect):
     A = _dense(band) + shift * np.eye(n)
     b = rng.normal(size=n) + 1j * rng.normal(size=n)
     try:
-        x = densela.lu_solve(A, b)
+        x = dense_solve(A, b)
     except SingularMatrixError:
         x = None
     try:
@@ -363,8 +365,8 @@ def test_shifted_band_solve_matches_dense(kl, ku, n, seed, shift, defect):
     assert _max(A @ xb - b) <= 1e-12 * np.abs(A).sum(axis=1).max() * _max(xb)
     kappa = np.linalg.cond(A)
     assert _max(xb - x) <= max(1e-12, 100 * kappa * np.finfo(float).eps) * _max(x)
-    # the dense path shifts the same way
-    assert np.array_equal(densela.lu_solve(_dense(band), b, shift=shift), x)
+    # the dense reference shifts the same way
+    assert np.array_equal(dense_solve(_dense(band), b, shift=shift), x)
 
 
 @settings(max_examples=80, deadline=None)
@@ -420,7 +422,7 @@ def test_bloch_integrand_matches_dense(p, side, u, cell):
     refs = []
     for A in shifts:
         try:
-            refs.append(densela.lu_solve(A, b))
+            refs.append(dense_solve(A, b))
         except SingularMatrixError:
             refs.append(None)
     try:
@@ -479,9 +481,9 @@ def test_banded_rhs_is_the_dense_one(p, seed):
     # off the gauge phases a hop keeps both parts under the gauge: no real
     # form (a two-cell ring's two hops on one entry add up to a real t_p cos)
     if abs(p.t_p) > 1e-3 and not (p.L == 2 and p.bc == PBC):
-        assert build_ladder(p.replace(phi=0.7)).gauge_form() is None
-    for q in [p.replace(phi=v) for v in (np.pi / 2, -np.pi / 2, 1.5 * np.pi)] + \
-            [p.replace(t_p=0.0)]:
+        assert build_ladder(replace(p, phi=0.7)).gauge_form() is None
+    for q in [replace(p, phi=v) for v in (np.pi / 2, -np.pi / 2, 1.5 * np.pi)] + \
+            [replace(p, t_p=0.0)]:
         _check_real_gauge_rhs(q, rng)
 
 
@@ -526,7 +528,7 @@ def test_both_paths_refuse_an_exactly_singular_shift(bc, side):
     band = op.band
     b = np.ones(p.dim)
     with pytest.raises(SingularMatrixError):
-        densela.lu_solve(-M, b)
+        dense_solve(-M, b)
     with pytest.raises(SingularMatrixError):
         densela.lu_solve(densela.Banded(-band.ab, band.kl, band.ku), b)
     f, *_, info = resolvent_integrand(p, 1, op, _SIDES[side])
@@ -559,10 +561,10 @@ def test_both_paths_refuse_the_near_lossless_mode(monkeypatch):
     with pytest.raises(SingularMatrixError):
         steady_density(NEAR_LOSSLESS, 1)
     monkeypatch.undo()
-    # the dense path refuses the node the banded path refused
+    # the dense reference refuses the node the banded path refused
     with pytest.raises(SingularMatrixError):
-        densela.lu_solve(_dense(refused) + shift * np.eye(NEAR_LOSSLESS.dim),
-                         np.eye(NEAR_LOSSLESS.dim)[0])
+        dense_solve(_dense(refused) + shift * np.eye(NEAR_LOSSLESS.dim),
+                    np.eye(NEAR_LOSSLESS.dim)[0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -723,7 +725,7 @@ def test_an_imaginary_part_above_one_rounding_unit_is_kept(bc):
             moved = LadderOperator(densela.Banded(ab, b.kl, b.ku), op.order, ring=False)
             assert moved.eigenvalues()[1] == how
     # a phase 1e-14 off pi/2 leaves a real part above the threshold
-    H = build_ladder(p.replace(phi=np.pi / 2 + 1e-14))
+    H = build_ladder(replace(p, phi=np.pi / 2 + 1e-14))
     assert LadderOperator(H.band, H.order, ring=False).eigenvalues()[1] == "dense"
     # on a two-cell ring the +1 and -1 hops add up to t_p cos(fl(pi/2)) =
     # 6.1e-17, a real part with no imaginary part beside it, above one
@@ -756,8 +758,8 @@ def test_fold_is_taken_on_the_gauge(p, where, phase, side, u, cell):
     # eps max|M|, which moves the exact response at -omega by less than
     # delta again; so the two squared moduli differ by at most
     # 3 delta (2 max|x_B| + 3 delta)
-    q = {"phi": p.replace(phi=phase), "t_p": p.replace(t_p=0.0),
-         "off": p.replace(phi=0.7)}[where]
+    q = {"phi": replace(p, phi=phase), "t_p": replace(p, t_p=0.0),
+         "off": replace(p, phi=0.7)}[where]
     s = _SIDES[side]
     M, op = _operator(q, side)
     x0 = 1 + cell % q.L
@@ -785,7 +787,7 @@ def test_fold_is_taken_on_the_gauge(p, where, phase, side, u, cell):
     b[2 * (x0 - 1)] = 1.0
     A = s * w * np.eye(q.dim) - M
     try:
-        x = densela.lu_solve(A, b)
+        x = dense_solve(A, b)
         got = f(np.array([w, -w]))
     except SingularMatrixError:
         # only a node within about PIVOT_RTOL of singular is refused
@@ -836,7 +838,7 @@ def _geometric_reference(p, x0, side):
     b[2 * (x0 - 1)] = 1.0
 
     def f(omegas):
-        return np.array([np.abs(densela.lu_solve(s * w * np.eye(p.dim) - M, b)[1::2]) ** 2
+        return np.array([np.abs(dense_solve(s * w * np.eye(p.dim) - M, b)[1::2]) ** 2
                          for w in omegas])
 
     quad = adaptive_quadrature(f, sorted(cand), rtol=RESOLVENT_RTOL, atol_frac=1e-16,
@@ -876,7 +878,7 @@ def test_compact_tail_matches_the_geometric_tail(p, side, phase, cell):
     # resolves (test_both_paths_flag_an_unresolvable_mode): each quadrature
     # then misses it in its own way, and the two may disagree on values and
     # on the flag, so such ladders compare nothing here.
-    q = p if phase is None else p.replace(phi=phase)
+    q = p if phase is None else replace(p, phi=phase)
     assume(liouvillian_gap(build_damping(q)).gap >= GAPLESS_TOL)
     x0 = 1 + cell % q.L
     ref, ref_flag, ref_diag = _geometric_reference(q, x0, side)

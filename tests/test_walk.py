@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -157,7 +159,7 @@ def test_mass_above_one_is_flagged_on_both_resolvent_paths():
         assert d["conservation_defect"] == abs(1.0 - total)
         assert 1e-8 <= d["conservation_budget"] < 1e-6
     # a resolved profile stays within its budget
-    ok = loss_profile_resolvent(WalkConfig(params=p.replace(t=[0.6, 0.5]), x0=5))
+    ok = loss_profile_resolvent(WalkConfig(params=replace(p, t=[0.6, 0.5]), x0=5))
     assert not ok.incomplete
     assert ok.diagnostics["conservation_defect"] <= ok.diagnostics["conservation_budget"]
 
@@ -168,7 +170,7 @@ def test_boundary_equivalence_before_and_after_arrival():
     p = LadderParams(L=60, t=[0.3, 0.5], t_p=0.5, phi=np.pi / 2, gamma=0.5)
 
     def gap(t_max):
-        P_obc, P_pbc = (loss_profile_time(WalkConfig(params=p.replace(bc=bc), x0=45,
+        P_obc, P_pbc = (loss_profile_time(WalkConfig(params=replace(p, bc=bc), x0=45,
                                                      t_max=t_max)).P
                         for bc in (OBC, PBC))
         return np.abs(P_obc - P_pbc).max()
